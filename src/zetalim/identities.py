@@ -8,7 +8,6 @@ ordered by case id.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -298,7 +297,6 @@ def _rhs_eq414(pt: Point) -> float:
     return closed_form(pt["x"], "4.14")
 
 
-@functools.lru_cache(maxsize=None)
 def _complex_limit_pair(x: float) -> Tuple[complex, complex]:
     lhs = complex(
         regularized_limit(x, "cosine", "unit").value,

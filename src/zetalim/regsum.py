@@ -14,10 +14,13 @@ the odd-index series is M(x/2, s, w) - 2^{s-1} M(x, s, w).
 
 M is summed head-first with the tail accelerated by an iterated Euler
 transform on the forward differences of the coefficient sequence; on
-the unit circle away from z = 1 that converges geometrically.  Limits
-s -> s* in {0, 1} are taken by Neville extrapolation over the sample
-path s* - h_k, h_k = h0 2^{-k}, where every sampled s stays strictly
-inside the s < 1 convergence half-line.
+the unit circle away from z = 1 that converges geometrically, for s < 1
+and beyond.  Euler summation is regular and its value is analytic in s
+(Hardy, Divergent Series, ch. 8), so a regularized limit s -> s* in
+{0, 1} is the Euler-summed series evaluated once at s = s*.  Neville
+extrapolation over the sample path s* - h_k, h_k = h0 2^{-k}, every
+sampled s strictly inside the s < 1 convergence half-line, stays as
+the independent cross-check route, selected by passing a path.
 """
 from __future__ import annotations
 
@@ -43,8 +46,8 @@ _HEAD_START = 64
 _HEAD_CAP = 32768
 _SWEEPS = 40
 _ENGINE_TARGET = 5e-12
-
-CLOSED_FORM_CASES = ("4.1", "4.3re", "4.3im", "4.8", "4.14", "4.18", "4.21", "4.22", "4.23")
+# Rounding of one tail offset relative to its size: 4 ulps.
+_OFFSET_ROUNDING = 4.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,20 @@ def _weights(narr: np.ndarray, weight: str) -> np.ndarray:
 
 
 def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex, float]:
-    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1} for s < 1.
+    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}.
 
     Head of n_direct terms summed pairwise; the remainder is an
-    iterated Euler transform with ratio z/(1-z).  Returns the value
-    and the size of the last accepted transform increment plus a
-    rounding floor.
+    iterated Euler transform with ratio z/(1-z), which also sums the
+    divergent series at s >= 1 (to the analytic continuation in s).
+    Returns the value and an error estimate: the last accepted
+    transform increment, the rounding floor of every forward
+    difference taken, and the head's rounding floor.
+
+    The tail coefficients c(N + j) are c(N) plus offsets computed with
+    log1p/expm1, so their forward differences carry rounding of the
+    offsets' size, not of c(N)'s.  That floor doubles with each
+    difference; once a difference sinks below it the transform has
+    nothing left to resolve and stops, reporting the floor.
     """
     y = y % 1.0
     # Split y so that n*y mod 1 is exact for n up to 2^21.
@@ -130,16 +141,37 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     head = complex(np.sum(coeff * phases(narr)))
     abs_head = float(np.sum(np.abs(coeff)))
 
-    marr = np.arange(n_direct, n_direct + _SWEEPS + 2, dtype=np.float64)
-    d = (_weights(marr, weight) * marr ** (s - 1.0)).tolist()
-    z_n = complex(phases(np.array([float(n_direct)]))[0])
+    # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
+    n0 = float(n_direct)
+    lj = np.log1p(np.arange(_SWEEPS + 2, dtype=np.float64) / n0)
+    ej = np.expm1((s - 1.0) * lj)
+    p = n0 ** (s - 1.0)
+    if weight == "unit":
+        w0 = 1.0
+        offsets, size = ej, np.abs(ej)
+    else:
+        w0 = float(_weights(np.array([n0]), weight)[0])
+        a, b = w0 * ej, lj * (1.0 + ej)
+        offsets, size = a + b, np.abs(a) + np.abs(b)
+    d = (p * offsets).tolist()
+    floor = _OFFSET_ROUNDING * p * float(np.max(size))
+
+    z_n = complex(phases(np.array([n0]))[0])
     mu = z1 / (1.0 - z1)
-    pref = z_n / (1.0 - z1)
-    tail = 0.0 + 0.0j
-    mupow = 1.0 + 0.0j
-    incs: list[float] = []
-    for _ in range(_SWEEPS):
-        term = pref * mupow * d[0]
+    mupow = z_n / (1.0 - z1)
+    tail = mupow * (p * w0)
+    incs = [abs(tail)]
+    noise = 0.0
+    for _ in range(_SWEEPS - 1):
+        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+        mupow *= mu
+        floor *= 2.0
+        noise += abs(mupow) * floor
+        if abs(d[0]) <= floor:
+            # Only rounding noise is left: the floor is the error.
+            incs.append(0.0)
+            break
+        term = mupow * d[0]
         tail += term
         incs.append(abs(term))
         if len(incs) >= 3 and incs[-1] < 1e-17 * (abs(tail) + 1.0):
@@ -149,9 +181,7 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
             tail -= term
             incs.pop()
             break
-        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
-        mupow *= mu
-    err = (incs[-1] if incs else 0.0) + 1e-16 * (abs_head + 1.0)
+    err = incs[-1] + noise + 1e-16 * (abs_head + 1.0)
     return head + tail, err
 
 
@@ -169,12 +199,8 @@ def _master_sum_adaptive(
         n *= 2
 
 
-def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
-    """Evaluate the series of `spec` inside its convergence region s < 1."""
-    if not spec.s < 1.0:
-        raise ConvergenceError(
-            f"series converges only for s < 1, got s = {spec.s}"
-        )
+def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
+    """Value, error and head terms of `spec`'s series, summed at spec.s."""
     if spec.parity == "all_n":
         parts = [(1.0, spec.x)]
     elif spec.parity == "alternating":
@@ -195,6 +221,16 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
         fac = _TWO_PI ** (spec.s - 1.0)
         value *= fac
         err *= fac
+    return value, err, terms
+
+
+def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
+    """Evaluate the series of `spec` inside its convergence region s < 1."""
+    if not spec.s < 1.0:
+        raise ConvergenceError(
+            f"series converges only for s < 1, got s = {spec.s}"
+        )
+    value, err, terms = _series_sum(spec)
     if min(spec.x, 1.0 - spec.x) < _EDGE_BAND:
         err = max(err, 1e-8)
     return EvalResult(
@@ -211,14 +247,30 @@ def regularized_limit(
     s_target: float = 1.0,
     path: ExtrapolationPath | None = None,
 ) -> EvalResult:
-    """Limit s -> s_target of the series, by extrapolation along `path`."""
+    """Limit s -> s_target of the series.
+
+    By default the Euler-summed series is evaluated once at s = s_target
+    (method tag "euler-at-target"): the transform's value is analytic in
+    s, so it equals the limit.  Passing `path` selects the independent
+    cross-check route instead, Neville extrapolation over the samples
+    at s_target - h along the ladder (method tag "neville-osc").
+    """
     if not _EDGE_BAND < x < 1.0 - _EDGE_BAND:
         raise DomainError(
             f"regularized limits need {_EDGE_BAND} < x < {1.0 - _EDGE_BAND}, got {x}"
         )
     if path is None:
-        path = ExtrapolationPath(target=float(s_target))
-    elif path.target != float(s_target):
+        if float(s_target) not in (0.0, 1.0):
+            raise DomainError(f"limit target must be 0 or 1, got {s_target}")
+        value, err, terms = _series_sum(
+            TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
+                           s=float(s_target), scale=scale)
+        )
+        return EvalResult(
+            value=value, err_estimate=err, terms_used=terms,
+            method_tag="euler-at-target",
+        )
+    if path.target != float(s_target):
         raise DomainError("path.target disagrees with s_target")
     hs = list(path.offsets)
     vals = []

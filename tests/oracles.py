@@ -8,6 +8,7 @@ finite differences.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -58,12 +59,7 @@ def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
     if weight == "unit":
         total = unit
     else:
-        # Central difference with an explicit step: mp.diff's default
-        # step straddles the integer order sigma = 1, where polylog
-        # switches expansions and loses digits.
-        with mp.workdps(60):
-            h = mp.mpf(10) ** -12
-            logn = -(mp.polylog(sigma + h, z) - mp.polylog(sigma - h, z)) / (2 * h)
+        logn = _mp_log_weighted_polylog(x, s)
         if weight == "log_n":
             total = logn
         elif weight == "log_2pi_n":
@@ -72,6 +68,22 @@ def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
             total = (mp.euler + mp.log(2 * mp.pi)) * unit + logn
     part = mp.im(total) if trig == "sine" else mp.re(total)
     return float(part)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_log_weighted_polylog(x: float, s: float):
+    """sum ln(n) z^n n^(s-1) = -d/dsigma Li_sigma(z), sigma = 1 - s.
+
+    Cached: the weight and trig variants at one (x, s) share it.
+    """
+    sigma = mp.mpf(1) - mp.mpf(s)
+    z = mp.exp(2j * mp.pi * mp.mpf(x))
+    # Central difference with an explicit step: mp.diff's default
+    # step straddles the integer order sigma = 1, where polylog
+    # switches expansions and loses digits.
+    with mp.workdps(60):
+        h = mp.mpf(10) ** -12
+        return -(mp.polylog(sigma + h, z) - mp.polylog(sigma - h, z)) / (2 * h)
 
 
 def quad_integral_gamma0(u: float) -> float:

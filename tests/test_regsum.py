@@ -350,3 +350,56 @@ def test_double_cos_log_limit_is_psi_combination():
     got = regularized_limit(0.3, "cosine", "log_n").value
     assert got == pytest.approx(K_LOG_COS_LIMIT_AT_03, abs=1e-7)
     assert 2.0 * got == pytest.approx(psi_formula_target(0.3), abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "x, case_id, trig, parity",
+    [
+        (0.01635, "4.23", "sine", "odd_only"),
+        (0.01807, "4.23", "sine", "odd_only"),
+        (0.98825, "4.21", "sine", "alternating"),
+    ],
+)
+def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
+    # The Neville ladder used to raise "extrapolation unstable" here:
+    # rounding noise in the Euler tail moved its samples.
+    got = regularized_limit(x, trig, "unit", parity)
+    assert abs(got.value - closed_form(x, case_id)) <= got.err_estimate + 1e-13
+    ladder = regularized_limit(x, trig, "unit", parity, path=ExtrapolationPath(1.0))
+    assert math.isfinite(ladder.value)
+
+
+@pytest.mark.parametrize("x", [0.0101, 0.011, 0.05, 0.3, 0.95, 0.9899])
+@pytest.mark.parametrize("parity", ["all_n", "alternating"])
+@pytest.mark.parametrize("weight", ["log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
+@pytest.mark.parametrize("trig", ["sine", "cosine"])
+def test_limit_error_estimate_is_honest(x, parity, weight, trig):
+    # At s = 1 the log-weighted tails have forward differences far below
+    # the rounding of ln N; the estimate has to cover that floor.
+    got = regularized_limit(x, trig, weight, parity)
+    if parity == "all_n":
+        want = mp_weighted_sum(x, 1.0, weight, trig)
+    else:
+        want = -mp_weighted_sum((x + 1.0) / 2.0, 1.0, weight, trig)
+    assert abs(got.value - want) <= 2.0 * got.err_estimate + 1e-13
+    assert got.method_tag == "euler-at-target"
+
+
+@pytest.mark.parametrize("s_target", [0.0, 1.0])
+@pytest.mark.parametrize("scale", ["n_power", "two_pi_n_power"])
+@pytest.mark.parametrize(
+    "weight, parity",
+    [(w, p) for w in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
+     for p in ("all_n", "alternating")] + [("unit", "odd_only")],
+)
+def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
+    from zetalim import default_x_grid
+
+    path = ExtrapolationPath(target=s_target)
+    for x in default_x_grid(9):
+        for trig in ("sine", "cosine"):
+            direct = regularized_limit(x, trig, weight, parity, scale, s_target)
+            ladder = regularized_limit(x, trig, weight, parity, scale, s_target, path=path)
+            assert ladder.method_tag == "neville-osc"
+            bound = 2.0 * (direct.err_estimate + ladder.err_estimate) + 1e-12
+            assert abs(direct.value - ladder.value) <= bound, (x, trig)
