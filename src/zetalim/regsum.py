@@ -15,12 +15,15 @@ the odd-index series is M(x/2, s, w) - 2^{s-1} M(x, s, w).
 M is summed head-first with the tail accelerated by an iterated Euler
 transform on the forward differences of the coefficient sequence; on
 the unit circle away from z = 1 that converges geometrically, for s < 1
-and beyond.  Euler summation is regular and its value is analytic in s
-(Hardy, Divergent Series, ch. 8), so a regularized limit s -> s* in
-{0, 1} is the Euler-summed series evaluated once at s = s*.  Neville
-extrapolation over the sample path s* - h_k, h_k = h0 2^{-k}, every
-sampled s strictly inside the s < 1 convergence half-line, stays as
-the independent cross-check route, selected by passing a path.
+and beyond.  Next to z = 1 its ratio z/(1-z) grows like 1/(2 pi y) and
+so does its rounding, so there the tail is cut into blocks of about
+1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
+regular and its value is analytic in s (Hardy, Divergent Series,
+ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
+series evaluated once at s = s*.  Neville extrapolation over the
+sample path s* - h_k, h_k = h0 2^{-k}, every sampled s strictly inside
+the s < 1 convergence half-line, stays as the independent cross-check
+route, selected by passing a path.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult
-from .special import EULER_GAMMA, digamma, log_gamma
+from .special import EULER_GAMMA, cot, digamma, log_gamma
 from .stieltjes import gamma1_reflection_diff
 
 TRIG_KINDS = ("sine", "cosine")
@@ -46,8 +49,16 @@ _HEAD_START = 64
 _HEAD_CAP = 32768
 _SWEEPS = 40
 _ENGINE_TARGET = 5e-12
+# Edge-band accuracy: a master sum that cannot reach it raises.
+_EDGE_ERR = 1e-8
+# Shortest block worth a blocked call: with fewer terms (y above about
+# 0.08, |z/(1-z)| below 2) the plain head's doublings cost less.
+_BLOCK_MIN = 7
 # Rounding of one tail offset relative to its size: 4 ulps.
 _OFFSET_ROUNDING = 4.0 * 2.0**-52
+# Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
+# 3 ulps, measured against mpmath.
+_RATIO_ROUNDING = 8.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,8 @@ class TrigSeriesSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.x < 1.0:
             raise DomainError(f"x must lie in (0, 1), got {self.x}")
+        if not math.isfinite(self.s):
+            raise DomainError(f"s must be finite, got {self.s}")
         if self.trig not in TRIG_KINDS:
             raise DomainError(f"trig must be one of {TRIG_KINDS}")
         if self.weight not in WEIGHT_KINDS:
@@ -107,23 +120,37 @@ def _weights(narr: np.ndarray, weight: str) -> np.ndarray:
     return EULER_GAMMA + np.log(_TWO_PI * narr)
 
 
-def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex, float]:
+def _master_sum(
+    y: float, s: float, weight: str, n_direct: int, block: int = 1
+) -> Tuple[complex, float]:
     """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}.
 
     Head of n_direct terms summed pairwise; the remainder is an
-    iterated Euler transform with ratio z/(1-z), which also sums the
-    divergent series at s >= 1 (to the analytic continuation in s).
-    Returns the value and an error estimate: the last accepted
-    transform increment, the rounding floor of every forward
-    difference taken, and the head's rounding floor.
+    iterated Euler transform, which also sums the divergent series at
+    s >= 1 (to the analytic continuation in s).  Returns the value and
+    an error estimate: the last accepted transform increment, the
+    rounding floor of every forward difference taken, the rounding of
+    the transform ratio as magnified by the transform, and the head's
+    rounding floor.
 
-    The tail coefficients c(N + j) are c(N) plus offsets computed with
-    log1p/expm1, so their forward differences carry rounding of the
-    offsets' size, not of c(N)'s.  That floor doubles with each
-    difference; once a difference sinks below it the transform has
-    nothing left to resolve and stops, reporting the floor.
+    With block = 1 the transform runs on the coefficients c(N + j)
+    with ratio mu = z/(1-z), |mu| = 1/(2 sin pi y).  They are c(N) plus
+    offsets computed with log1p/expm1, so their forward differences
+    carry rounding of the offsets' size, not of c(N)'s.  That floor
+    doubles with each difference; once a difference sinks below it the
+    transform has nothing left to resolve and stops, reporting the
+    floor.  Next to y = 0 or 1, where |mu| reaches 16-32 inside the
+    edge band, each term multiplies the floor's share by 2|mu|.
+
+    With block = B > 1 the transform runs on the block sums
+    C(q) = sum_{r<B} c(N + qB + r) z^r with ratio z^B/(1-z^B).  For
+    B = round(1/(2 min(y, 1-y))) the block ratio z^B lies next to -1,
+    |z^B/(1-z^B)| <= 0.51 for B >= 7, and the transform is the
+    well-conditioned alternating case (Cohen, Rodriguez Villegas and
+    Zagier, Exp. Math. 9, 2000).  Its floor starts at 4 ulps of the
+    largest block's sum of |c|.
     """
-    y = y % 1.0
+    y = y - round(y)
     # Split y so that n*y mod 1 is exact for n up to 2^21.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
@@ -141,28 +168,39 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     head = complex(np.sum(coeff * phases(narr)))
     abs_head = float(np.sum(np.abs(coeff)))
 
-    # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
     n0 = float(n_direct)
-    lj = np.log1p(np.arange(_SWEEPS + 2, dtype=np.float64) / n0)
-    ej = np.expm1((s - 1.0) * lj)
-    p = n0 ** (s - 1.0)
-    if weight == "unit":
-        w0 = 1.0
-        offsets, size = ej, np.abs(ej)
+    if block == 1:
+        # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
+        lj = np.log1p(np.arange(_SWEEPS + 2, dtype=np.float64) / n0)
+        ej = np.expm1((s - 1.0) * lj)
+        p = n0 ** (s - 1.0)
+        if weight == "unit":
+            w0 = 1.0
+            offsets, size = ej, np.abs(ej)
+        else:
+            w0 = float(_weights(np.array([n0]), weight)[0])
+            a, b = w0 * ej, lj * (1.0 + ej)
+            offsets, size = a + b, np.abs(a) + np.abs(b)
+        d = (p * offsets).tolist()
+        floor = _OFFSET_ROUNDING * p * float(np.max(size))
+        first, ratio = p * w0, z1
     else:
-        w0 = float(_weights(np.array([n0]), weight)[0])
-        a, b = w0 * ej, lj * (1.0 + ej)
-        offsets, size = a + b, np.abs(a) + np.abs(b)
-    d = (p * offsets).tolist()
-    floor = _OFFSET_ROUNDING * p * float(np.max(size))
+        narr = n0 + np.arange((_SWEEPS + 2) * block, dtype=np.float64)
+        coeff = (_weights(narr, weight) * narr ** (s - 1.0)).reshape(-1, block)
+        d = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1).tolist()
+        floor = _OFFSET_ROUNDING * float(np.max(np.abs(coeff).sum(axis=1)))
+        first, ratio = d[0], complex(phases(np.array([float(block)]))[0])
 
     z_n = complex(phases(np.array([n0]))[0])
-    mu = z1 / (1.0 - z1)
-    mupow = z_n / (1.0 - z1)
-    tail = mupow * (p * w0)
+    mu = ratio / (1.0 - ratio)
+    mupow = z_n / (1.0 - ratio)
+    tail = mupow * first
     incs = [abs(tail)]
     noise = 0.0
-    for _ in range(_SWEEPS - 1):
+    # Through 1/(1 - ratio) and mu^k, a rounding delta of the ratio moves
+    # term k by about (k + 1)|term k| delta/|1 - ratio|.
+    spread = incs[0]
+    for k in range(1, _SWEEPS):
         d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
         mupow *= mu
         floor *= 2.0
@@ -174,6 +212,7 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
         term = mupow * d[0]
         tail += term
         incs.append(abs(term))
+        spread += (k + 1) * incs[-1]
         if len(incs) >= 3 and incs[-1] < 1e-17 * (abs(tail) + 1.0):
             break
         if len(incs) >= 6 and incs[-1] > incs[-2] > incs[-3]:
@@ -181,22 +220,47 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
             tail -= term
             incs.pop()
             break
-    err = incs[-1] + noise + 1e-16 * (abs_head + 1.0)
+    drift = _RATIO_ROUNDING * spread / abs(1.0 - ratio)
+    err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
     return head + tail, err
 
 
 def _master_sum_adaptive(
     y: float, s: float, weight: str
 ) -> Tuple[complex, float, int]:
-    n = _HEAD_START
-    best: Tuple[complex, float, int] | None = None
-    while True:
-        value, err = _master_sum(y, s, weight, n)
-        if best is None or err < best[1]:
+    """M(y, s, w) to _ENGINE_TARGET: value, error and head terms.
+
+    A plain _HEAD_START-term call settles interior y.  When it misses
+    and B = round(1/(2 min(y, 1-y))) >= _BLOCK_MIN, one call in blocks
+    of B terms over a 24 B-term head follows, if that head fits in
+    _HEAD_CAP.  The head then doubles, within _HEAD_CAP, while each
+    attempt at least halves the error.  A best error above _EDGE_ERR
+    raises ConvergenceError.
+    """
+    n, block = _HEAD_START, 1
+    value, err = _master_sum(y, s, weight, n)
+    best = (value, err, n)
+    if err <= _ENGINE_TARGET:
+        return best
+    b = round(0.5 / abs(y - round(y)))
+    if _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP:
+        n, block = 24 * b, b
+        value, err = _master_sum(y, s, weight, n, block)
+        if err < best[1]:
             best = (value, err, n)
-        if err <= _ENGINE_TARGET or n >= _HEAD_CAP:
-            return best
+    while best[1] > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
+        last = err
         n *= 2
+        value, err = _master_sum(y, s, weight, n, block)
+        if err < best[1]:
+            best = (value, err, n)
+        if err > 0.5 * last:
+            break
+    if best[1] > _EDGE_ERR:
+        raise ConvergenceError(
+            f"master sum at y = {y}, s = {s} stalled at error {best[1]:.2g}"
+        )
+    return best
 
 
 def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
@@ -204,7 +268,11 @@ def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
     if spec.parity == "all_n":
         parts = [(1.0, spec.x)]
     elif spec.parity == "alternating":
-        parts = [(-1.0, (spec.x + 1.0) / 2.0)]
+        # For x >= 1/2, (x - 1)/2 = (x + 1)/2 - 1 is exact where (x + 1)/2
+        # rounds, and next to x = 1 M's slope 2 pi/|1 - z|^2 would
+        # magnify that rounding.
+        x = spec.x
+        parts = [(-1.0, (x - 1.0) / 2.0 if x >= 0.5 else (x + 1.0) / 2.0)]
     else:
         parts = [(1.0, spec.x / 2.0), (-(2.0 ** (spec.s - 1.0)), spec.x)]
 
@@ -232,7 +300,7 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
         )
     value, err, terms = _series_sum(spec)
     if min(spec.x, 1.0 - spec.x) < _EDGE_BAND:
-        err = max(err, 1e-8)
+        err = max(err, _EDGE_ERR)
     return EvalResult(
         value=value, err_estimate=err, terms_used=terms, method_tag="osc-euler"
     )
@@ -295,10 +363,6 @@ def regularized_limit(
     )
 
 
-def _cot(t: float) -> float:
-    return math.cos(t) / math.sin(t)
-
-
 def closed_form(x: float, case_id: str) -> float:
     """Closed-form target of a regularized limit at this x.
 
@@ -313,19 +377,19 @@ def closed_form(x: float, case_id: str) -> float:
         raise DomainError(f"closed_form requires 0 < x < 1, got {x}")
     pix = math.pi * x
     if case_id == "4.1":
-        return 0.5 * _cot(pix)
+        return 0.5 * cot(pix)
     if case_id == "4.3re":
         return -0.5
     if case_id == "4.3im":
-        return 0.5 * _cot(pix)
+        return 0.5 * cot(pix)
     if case_id == "4.8":
         c = math.pi * (EULER_GAMMA + math.log(_TWO_PI))
         diff = gamma1_reflection_diff(x).value
-        return (diff - c * _cot(pix)) / _TWO_PI
+        return (diff - c * cot(pix)) / _TWO_PI
     if case_id == "4.14":
         return -0.5
     if case_id == "4.18":
-        return digamma(x) + 0.5 * math.pi * _cot(pix) + EULER_GAMMA + math.log(_TWO_PI)
+        return digamma(x) + 0.5 * math.pi * cot(pix) + EULER_GAMMA + math.log(_TWO_PI)
     if case_id == "4.21":
         return 0.5 * math.tan(0.5 * pix)
     if case_id == "4.22":
@@ -335,13 +399,22 @@ def closed_form(x: float, case_id: str) -> float:
     raise ValueError(f"unknown closed-form case id: {case_id!r}")
 
 
+def _scaled_series(u: float, trig: str, weight: str, fac: float) -> EvalResult:
+    """fac times the series of (u, trig, weight), summed at s = 0."""
+    if not _EDGE_BAND < u < 1.0 - _EDGE_BAND:
+        raise DomainError(f"argument must lie in (0.01, 0.99), got {u}")
+    r = trig_dirichlet_sum(TrigSeriesSpec(x=u, trig=trig, weight=weight, s=0.0))
+    return EvalResult(
+        value=fac * r.value,
+        err_estimate=fac * r.err_estimate,
+        terms_used=r.terms_used,
+        method_tag=r.method_tag,
+    )
+
+
 def deninger_cos_log_sum(u: float) -> EvalResult:
     """sum_{n>=1} (ln n / n) cos(2 n pi u), summed directly at s = 0."""
-    if not _EDGE_BAND < u < 1.0 - _EDGE_BAND:
-        raise DomainError(f"u must lie in (0.01, 0.99), got {u}")
-    return trig_dirichlet_sum(
-        TrigSeriesSpec(x=u, trig="cosine", weight="log_n", s=0.0)
-    )
+    return _scaled_series(u, "cosine", "log_n", 1.0)
 
 
 def kummer_sine_series(x: float) -> EvalResult:
@@ -349,18 +422,7 @@ def kummer_sine_series(x: float) -> EvalResult:
 
     Equals ln Gamma(x) - ln Gamma(1-x) + 2 gamma (x - 1/2) on (0, 1).
     """
-    if not _EDGE_BAND < x < 1.0 - _EDGE_BAND:
-        raise DomainError(f"x must lie in (0.01, 0.99), got {x}")
-    r = trig_dirichlet_sum(
-        TrigSeriesSpec(x=x, trig="sine", weight="log_2pi_n", s=0.0)
-    )
-    fac = 2.0 / math.pi
-    return EvalResult(
-        value=fac * r.value,
-        err_estimate=fac * r.err_estimate,
-        terms_used=r.terms_used,
-        method_tag=r.method_tag,
-    )
+    return _scaled_series(x, "sine", "log_2pi_n", 2.0 / math.pi)
 
 
 def log_sine_fourier(u: float) -> EvalResult:
@@ -369,18 +431,7 @@ def log_sine_fourier(u: float) -> EvalResult:
     Equals ln Gamma(u) - ln(pi)/2 + ln(sin pi u)/2
     + (u - 1/2)(gamma + ln 2 pi) on (0, 1).
     """
-    if not _EDGE_BAND < u < 1.0 - _EDGE_BAND:
-        raise DomainError(f"u must lie in (0.01, 0.99), got {u}")
-    r = trig_dirichlet_sum(
-        TrigSeriesSpec(x=u, trig="sine", weight="log_n", s=0.0)
-    )
-    fac = 1.0 / math.pi
-    return EvalResult(
-        value=fac * r.value,
-        err_estimate=fac * r.err_estimate,
-        terms_used=r.terms_used,
-        method_tag=r.method_tag,
-    )
+    return _scaled_series(u, "sine", "log_n", 1.0 / math.pi)
 
 
 def log_sine_fourier_target(u: float) -> float:

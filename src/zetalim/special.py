@@ -73,6 +73,11 @@ def bernoulli_table() -> BernoulliTable:
     return _TABLE
 
 
+def cot(t: float) -> float:
+    """Cotangent cos(t)/sin(t)."""
+    return math.cos(t) / math.sin(t)
+
+
 def digamma(x: float) -> float:
     """Digamma psi(x) for real x > 0, absolute error below 1e-12."""
     if not x > 0.0:

@@ -403,3 +403,70 @@ def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
             assert ladder.method_tag == "neville-osc"
             bound = 2.0 * (direct.err_estimate + ladder.err_estimate) + 1e-12
             assert abs(direct.value - ladder.value) <= bound, (x, trig)
+
+
+_GRID_Y = (0.0051, 0.0101, 0.02, 0.05, 0.1, 0.16)
+
+
+@pytest.mark.parametrize("y", _GRID_Y + tuple(1.0 - y for y in _GRID_Y))
+@pytest.mark.parametrize("s", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("weight", ["unit", "log_n"])
+def test_master_sum_error_estimate_is_honest(y, s, weight):
+    # Next to y = 0 and 1 the plain Euler ratio z/(1-z) is large and the
+    # engine sums in blocks of about 1/(2y) terms instead.
+    from zetalim import regsum
+
+    value, err, _ = regsum._master_sum_adaptive(y, s, weight)
+    for trig, part in (("sine", value.imag), ("cosine", value.real)):
+        want = mp_weighted_sum(y, s, weight, trig)
+        assert abs(part - want) <= 2.0 * err + 1e-13, trig
+
+
+def test_limits_never_reach_the_head_cap(monkeypatch):
+    from zetalim import default_x_grid, regsum
+
+    heads = []
+    master = regsum._master_sum
+
+    def recording(y, s, weight, n_direct, *rest):
+        heads.append(n_direct)
+        return master(y, s, weight, n_direct, *rest)
+
+    monkeypatch.setattr(regsum, "_master_sum", recording)
+    combos = [(w, p) for w in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
+              for p in ("all_n", "alternating")] + [("unit", "odd_only")]
+    for x in list(default_x_grid(9)) + [0.0101, 0.9899]:
+        for weight, parity in combos:
+            for s_target in (0.0, 1.0):
+                regularized_limit(x, "sine", weight, parity, s_target=s_target)
+    assert heads and max(heads) < regsum._HEAD_CAP
+
+
+def test_edge_series_raises_beyond_the_blocked_range():
+    # Blocks of 1/(2x) terms need a 12/x-term head; at x = 1e-4 that
+    # exceeds the head cap and no attempt reaches the edge-band level.
+    with pytest.raises(ConvergenceError):
+        trig_dirichlet_sum(TrigSeriesSpec(1e-4, "sine", "log_n", s=0.5))
+    got = trig_dirichlet_sum(TrigSeriesSpec(1e-3, "sine", "log_n", s=0.5))
+    want = mp_weighted_sum(1e-3, 0.5, "log_n", "sine")
+    assert abs(got.value - want) <= 2.0 * got.err_estimate
+
+
+@pytest.mark.parametrize("s", [-math.inf, math.inf, math.nan])
+def test_spec_rejects_non_finite_s(s):
+    with pytest.raises(DomainError):
+        TrigSeriesSpec(0.3, "sine", "unit", s=s)
+
+
+@pytest.mark.parametrize("x", [0.989, 0.9899])
+@pytest.mark.parametrize("trig", ["sine", "cosine"])
+def test_alternating_unit_limit_is_honest_at_the_edge(x, trig):
+    # The rounding of z = e^(2 pi i y) is magnified by 1/|1 - z|^2 here.
+    import mpmath as mp
+
+    got = regularized_limit(x, trig, "unit", "alternating")
+    if trig == "sine":
+        want = float(0.5 * mp.tan(mp.pi * mp.mpf(x) / 2))
+    else:
+        want = 0.5
+    assert abs(got.value - want) <= 2.0 * got.err_estimate + 1e-14
