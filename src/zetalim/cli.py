@@ -15,13 +15,14 @@ import io
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .hurwitz import HurwitzQuery, hurwitz_hasse, hurwitz_zeta
-from .identities import VerificationReport, registry, verify, verify_all
-from .regsum import regularized_limit
 from .result import ConvergenceError, DomainError, EvalResult, PoleError
 from .stieltjes import StieltjesQuery, stieltjes_gamma
+
+if TYPE_CHECKING:
+    from .identities import VerificationReport
 
 _TRIG = {"sin": "sine", "cos": "cosine"}
 _WEIGHT = {
@@ -291,6 +292,8 @@ def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
         return _render_eval(res, args.format), 0
 
     if args.cmd == "regsum":
+        from .regsum import regularized_limit
+
         res = regularized_limit(
             args.x,
             _TRIG[args.trig],
@@ -305,6 +308,8 @@ def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
         raise _UsageError(f"--grid must be >= 3, got {args.grid}")
     if not args.tol_scale > 0.0:
         raise _UsageError(f"--tol-scale must be positive, got {args.tol_scale}")
+    from .identities import registry, verify, verify_all
+
     if args.id is not None:
         case = next((c for c in registry() if c.id == args.id), None)
         if case is None:

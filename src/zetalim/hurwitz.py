@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult, PoleError
 from .special import bernoulli
@@ -36,6 +34,10 @@ class HurwitzQuery:
     m: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.s) and math.isfinite(self.x)):
+            raise DomainError(
+                f"hurwitz_zeta requires finite s and x, got s = {self.s}, x = {self.x}"
+            )
         if not self.x > 0.0:
             raise DomainError(f"hurwitz_zeta requires x > 0, got {self.x}")
         if self.m not in (0, 1, 2):
@@ -134,6 +136,8 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     binomial sums are formed as a forward-difference table in 80-digit
     arithmetic to absorb their 2^n cancellation.
     """
+    import mpmath as mp
+
     if not x > 0.0:
         raise DomainError(f"hurwitz_hasse requires x > 0, got {x}")
     if abs(s - 1.0) < 1e-12:

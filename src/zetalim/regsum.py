@@ -293,7 +293,13 @@ def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
 
 
 def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
-    """Evaluate the series of `spec` inside its convergence region s < 1."""
+    """Evaluate the series of `spec` inside its convergence region s < 1.
+
+    Working range: min(x, 1 - x) >= about 3.7e-4.  Next to x = 0 and
+    x = 1 the master sum takes its tail in blocks of B = 1/(2 min(x,
+    1 - x)) terms after a head of 24 B, and below that range the head
+    would pass `_HEAD_CAP`, so the sum raises ConvergenceError.
+    """
     if not spec.s < 1.0:
         raise ConvergenceError(
             f"series converges only for s < 1, got s = {spec.s}"
@@ -375,27 +381,31 @@ def closed_form(x: float, case_id: str) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"closed_form requires 0 < x < 1, got {x}")
-    pix = math.pi * x
-    if case_id == "4.1":
-        return 0.5 * cot(pix)
+    # Trig factors at pi*y, y = min(x, 1 - x): for x > 1/2, 1 - x is
+    # exact, while pi*x next to pi carries a rounding error that cot,
+    # 1/sin and tan(./2) magnify there.  cot(pi x) = sign * cot(pi y).
+    mirrored = x > 0.5
+    piy = math.pi * (1.0 - x if mirrored else x)
+    sign = -1.0 if mirrored else 1.0
+    if case_id in ("4.1", "4.3im"):
+        return 0.5 * sign * cot(piy)
     if case_id == "4.3re":
         return -0.5
-    if case_id == "4.3im":
-        return 0.5 * cot(pix)
     if case_id == "4.8":
         c = math.pi * (EULER_GAMMA + math.log(_TWO_PI))
         diff = gamma1_reflection_diff(x).value
-        return (diff - c * cot(pix)) / _TWO_PI
+        return (diff - c * sign * cot(piy)) / _TWO_PI
     if case_id == "4.14":
         return -0.5
     if case_id == "4.18":
-        return digamma(x) + 0.5 * math.pi * cot(pix) + EULER_GAMMA + math.log(_TWO_PI)
+        return digamma(x) + 0.5 * math.pi * sign * cot(piy) + EULER_GAMMA + math.log(_TWO_PI)
     if case_id == "4.21":
-        return 0.5 * math.tan(0.5 * pix)
+        # tan(pi x / 2) = 1 / tan(pi (1 - x) / 2)
+        return 0.5 / math.tan(0.5 * piy) if mirrored else 0.5 * math.tan(0.5 * piy)
     if case_id == "4.22":
         return 0.5
     if case_id == "4.23":
-        return 0.5 / math.sin(pix)
+        return 0.5 / math.sin(piy)
     raise ValueError(f"unknown closed-form case id: {case_id!r}")
 
 

@@ -36,8 +36,8 @@ class StieltjesQuery:
     def __post_init__(self) -> None:
         if self.n not in (0, 1):
             raise DomainError(f"Stieltjes index must be 0 or 1, got {self.n}")
-        if not self.x > 0.0:
-            raise DomainError(f"stieltjes_gamma requires x > 0, got {self.x}")
+        if not (math.isfinite(self.x) and self.x > 0.0):
+            raise DomainError(f"stieltjes_gamma requires finite x > 0, got {self.x}")
 
 
 def _g(t: float) -> float:

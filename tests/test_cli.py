@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +198,18 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "1.64493406684823" in proc.stdout
+
+
+def test_verify_json_matches_golden(tmp_path, capsys):
+    """`zetalim verify --format json` is byte-identical to the committed
+    report.  A change that moves digits on purpose regenerates it with
+
+        PYTHONPATH=src python -m zetalim.cli verify --format json --out tests/golden/verify.json
+
+    and says which cases moved and why.
+    """
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
+    assert out.read_bytes() == golden.read_bytes()

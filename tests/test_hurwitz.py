@@ -156,3 +156,12 @@ def test_result_invariants():
         EvalResult(1.0, -1.0, 3, "x")
     with pytest.raises(ValueError):
         EvalResult(1.0, 0.0, 0, "x")
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (2.0, math.inf), (2.0, math.nan)],
+)
+def test_query_rejects_non_finite_input(s, x):
+    with pytest.raises(DomainError):
+        HurwitzQuery(s, x)

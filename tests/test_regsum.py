@@ -470,3 +470,39 @@ def test_alternating_unit_limit_is_honest_at_the_edge(x, trig):
     else:
         want = 0.5
     assert abs(got.value - want) <= 2.0 * got.err_estimate + 1e-14
+
+
+def _mp_closed_form(x: float, case_id: str):
+    import mpmath as mp
+
+    with mp.workdps(50):
+        t, pi = mp.mpf(x), mp.pi
+        cot = mp.cot(pi * t)
+        if case_id in ("4.1", "4.3im"):
+            return cot / 2
+        if case_id == "4.8":
+            diff = mp.stieltjes(1, 1 - t) - mp.stieltjes(1, t)
+            return (diff - pi * (mp.euler + mp.log(2 * pi)) * cot) / (2 * pi)
+        if case_id == "4.18":
+            return mp.digamma(t) + pi / 2 * cot + mp.euler + mp.log(2 * pi)
+        if case_id == "4.21":
+            return mp.tan(pi * t / 2) / 2
+        return 1 / (2 * mp.sin(pi * t))
+
+
+_EDGE_X = (0.95, 0.989, 0.9899, 0.9988)
+
+
+@pytest.mark.parametrize("x", _EDGE_X + tuple(round(1.0 - x, 4) for x in _EDGE_X))
+@pytest.mark.parametrize(
+    "case_id, rtol",
+    # Bare trig factors to a few ulps; 4.8 and 4.18 add gamma_1 and psi.
+    [("4.1", 1e-15), ("4.3im", 1e-15), ("4.21", 1e-15), ("4.23", 1e-15),
+     ("4.8", 1e-14), ("4.18", 1e-14)],
+)
+def test_closed_form_trig_factors_near_the_edges(x, case_id, rtol):
+    # Next to x = 1, pi*x rounds by up to half an ulp of pi, which cot,
+    # 1/sin and tan(./2) magnify (4.7e-15 relative at x = 0.989, 7.4e-14
+    # at 0.9988) unless they are taken at pi*(1 - x).
+    exact = float(_mp_closed_form(x, case_id))
+    assert abs(closed_form(x, case_id) - exact) <= rtol * abs(exact)

@@ -114,3 +114,10 @@ def test_result_metadata():
     assert r.terms_used >= 1
     f = gamma1_finite_difference(0.7)
     assert f.err_estimate < 1e-8
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_query_rejects_non_finite_x(n, x):
+    with pytest.raises(DomainError):
+        StieltjesQuery(n, x)
