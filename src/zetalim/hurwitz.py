@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult, PoleError
@@ -51,7 +53,8 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
     Bernoulli correction pairs appended, each differentiated in closed
     form.  err_estimate is the magnitude of the final correction term
     for the requested derivative order (truncation estimate; rounding
-    of the direct sum is not included).
+    of the direct sum is not included).  A sum that leaves the binary64
+    range (large |s|, e.g. s = -400 at x = 0.5) raises ConvergenceError.
     """
     s, x, m = q.s, q.x, q.m
     if abs(s - 1.0) < _POLE_RADIUS:
@@ -59,6 +62,16 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
             f"s = {s} is within {_POLE_RADIUS} of the pole; "
             "use the Stieltjes expansion instead"
         )
+    try:
+        r = _euler_maclaurin(s, x, m)
+        if math.isfinite(r.value) and math.isfinite(r.err_estimate):
+            return r
+    except OverflowError:
+        pass
+    raise ConvergenceError(f"Euler-Maclaurin sum overflows binary64 at s = {s}, x = {x}")
+
+
+def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     n_cut = _EM_CUTOFF
     while n_cut + x < 30.0:
         n_cut += 1
@@ -132,12 +145,19 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     (s-1) zeta(s, x) = sum_{n>=0} 1/(n+1) sum_{k=0}^{n} C(n,k) (-1)^k
     (k+x)^{1-s}.  The argument is first raised by an exact integer
     shift until k + x >= 20, which makes the outer terms decay about
-    like n^{-21} so plain truncation converges; the inner alternating
-    binomial sums are formed as a forward-difference table in 80-digit
-    arithmetic to absorb their 2^n cancellation.
+    like n^{-21} so plain truncation converges.  The inner sum is
+    (-1)^n Delta^n f(0), f(k) = (k+x)^{1-s}, and its 2^n cancellation
+    costs no precision: each f(n) is formed once at 80 digits and
+    rounded to an integer in units of 2^e, e fixed 300 bits below f(0)
+    (80 digits are 269 bits).  One anti-diagonal of exact integers,
+    D[j] = Delta^j f(n-j), takes n subtractions per outer term and ends
+    in Delta^n f(0), so each f(n)'s conversion is the only rounding in
+    the difference table.
     """
     import mpmath as mp
 
+    if not (math.isfinite(s) and math.isfinite(x)):
+        raise DomainError(f"hurwitz_hasse requires finite s and x, got s = {s}, x = {x}")
     if not x > 0.0:
         raise DomainError(f"hurwitz_hasse requires x > 0, got {x}")
     if abs(s - 1.0) < 1e-12:
@@ -147,32 +167,23 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
         shift = max(0, int(mp.ceil(20.0 - xx)))
         x_eff = xx + shift
         prefix = mp.fsum((j + xx) ** (-ss) for j in range(shift))
-        table_len = min(80, max_terms)
+        a = 1 - ss
+        e = mp.frexp(x_eff**a)[1] - 300
+        tol = mp.mpf(10) ** -30
+        diag: list[int] = []
         acc = mp.mpf(0)
         last = mp.inf
-        outer_used = 0
-        while True:
-            f = [(k + x_eff) ** (1 - ss) for k in range(table_len + 1)]
-            acc = mp.mpf(0)
-            small_run = 0
-            converged = False
-            d = f
-            for n in range(table_len + 1):
-                t = d[0] / (n + 1)
-                acc += t
-                outer_used = n + 1
-                last = abs(t)
-                if last < mp.mpf(10) ** -30 * (1 + abs(acc)):
-                    small_run += 1
-                    if small_run >= 3:
-                        converged = True
-                        break
-                else:
-                    small_run = 0
-                d = [d[i] - d[i + 1] for i in range(len(d) - 1)]
-            if converged or table_len >= max_terms:
+        outer_used = small_run = 0
+        for n in range(max_terms + 1):
+            fn = int(mp.ldexp((n + x_eff) ** a, -e))
+            diag = list(accumulate(diag, sub, initial=fn))
+            t = mp.ldexp(diag[-1] if n % 2 == 0 else -diag[-1], e) / (n + 1)
+            acc += t
+            outer_used = n + 1
+            last = abs(t)
+            small_run = small_run + 1 if last < tol * (1 + abs(acc)) else 0
+            if small_run >= 3:
                 break
-            table_len = min(max_terms, 2 * table_len)
         value = prefix + acc / (ss - 1)
         err = float(last / abs(ss - 1)) + 1e-16 * abs(float(value))
     if err > 1e-8:

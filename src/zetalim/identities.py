@@ -29,7 +29,7 @@ from .regsum import (
     trig_dirichlet_sum,
 )
 from .result import DomainError, EvalResult
-from .special import EULER_GAMMA, cot, digamma, log_gamma
+from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
 from .stieltjes import (
     StieltjesQuery,
     gamma1_reflection_diff,
@@ -322,7 +322,7 @@ def _lhs_gamma1_diff(pt: Point) -> float:
 def _rhs_eq48(pt: Point) -> float:
     x = pt["x"]
     lim = regularized_limit(x, "sine", "log_n").value
-    return 2.0 * math.pi * lim + math.pi * (EULER_GAMMA + LN_2PI) * cot(math.pi * x)
+    return 2.0 * math.pi * lim + math.pi * (EULER_GAMMA + LN_2PI) * cot_pi(x)
 
 
 def _rhs_eq4101(pt: Point) -> float:
@@ -368,7 +368,7 @@ def _rhs_eq418(pt: Point) -> float:
 
 def _psi_via_series(x: float) -> float:
     lim = regularized_limit(x, "cosine", "log_2pi_n", scale="two_pi_n_power").value
-    return 2.0 * lim - 0.5 * math.pi * cot(math.pi * x) - EULER_GAMMA
+    return 2.0 * lim - 0.5 * math.pi * cot_pi(x) - EULER_GAMMA
 
 
 def _lhs_eq419(pt: Point) -> float:
@@ -395,7 +395,7 @@ def _lhs_psirefl(pt: Point) -> float:
 
 
 def _rhs_psirefl(pt: Point) -> float:
-    return math.pi * cot(math.pi * pt["x"])
+    return math.pi * cot_pi(pt["x"])
 
 
 def _lhs_kummer(pt: Point) -> float:

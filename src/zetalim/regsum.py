@@ -35,7 +35,7 @@ import numpy as np
 
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult
-from .special import EULER_GAMMA, cot, digamma, log_gamma
+from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
 from .stieltjes import gamma1_reflection_diff
 
 TRIG_KINDS = ("sine", "cosine")
@@ -381,24 +381,23 @@ def closed_form(x: float, case_id: str) -> float:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"closed_form requires 0 < x < 1, got {x}")
-    # Trig factors at pi*y, y = min(x, 1 - x): for x > 1/2, 1 - x is
-    # exact, while pi*x next to pi carries a rounding error that cot,
-    # 1/sin and tan(./2) magnify there.  cot(pi x) = sign * cot(pi y).
+    # 1/sin and tan(./2) at pi*y, y = min(x, 1 - x), as cot_pi does for
+    # cot: for x > 1/2, 1 - x is exact, while pi*x next to pi carries a
+    # rounding error that they magnify.
     mirrored = x > 0.5
     piy = math.pi * (1.0 - x if mirrored else x)
-    sign = -1.0 if mirrored else 1.0
     if case_id in ("4.1", "4.3im"):
-        return 0.5 * sign * cot(piy)
+        return 0.5 * cot_pi(x)
     if case_id == "4.3re":
         return -0.5
     if case_id == "4.8":
         c = math.pi * (EULER_GAMMA + math.log(_TWO_PI))
         diff = gamma1_reflection_diff(x).value
-        return (diff - c * sign * cot(piy)) / _TWO_PI
+        return (diff - c * cot_pi(x)) / _TWO_PI
     if case_id == "4.14":
         return -0.5
     if case_id == "4.18":
-        return digamma(x) + 0.5 * math.pi * sign * cot(piy) + EULER_GAMMA + math.log(_TWO_PI)
+        return digamma(x) + 0.5 * math.pi * cot_pi(x) + EULER_GAMMA + math.log(_TWO_PI)
     if case_id == "4.21":
         # tan(pi x / 2) = 1 / tan(pi (1 - x) / 2)
         return 0.5 / math.tan(0.5 * piy) if mirrored else 0.5 * math.tan(0.5 * piy)

@@ -73,9 +73,15 @@ def bernoulli_table() -> BernoulliTable:
     return _TABLE
 
 
-def cot(t: float) -> float:
-    """Cotangent cos(t)/sin(t)."""
-    return math.cos(t) / math.sin(t)
+def cot_pi(x: float) -> float:
+    """cot(pi x), taken as -cot(pi (1 - x)) for x > 1/2.
+
+    1 - x is exact there, while pi x next to pi carries a rounding error
+    that cot magnifies (4e-13 absolute in pi cot(pi x) at x = 0.989).
+    """
+    t = math.pi * (1.0 - x if x > 0.5 else x)
+    c = math.cos(t) / math.sin(t)
+    return -c if x > 0.5 else c
 
 
 def digamma(x: float) -> float:

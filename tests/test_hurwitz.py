@@ -165,3 +165,46 @@ def test_result_invariants():
 def test_query_rejects_non_finite_input(s, x):
     with pytest.raises(DomainError):
         HurwitzQuery(s, x)
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (2.0, math.inf), (2.0, math.nan)],
+)
+def test_hasse_rejects_non_finite_input(s, x):
+    with pytest.raises(DomainError):
+        hurwitz_hasse(s, x)
+
+
+@pytest.mark.parametrize("s", [-1e4, -400.0, 1e4])
+def test_em_overflow_is_a_convergence_error(s):
+    # (n + x)^(-s) leaves the binary64 range in the direct head sum.
+    with pytest.raises(ConvergenceError, match=r"s = .*x = 0\.5"):
+        hurwitz_zeta(HurwitzQuery(s, 0.5))
+
+
+@pytest.mark.parametrize(
+    "s, x, terms, value",
+    [
+        (0.5, 0.25, 154, 0.23996352449563096),
+        (-1.5, 3.0, 122, -3.8539123266360233),
+        (1.8, 1.0, 184, 1.882229618102822),
+        (3.0, 1.0, 194, 1.2020569031595942),
+    ],
+)
+def test_hasse_term_count_and_value_are_pinned(s, x, terms, value):
+    # Term counts and values of an 80-digit mpf difference table: an
+    # exact-integer table must reach the same stopping decisions and
+    # round to the same float.
+    r = hurwitz_hasse(s, x)
+    assert r.terms_used == terms
+    assert r.value == value
+
+
+@pytest.mark.parametrize("s", [1.6, 1.8, 2.5, 3.0])
+@pytest.mark.parametrize("x", [0.05, 1.0, 19.0])
+def test_hasse_within_its_error_estimate_past_160_terms(s, x):
+    # These points need 160-175 outer terms after the shift to x >= 20.
+    r = hurwitz_hasse(s, x)
+    ref = mp_zeta(s, x, 0)
+    assert abs(r.value - ref) <= r.err_estimate + 1e-15 * max(1.0, abs(ref))

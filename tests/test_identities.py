@@ -14,7 +14,9 @@ from zetalim import (
     verify,
     verify_all,
 )
+from zetalim import identities
 from zetalim.identities import _integral_zeta2
+from zetalim.result import EvalResult
 
 
 def _by_id(cid):
@@ -198,3 +200,28 @@ def test_quadrature_panels_are_additive():
     right = _integral_zeta2(0.5, 1.0)
     full = _integral_zeta2(0.0, 1.0)
     assert left[0] + right[0] == pytest.approx(full[0], abs=1e-12)
+
+
+_NEAR_ONE = (0.95, 0.989, 0.9988)
+
+
+@pytest.mark.parametrize("x", _NEAR_ONE + tuple(1.0 - x for x in _NEAR_ONE))
+def test_cot_factors_are_taken_at_the_reduced_argument(monkeypatch, x):
+    # With the regularized limits stubbed to 0, each right-hand side is
+    # its cot(pi x) factor times a constant.  pi*x next to pi would put
+    # up to 4e-12 relative error in that factor at x = 0.9988.
+    import mpmath as mp
+
+    monkeypatch.setattr(
+        identities, "regularized_limit", lambda *a, **k: EvalResult(0.0, 0.0, 1, "stub")
+    )
+    g = identities.EULER_GAMMA
+    factors = (
+        identities._rhs_eq48({"x": x}) / (math.pi * (g + identities.LN_2PI)),
+        (identities._psi_via_series(x) + g) / (-0.5 * math.pi),
+        identities._rhs_psirefl({"x": x}) / math.pi,
+    )
+    with mp.workdps(50):
+        want = mp.cot(mp.pi * mp.mpf(x))
+        for got in factors:
+            assert abs(float((got - want) / want)) <= 1e-15, (x, got)
