@@ -73,9 +73,6 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
 
 def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     n_cut = _EM_CUTOFF
-    while n_cut + x < 30.0:
-        n_cut += 1
-
     v0: list[float] = []
     v1: list[float] = []
     v2: list[float] = []

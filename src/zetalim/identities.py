@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -45,9 +46,9 @@ X_ORACLE = (0.1, 0.25, 0.5, 1.0, 2.0)
 S_FOURIER = (-2.0, -1.0, -0.5, 0.25, 0.5)
 X_EXTRAS = (0.25, 1.0 / 3.0, 0.75)
 
-_QUAD_DELTA = 1e-6
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL24 = np.polynomial.legendre.leggauss(24)
+# Gauss-Legendre [node, weight] pairs on [-1, 1], as Python floats.
+_GL16 = np.array(np.polynomial.legendre.leggauss(16)).T.tolist()
+_GL24 = np.array(np.polynomial.legendre.leggauss(24)).T.tolist()
 
 Point = Mapping[str, float]
 Evaluator = Callable[[Point], float]
@@ -154,6 +155,12 @@ class VerificationReport:
     wall_time: float
 
 
+# ---------------------------------------------------------------------------
+# evaluators shared by several registry() rows or with steps of their own.
+# Every evaluator looks library functions up by this module's global names
+# at call time, so rebinding a name (a tracer, a monkeypatch) reaches it.
+
+
 def _zeta(s: float, x: float, m: int = 0) -> float:
     return hurwitz_zeta(HurwitzQuery(s, x, m)).value
 
@@ -162,26 +169,9 @@ def _gamma1(x: float) -> float:
     return stieltjes_gamma(StieltjesQuery(1, x)).value
 
 
-# ---------------------------------------------------------------------------
-# evaluators
-
-
-def _lhs_residue(pt: Point) -> float:
-    return pole_residue_check(pt["x"])
-
-
-def _rhs_one(pt: Point) -> float:
-    return 1.0
-
-
-def _rhs_zero(pt: Point) -> float:
-    return 0.0
-
-
-def _lhs_gamma0_laurent(pt: Point) -> float:
+def _gamma0_laurent(x: float) -> float:
     # Limit of zeta(1+h, x) - 1/h as h -> 0, which is the constant
     # Laurent coefficient at the pole.
-    x = pt["x"]
     hs, vs = [], []
     h = 0.25
     for _ in range(7):
@@ -191,106 +181,14 @@ def _lhs_gamma0_laurent(pt: Point) -> float:
     return neville_zero(hs, vs)[0]
 
 
-def _rhs_gamma0_series(pt: Point) -> float:
-    return stieltjes_gamma(StieltjesQuery(0, pt["x"])).value
-
-
-def _lhs_shift(pt: Point) -> float:
-    return _zeta(pt["s"], 1.0 + pt["x"]) - _zeta(pt["s"], pt["x"])
-
-
-def _rhs_shift(pt: Point) -> float:
-    return -pt["x"] ** -pt["s"]
-
-
-def _lhs_gamma1_shift(pt: Point) -> float:
-    return _gamma1(1.0 + pt["x"]) - _gamma1(pt["x"])
-
-
-def _rhs_gamma1_shift(pt: Point) -> float:
-    return -math.log(pt["x"]) / pt["x"]
-
-
-def _lhs_gamma0_shift(pt: Point) -> float:
-    x = pt["x"]
-    return (
-        stieltjes_gamma(StieltjesQuery(0, x)).value
-        - stieltjes_gamma(StieltjesQuery(0, 1.0 + x)).value
-    )
-
-
-def _rhs_inv_x(pt: Point) -> float:
-    return 1.0 / pt["x"]
-
-
-def _lhs_lerch(pt: Point) -> float:
-    return _zeta(0.0, pt["x"], 1)
-
-
-def _rhs_lerch(pt: Point) -> float:
-    return log_gamma(pt["x"]) - 0.5 * LN_2PI
-
-
-def _lhs_integral_gamma1(pt: Point) -> float:
-    return integral_gamma(1, pt["u"]).value
-
-
-def _lhs_gamma1_quadrature(pt: Point) -> float:
-    nodes, weights = _GL24
-    terms = [
-        0.5 * w * _gamma1(1.5 + 0.5 * t) for t, w in zip(nodes.tolist(), weights.tolist())
-    ]
-    return math.fsum(terms)
-
-
-def _rhs_integral_gamma1(pt: Point) -> float:
-    return integral_gamma(1, 2.0).value
-
-
-def _fourier_prefactor(s: float) -> float:
-    return 4.0 * math.exp(log_gamma(1.0 - s))
-
-
-def _lhs_eq44(pt: Point) -> float:
-    s, x = pt["s"], pt["x"]
-    return _zeta(s, x) + _zeta(s, 1.0 - x)
-
-
-def _rhs_eq44(pt: Point) -> float:
-    s, x = pt["s"], pt["x"]
+def _fourier_side(s: float, x: float, trig: str) -> float:
+    """4 Gamma(1-s) sin(pi s/2) (cosine) or cos(pi s/2) (sine) times
+    the sum of trig(2 n pi x) (2 pi n)^(s-1)."""
     c = trig_dirichlet_sum(
-        TrigSeriesSpec(x=x, trig="cosine", weight="unit", s=s, scale="two_pi_n_power")
+        TrigSeriesSpec(x=x, trig=trig, weight="unit", s=s, scale="two_pi_n_power")
     ).value
-    return _fourier_prefactor(s) * math.sin(0.5 * math.pi * s) * c
-
-
-def _lhs_eq45(pt: Point) -> float:
-    s, x = pt["s"], pt["x"]
-    return _zeta(s, x) - _zeta(s, 1.0 - x)
-
-
-def _rhs_eq45(pt: Point) -> float:
-    s, x = pt["s"], pt["x"]
-    c = trig_dirichlet_sum(
-        TrigSeriesSpec(x=x, trig="sine", weight="unit", s=s, scale="two_pi_n_power")
-    ).value
-    return _fourier_prefactor(s) * math.cos(0.5 * math.pi * s) * c
-
-
-def _lhs_eq41(pt: Point) -> float:
-    return regularized_limit(pt["x"], "sine", "unit").value
-
-
-def _rhs_eq41(pt: Point) -> float:
-    return closed_form(pt["x"], "4.1")
-
-
-def _lhs_eq414(pt: Point) -> float:
-    return regularized_limit(pt["x"], "cosine", "unit").value
-
-
-def _rhs_eq414(pt: Point) -> float:
-    return closed_form(pt["x"], "4.14")
+    phase = math.sin if trig == "cosine" else math.cos
+    return 4.0 * math.exp(log_gamma(1.0 - s)) * phase(0.5 * math.pi * s) * c
 
 
 def _complex_limit_pair(x: float) -> Tuple[complex, complex]:
@@ -302,68 +200,8 @@ def _complex_limit_pair(x: float) -> Tuple[complex, complex]:
     return lhs, rhs
 
 
-def _lhs_eq414c(pt: Point) -> float:
-    return abs(_complex_limit_pair(pt["x"])[0])
-
-
-def _rhs_eq414c(pt: Point) -> float:
-    return abs(_complex_limit_pair(pt["x"])[1])
-
-
-def _res_eq414c(pt: Point) -> float:
-    lhs, rhs = _complex_limit_pair(pt["x"])
-    return abs(lhs - rhs)
-
-
-def _lhs_gamma1_diff(pt: Point) -> float:
-    return gamma1_reflection_diff(pt["x"]).value
-
-
-def _rhs_eq48(pt: Point) -> float:
-    x = pt["x"]
-    lim = regularized_limit(x, "sine", "log_n").value
-    return 2.0 * math.pi * lim + math.pi * (EULER_GAMMA + LN_2PI) * cot_pi(x)
-
-
-def _rhs_eq4101(pt: Point) -> float:
-    lim = regularized_limit(pt["x"], "sine", "gamma_plus_log_2pi_n").value
-    return 2.0 * math.pi * lim
-
-
-def _lhs_eq412(pt: Point) -> float:
-    return deninger_cos_log_sum(pt["u"]).value
-
-
 def _zeta2_pair(u: float) -> float:
     return 0.5 * (_zeta(0.0, u, 2) + _zeta(0.0, 1.0 - u, 2))
-
-
-def _rhs_eq412(pt: Point) -> float:
-    u = pt["u"]
-    return _zeta2_pair(u) + (EULER_GAMMA + LN_2PI) * math.log(2.0 * math.sin(math.pi * u))
-
-
-def _lhs_eq4121(pt: Point) -> float:
-    return trig_dirichlet_sum(
-        TrigSeriesSpec(x=pt["u"], trig="cosine", weight="gamma_plus_log_2pi_n", s=0.0)
-    ).value
-
-
-def _rhs_eq4121(pt: Point) -> float:
-    return _zeta2_pair(pt["u"])
-
-
-def _lhs_eq413(pt: Point) -> float:
-    return quadrature_zeta2_integral().value
-
-
-def _lhs_eq418(pt: Point) -> float:
-    lim = regularized_limit(pt["x"], "cosine", "log_n", scale="two_pi_n_power").value
-    return 2.0 * lim
-
-
-def _rhs_eq418(pt: Point) -> float:
-    return closed_form(pt["x"], "4.18")
 
 
 def _psi_via_series(x: float) -> float:
@@ -371,88 +209,8 @@ def _psi_via_series(x: float) -> float:
     return 2.0 * lim - 0.5 * math.pi * cot_pi(x) - EULER_GAMMA
 
 
-def _lhs_eq419(pt: Point) -> float:
-    return digamma(pt["x"])
-
-
-def _rhs_eq419(pt: Point) -> float:
-    return _psi_via_series(pt["x"])
-
-
-def _lhs_eq420(pt: Point) -> float:
-    x = pt["x"]
-    return digamma(x) + digamma(1.0 - x)
-
-
-def _rhs_eq420(pt: Point) -> float:
-    lim = regularized_limit(pt["x"], "cosine", "log_2pi_n", scale="two_pi_n_power").value
-    return -2.0 * EULER_GAMMA + 4.0 * lim
-
-
-def _lhs_psirefl(pt: Point) -> float:
-    x = pt["x"]
-    return _psi_via_series(1.0 - x) - _psi_via_series(x)
-
-
-def _rhs_psirefl(pt: Point) -> float:
-    return math.pi * cot_pi(pt["x"])
-
-
-def _lhs_kummer(pt: Point) -> float:
-    return kummer_sine_series(pt["x"]).value
-
-
-def _rhs_kummer(pt: Point) -> float:
-    x = pt["x"]
-    return log_gamma(x) - log_gamma(1.0 - x) + 2.0 * EULER_GAMMA * (x - 0.5)
-
-
-def _lhs_logsine(pt: Point) -> float:
-    return log_sine_fourier(pt["u"]).value
-
-
-def _rhs_logsine(pt: Point) -> float:
-    return log_sine_fourier_target(pt["u"])
-
-
-def _lhs_eq421(pt: Point) -> float:
-    return regularized_limit(pt["x"], "sine", "unit", "alternating").value
-
-
-def _rhs_eq421(pt: Point) -> float:
-    return closed_form(pt["x"], "4.21")
-
-
-def _lhs_eq422(pt: Point) -> float:
-    return regularized_limit(pt["x"], "cosine", "unit", "alternating").value
-
-
-def _rhs_eq422(pt: Point) -> float:
-    return closed_form(pt["x"], "4.22")
-
-
-def _lhs_eq423(pt: Point) -> float:
-    return regularized_limit(pt["x"], "sine", "unit", "odd_only").value
-
-
-def _rhs_eq423(pt: Point) -> float:
-    return closed_form(pt["x"], "4.23")
-
-
-def _lhs_altlog(pt: Point) -> float:
-    return alternating_log_limit().value
-
-
-def _rhs_altlog(pt: Point) -> float:
-    return 0.5 * math.log(0.5 * math.pi)
-
-
-def _lhs_halfarg(pt: Point) -> float:
-    return _zeta(pt["s"], 0.5, int(pt["m"]))
-
-
-def _rhs_halfarg(pt: Point) -> float:
-    s, m = pt["s"], int(pt["m"])
+def _halfarg_rhs(s: float, m: int) -> float:
+    """m-th s-derivative of (2^s - 1) zeta(s)."""
     z = [_zeta(s, 1.0, k) for k in range(m + 1)]
     p = 2.0**s
     ln2 = math.log(2.0)
@@ -467,73 +225,43 @@ def _rhs_halfarg(pt: Point) -> float:
 # quadrature of the second s-derivative of zeta at s = 0 over u in (0, 1)
 
 
-def _panel_breaks(lo: float, hi: float) -> Tuple[float, ...]:
-    # Panel edges are drawn from one global ladder (geometric doubling
-    # out of the left singularity, then eighths), so any split of the
-    # interval integrates over the same panels as the full run.
-    cuts = {lo, hi}
-    b = 2.0 * _QUAD_DELTA
-    while b < 0.125:
-        if lo < b < hi:
-            cuts.add(b)
-        b *= 2.0
-    for k in range(1, 8):
-        e = k / 8.0
-        if lo < e < hi:
-            cuts.add(e)
-    return tuple(sorted(cuts))
-
-
 def _integral_zeta2(lo: float, hi: float) -> Tuple[float, float, int]:
     """Integral of d2/ds2 zeta(s,u) at s=0 over [lo, hi] within [0, 1].
 
-    Endpoints at exactly 0 or 1 are handled by a width-delta analytic
-    model: near 0 the integrand is ln(u)^2 plus a smooth shift term
-    (integrated exactly and by the midpoint rule respectively), near 1
-    a midpoint-rule strip suffices.  The interior is composite
-    Gauss-Legendre of order 16.
+    The shift zeta(s, u) = u^(-s) + zeta(s, u+1) gives
+    zeta''(0, u) = ln(u)^2 + zeta''(0, u+1).  The singular ln(u)^2 is
+    integrated exactly through its antiderivative u (ln^2 u - 2 ln u + 2),
+    which is 0 at u = 0; the smooth rest by 16-point Gauss-Legendre over
+    [lo+1, hi+1].  The half-width comes from hi - lo, because the shifted
+    endpoints have lost the low digits of a short interval.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise DomainError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    pieces: list[float] = []
-    err_parts: list[float] = []
-    evals = 0
-    if lo == 0.0:
-        d = _QUAD_DELTA
-        ln_d = math.log(d)
-        pieces.append(d * (ln_d * ln_d - 2.0 * ln_d + 2.0))
-        shift = hurwitz_zeta(HurwitzQuery(0.0, 1.0 + 0.5 * d, 2))
-        pieces.append(d * shift.value)
-        err_parts.append(d * shift.err_estimate + d**3)
-        evals += 1
-        lo = d
-    if hi == 1.0:
-        d = _QUAD_DELTA
-        strip = hurwitz_zeta(HurwitzQuery(0.0, 1.0 - 0.5 * d, 2))
-        pieces.append(d * strip.value)
-        err_parts.append(d * strip.err_estimate + d**3)
-        evals += 1
-        hi = 1.0 - d
-    nodes, weights = _GL16
-    breaks = _panel_breaks(lo, hi)
-    for a, b in zip(breaks, breaks[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for t, w in zip(nodes.tolist(), weights.tolist()):
-            r = hurwitz_zeta(HurwitzQuery(0.0, mid + half * t, 2))
-            pieces.append(half * w * r.value)
-            err_parts.append(half * w * r.err_estimate)
-            evals += 1
+
+    def log2_antiderivative(u: float) -> float:
+        if u == 0.0:
+            return 0.0
+        ln_u = math.log(u)
+        return u * (ln_u * ln_u - 2.0 * ln_u + 2.0)
+
+    pieces = [log2_antiderivative(hi), -log2_antiderivative(lo)]
+    err_parts = []
+    half = 0.5 * (hi - lo)
+    mid = 1.0 + 0.5 * (lo + hi)
+    for t, w in _GL16:
+        r = hurwitz_zeta(HurwitzQuery(0.0, mid + half * t, 2))
+        pieces.append(half * w * r.value)
+        err_parts.append(half * w * r.err_estimate)
     value = math.fsum(pieces)
     err = math.fsum(err_parts) + 1e-16 * math.fsum(abs(p) for p in pieces)
-    return value, err, evals
+    return value, err, len(_GL16)
 
 
 def quadrature_zeta2_integral() -> EvalResult:
     """Integral over (0, 1) of the second s-derivative of zeta(s, u) at
     s = 0; the exact value is 0."""
     value, err, evals = _integral_zeta2(0.0, 1.0)
-    return EvalResult(value=value, err_estimate=err, terms_used=evals, method_tag="gl-panels")
+    return EvalResult(value=value, err_estimate=err, terms_used=evals, method_tag="shift-gl16")
 
 
 # ---------------------------------------------------------------------------
@@ -547,32 +275,35 @@ def registry() -> Tuple[IdentityCase, ...]:
     cases = (
         IdentityCase(
             id="EQ2.3",
-            lhs=_lhs_residue,
-            rhs=_rhs_one,
+            lhs=lambda pt: pole_residue_check(pt["x"]),
+            rhs=lambda pt: 1.0,
             domain=Domain("x-fixed", values=(0.5, 1.0, 3.7)),
             tol=1e-9,
             notes="Residue at the s = 1 pole: extrapolated (s-1)*zeta(s,x) equals 1 for every x.",
         ),
         IdentityCase(
             id="EQ3.9",
-            lhs=_lhs_shift,
-            rhs=_rhs_shift,
+            lhs=lambda pt: _zeta(pt["s"], 1.0 + pt["x"]) - _zeta(pt["s"], pt["x"]),
+            rhs=lambda pt: -pt["x"] ** -pt["s"],
             domain=Domain("sx-grid", values=X_ORACLE, s_values=S_ORACLE),
             tol=1e-9,
             notes="Forward shift: zeta(s,1+x) - zeta(s,x) = -x^(-s).",
         ),
         IdentityCase(
             id="EQ3.10",
-            lhs=_lhs_gamma1_shift,
-            rhs=_rhs_gamma1_shift,
+            lhs=lambda pt: _gamma1(1.0 + pt["x"]) - _gamma1(pt["x"]),
+            rhs=lambda pt: -math.log(pt["x"]) / pt["x"],
             domain=Domain("x-fixed", values=tuple(k / 5.0 for k in range(1, 16))),
             tol=1e-9,
             notes="Recurrence gamma1(1+x) - gamma1(x) = -ln(x)/x.",
         ),
         IdentityCase(
             id="EQ3.11",
-            lhs=_lhs_gamma0_shift,
-            rhs=_rhs_inv_x,
+            lhs=lambda pt: (
+                stieltjes_gamma(StieltjesQuery(0, pt["x"])).value
+                - stieltjes_gamma(StieltjesQuery(0, 1.0 + pt["x"])).value
+            ),
+            rhs=lambda pt: 1.0 / pt["x"],
             domain=Domain(
                 "x-fixed",
                 values=tuple(k / 10.0 for k in range(1, 10)) + (1.5, 2.5, 5.0, 7.5, 10.0),
@@ -582,201 +313,217 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="EQ3.18",
-            lhs=_lhs_lerch,
-            rhs=_rhs_lerch,
+            lhs=lambda pt: _zeta(0.0, pt["x"], 1),
+            rhs=lambda pt: log_gamma(pt["x"]) - 0.5 * LN_2PI,
             domain=x_default,
             tol=1e-9,
             notes="s-derivative of zeta at s = 0 equals ln Gamma(x) - ln(2 pi)/2.",
         ),
         IdentityCase(
             id="EQ3.20",
-            lhs=_lhs_integral_gamma1,
-            rhs=_rhs_zero,
+            lhs=lambda pt: integral_gamma(1, pt["u"]).value,
+            rhs=lambda pt: 0.0,
             domain=Domain("scalar", label="u", values=(2.0,)),
             tol=1e-9,
             notes="integral_gamma(1, 2) vanishes: the antiderivative route gives exactly 0.",
         ),
         IdentityCase(
             id="EQ3.21",
-            lhs=_lhs_gamma1_quadrature,
-            rhs=_rhs_integral_gamma1,
+            lhs=lambda pt: math.fsum(0.5 * w * _gamma1(1.5 + 0.5 * t) for t, w in _GL24),
+            rhs=lambda pt: integral_gamma(1, 2.0).value,
             domain=Domain("scalar", label="u", values=(2.0,)),
             tol=1e-8,
             notes="Gauss-Legendre quadrature of gamma1 over [1,2] matches the closed-form integral.",
         ),
         IdentityCase(
             id="EQ3.2",
-            lhs=_lhs_gamma0_laurent,
-            rhs=_rhs_gamma0_series,
+            lhs=lambda pt: _gamma0_laurent(pt["x"]),
+            rhs=lambda pt: stieltjes_gamma(StieltjesQuery(0, pt["x"])).value,
             domain=x_default,
             tol=1e-9,
             notes="Constant Laurent coefficient of zeta(s,x) at s = 1 equals -psi(x); the left side is an independent pole-subtracted limit.",
         ),
         IdentityCase(
             id="EQ4.4",
-            lhs=_lhs_eq44,
-            rhs=_rhs_eq44,
+            lhs=lambda pt: _zeta(pt["s"], pt["x"]) + _zeta(pt["s"], 1.0 - pt["x"]),
+            rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "cosine"),
             domain=Domain("sx-grid", s_values=S_FOURIER),
             tol=1e-8,
             notes="Even Fourier closure: zeta(s,x) + zeta(s,1-x) = 4 Gamma(1-s) sin(pi s/2) * sum cos(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
         IdentityCase(
             id="EQ4.5",
-            lhs=_lhs_eq45,
-            rhs=_rhs_eq45,
+            lhs=lambda pt: _zeta(pt["s"], pt["x"]) - _zeta(pt["s"], 1.0 - pt["x"]),
+            rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "sine"),
             domain=Domain("sx-grid", s_values=S_FOURIER),
             tol=1e-8,
             notes="Odd Fourier closure: zeta(s,x) - zeta(s,1-x) = 4 Gamma(1-s) cos(pi s/2) * sum sin(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
         IdentityCase(
             id="EQ4.1",
-            lhs=_lhs_eq41,
-            rhs=_rhs_eq41,
+            lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit").value,
+            rhs=lambda pt: closed_form(pt["x"], "4.1"),
             domain=x_default,
             tol=1e-6,
             notes="Regularized sine sum equals cot(pi x)/2.",
         ),
         IdentityCase(
             id="EQ4.14",
-            lhs=_lhs_eq414,
-            rhs=_rhs_eq414,
+            lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit").value,
+            rhs=lambda pt: closed_form(pt["x"], "4.14"),
             domain=x_default,
             tol=1e-6,
             notes="Regularized cosine sum equals -1/2 for every x in (0,1).",
         ),
         IdentityCase(
             id="EQ4.14C",
-            lhs=_lhs_eq414c,
-            rhs=_rhs_eq414c,
+            lhs=lambda pt: abs(_complex_limit_pair(pt["x"])[0]),
+            rhs=lambda pt: abs(_complex_limit_pair(pt["x"])[1]),
             domain=x_default,
             tol=1e-6,
             notes="Complex pairing of the two unit-weight limits equals e^(2 pi i x)/(1 - e^(2 pi i x)); the residual is the complex modulus of the difference while the lhs/rhs columns list each side's modulus.",
-            residual_fn=_res_eq414c,
+            residual_fn=lambda pt: abs(sub(*_complex_limit_pair(pt["x"]))),
         ),
         IdentityCase(
             id="EQ4.8",
-            lhs=_lhs_gamma1_diff,
-            rhs=_rhs_eq48,
+            lhs=lambda pt: gamma1_reflection_diff(pt["x"]).value,
+            rhs=lambda pt: (
+                2.0 * math.pi * regularized_limit(pt["x"], "sine", "log_n").value
+                + math.pi * (EULER_GAMMA + LN_2PI) * cot_pi(pt["x"])
+            ),
             domain=x_default,
             tol=1e-6,
             notes="Headline identity: gamma1(1-x) - gamma1(x) = 2 pi * (regularized log-weighted sine sum) + pi (gamma + ln 2 pi) cot(pi x). Symmetric under x -> 1-x, both sides flipping sign.",
         ),
         IdentityCase(
             id="EQ4.10.1",
-            lhs=_lhs_gamma1_diff,
-            rhs=_rhs_eq4101,
+            lhs=lambda pt: gamma1_reflection_diff(pt["x"]).value,
+            rhs=lambda pt: 2.0 * math.pi * regularized_limit(
+                pt["x"], "sine", "gamma_plus_log_2pi_n"
+            ).value,
             domain=x_default,
             tol=1e-6,
             notes="Combined-weight form: gamma1(1-x) - gamma1(x) = 2 pi * regularized sum of [gamma + ln(2 pi n)] sin(2 n pi x) n^(s-1), folding the cot term into the weight.",
         ),
         IdentityCase(
             id="EQ4.12",
-            lhs=_lhs_eq412,
-            rhs=_rhs_eq412,
+            lhs=lambda pt: deninger_cos_log_sum(pt["u"]).value,
+            rhs=lambda pt: (
+                _zeta2_pair(pt["u"])
+                + (EULER_GAMMA + LN_2PI) * math.log(2.0 * math.sin(math.pi * pt["u"]))
+            ),
             domain=u_default,
             tol=1e-6,
             notes="Cosine log sum: sum (ln n / n) cos(2 n pi u) = [zeta''(0,u) + zeta''(0,1-u)]/2 + (gamma + ln 2 pi) ln(2 sin pi u). The leading sign is plus; the value at u = 1/2 is gamma ln 2 - (ln 2)^2/2, pinning it.",
         ),
         IdentityCase(
             id="EQ4.12.1",
-            lhs=_lhs_eq4121,
-            rhs=_rhs_eq4121,
+            lhs=lambda pt: trig_dirichlet_sum(
+                TrigSeriesSpec(x=pt["u"], trig="cosine", weight="gamma_plus_log_2pi_n", s=0.0)
+            ).value,
+            rhs=lambda pt: _zeta2_pair(pt["u"]),
             domain=u_default,
             tol=1e-6,
             notes="Combined-weight cosine sum: sum [gamma + ln(2 pi n)]/n cos(2 n pi u) = [zeta''(0,u) + zeta''(0,1-u)]/2; the log-sine term of the plain form is absorbed by the weight.",
         ),
         IdentityCase(
             id="EQ4.13",
-            lhs=_lhs_eq413,
-            rhs=_rhs_zero,
+            lhs=lambda pt: quadrature_zeta2_integral().value,
+            rhs=lambda pt: 0.0,
             domain=Domain("scalar"),
             tol=1e-6,
             notes="Integral of zeta''(0,u) over (0,1) vanishes.",
         ),
         IdentityCase(
             id="EQ4.18",
-            lhs=_lhs_eq418,
-            rhs=_rhs_eq418,
+            lhs=lambda pt: 2.0 * regularized_limit(
+                pt["x"], "cosine", "log_n", scale="two_pi_n_power"
+            ).value,
+            rhs=lambda pt: closed_form(pt["x"], "4.18"),
             domain=x_default,
             tol=1e-6,
             notes="Doubled regularized log-cosine sum equals psi(x) + (pi/2) cot(pi x) + gamma + ln 2 pi.",
         ),
         IdentityCase(
             id="EQ4.19",
-            lhs=_lhs_eq419,
-            rhs=_rhs_eq419,
+            lhs=lambda pt: digamma(pt["x"]),
+            rhs=lambda pt: _psi_via_series(pt["x"]),
             domain=x_default,
             tol=1e-6,
             notes="psi(x) recovered from the regularized ln(2 pi n) cosine sum. Only the limit form holds: the same display without the s-limit (summing at the boundary exponent directly) is a known non-identity and is never asserted here.",
         ),
         IdentityCase(
             id="EQ4.20",
-            lhs=_lhs_eq420,
-            rhs=_rhs_eq420,
+            lhs=lambda pt: digamma(pt["x"]) + digamma(1.0 - pt["x"]),
+            rhs=lambda pt: -2.0 * EULER_GAMMA + 4.0 * regularized_limit(
+                pt["x"], "cosine", "log_2pi_n", scale="two_pi_n_power"
+            ).value,
             domain=x_default,
             tol=1e-6,
             notes="Symmetrized form: psi(x) + psi(1-x) = -2 gamma + 4 * regularized ln(2 pi n) cosine sum.",
         ),
         IdentityCase(
             id="KUMMER",
-            lhs=_lhs_kummer,
-            rhs=_rhs_kummer,
+            lhs=lambda pt: kummer_sine_series(pt["x"]).value,
+            rhs=lambda pt: (
+                log_gamma(pt["x"]) - log_gamma(1.0 - pt["x"]) + 2.0 * EULER_GAMMA * (pt["x"] - 0.5)
+            ),
             domain=x_default,
             tol=1e-6,
             notes="Antisymmetric log-gamma Fourier expansion: (2/pi) sum ln(2 pi n) sin(2 n pi x)/n = ln Gamma(x) - ln Gamma(1-x) + 2 gamma (x - 1/2).",
         ),
         IdentityCase(
             id="LOGSINE",
-            lhs=_lhs_logsine,
-            rhs=_rhs_logsine,
+            lhs=lambda pt: log_sine_fourier(pt["u"]).value,
+            rhs=lambda pt: log_sine_fourier_target(pt["u"]),
             domain=u_default,
             tol=1e-6,
             notes="sum ln(n) sin(2 n pi u)/(pi n) = ln Gamma(u) - ln(pi)/2 + ln(sin pi u)/2 + (u - 1/2)(gamma + ln 2 pi).",
         ),
         IdentityCase(
             id="EQ4.21",
-            lhs=_lhs_eq421,
-            rhs=_rhs_eq421,
+            lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit", "alternating").value,
+            rhs=lambda pt: closed_form(pt["x"], "4.21"),
             domain=x_default,
             tol=1e-6,
             notes="Alternating sine sum: regularized sum of (-1)^(n+1) sin(n pi x) n^(s-1) equals tan(pi x/2)/2.",
         ),
         IdentityCase(
             id="EQ4.22",
-            lhs=_lhs_eq422,
-            rhs=_rhs_eq422,
+            lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit", "alternating").value,
+            rhs=lambda pt: closed_form(pt["x"], "4.22"),
             domain=x_default,
             tol=1e-6,
             notes="Alternating cosine sum: regularized sum of (-1)^(n+1) cos(n pi x) n^(s-1) equals 1/2 for every x.",
         ),
         IdentityCase(
             id="EQ4.23",
-            lhs=_lhs_eq423,
-            rhs=_rhs_eq423,
+            lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit", "odd_only").value,
+            rhs=lambda pt: closed_form(pt["x"], "4.23"),
             domain=x_default,
             tol=1e-6,
             notes="Odd-index sine sum: regularized sum over odd n of sin(n pi x) n^(s-1) equals 1/(2 sin pi x). The 1/2 prefactor is forced by the half-sum decomposition odd = (all + alternating)/2 and by the x = 1/2 value, where the series is the alternating (2k+1)^(-s) family with limit 1/2.",
         ),
         IdentityCase(
             id="ALTLOG",
-            lhs=_lhs_altlog,
-            rhs=_rhs_altlog,
+            lhs=lambda pt: alternating_log_limit().value,
+            rhs=lambda pt: 0.5 * math.log(0.5 * math.pi),
             domain=Domain("scalar"),
             tol=1e-7,
             notes="Regularized sum of (-1)^n ln(n) (2 pi n)^(s-1) equals ln(pi/2)/2.",
         ),
         IdentityCase(
             id="PSIREFL",
-            lhs=_lhs_psirefl,
-            rhs=_rhs_psirefl,
+            lhs=lambda pt: _psi_via_series(1.0 - pt["x"]) - _psi_via_series(pt["x"]),
+            rhs=lambda pt: math.pi * cot_pi(pt["x"]),
             domain=x_default,
             tol=1e-7,
             notes="Difference of the series-based psi formula at 1-x and at x recovers the reflection value pi cot(pi x).",
         ),
         IdentityCase(
             id="HALFARG",
-            lhs=_lhs_halfarg,
-            rhs=_rhs_halfarg,
+            lhs=lambda pt: _zeta(pt["s"], 0.5, int(pt["m"])),
+            rhs=lambda pt: _halfarg_rhs(pt["s"], int(pt["m"])),
             domain=Domain("sm-grid", s_values=S_ORACLE),
             tol=1e-9,
             notes="Half argument: zeta(s,1/2) = (2^s - 1) zeta(s), checked together with its first and second s-derivatives.",

@@ -9,7 +9,7 @@ inside the 1e-12 target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -35,28 +35,15 @@ def _bernoulli_fractions(count: int) -> Tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """Exact-rational Bernoulli numbers B_0 .. B_{2K}."""
+    """Exact-rational Bernoulli numbers B_0 .. B_32."""
 
-    order: int = 16
-    values: Tuple[Fraction, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        object.__setattr__(
-            self, "values", _bernoulli_fractions(2 * self.order + 1)
-        )
-
-    def as_float(self, k: int) -> float:
-        if k < 0 or k >= len(self.values):
-            raise DomainError(f"Bernoulli index {k} outside table")
-        return float(self.values[k])
+    values: Tuple[Fraction, ...]
 
 
-_TABLE = BernoulliTable()
+_TABLE = BernoulliTable(_bernoulli_fractions(33))
 
 # Float copies of B_2, B_4, ..., B_14 used by the asymptotic series.
-_B2J = tuple(_TABLE.as_float(2 * j) for j in range(1, 8))
+_B2J = tuple(float(_TABLE.values[2 * j]) for j in range(1, 8))
 
 # Harmonic numbers H_1 .. H_16 (used by Stieltjes tail closures).
 HARMONIC = tuple(
@@ -66,7 +53,9 @@ HARMONIC = tuple(
 
 def bernoulli(k: int) -> float:
     """Bernoulli number B_k from the precomputed table (0 <= k <= 32)."""
-    return _TABLE.as_float(k)
+    if not 0 <= k < len(_TABLE.values):
+        raise DomainError(f"Bernoulli index {k} outside table")
+    return float(_TABLE.values[k])
 
 
 def bernoulli_table() -> BernoulliTable:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .extrapolate import neville_zero
 from .hurwitz import HurwitzQuery, hurwitz_zeta
 from .result import DomainError, EvalResult
-from .special import HARMONIC, bernoulli
+from .special import HARMONIC, bernoulli, digamma
 
 _G1_CUTOFF = 50
 _G1_ORDER = 8
@@ -61,8 +61,6 @@ def _tail_closure(a: float) -> tuple[float, float]:
 def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
     """gamma_n(x) for n in {0, 1}."""
     if q.n == 0:
-        from .special import digamma
-
         return EvalResult(
             value=-digamma(q.x),
             err_estimate=1e-13,

@@ -1,4 +1,6 @@
 """Command line interface: output contracts, exit codes, determinism."""
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -213,3 +215,21 @@ def test_verify_json_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     golden = Path(__file__).resolve().parent / "golden" / "verify.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_csv_matches_golden(capsys):
+    """Every cell of the full `zetalim verify --format csv` report parses
+    to the value of the same point in the golden json report."""
+    code, out, _ = run(capsys, "verify", "--format", "csv")
+    assert code == 0
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "verify.json").read_text())
+    points = [(case["id"], p) for case in golden["cases"] for p in case["points"]]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(points)
+    for row, (case_id, point) in zip(rows, points):
+        assert row["id"] == case_id
+        for key in ("x", "s", "u", "m", "lhs", "rhs", "residual"):
+            got = float(row[key]) if row[key] else None
+            assert got == point.get(key), (case_id, key, row[key])
+        assert row["pass"] == ("true" if point["pass"] else "false"), case_id
+        assert row["note"] == point.get("note", ""), case_id

@@ -202,6 +202,25 @@ def test_quadrature_panels_are_additive():
     assert left[0] + right[0] == pytest.approx(full[0], abs=1e-12)
 
 
+def test_quadrature_uses_one_sixteen_node_rule():
+    assert quadrature_zeta2_integral().terms_used == 16
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.2, 0.9), (0.5, 1.0), (1e-3, 1e-2)])
+def test_quadrature_partial_intervals_match_closed_form(lo, hi):
+    # The integral of zeta''(0, u) over [lo, hi] is G(hi) - G(lo) with
+    # G(u) = zeta''(-1, u) + 2 zeta'(-1, u) + 2 zeta(-1, u), and G(0) = G(1).
+    import mpmath as mp
+
+    def big_g(u):
+        u = mp.mpf(u) if u > 0.0 else mp.mpf(1)
+        return mp.zeta(-1, u, 2) + 2 * mp.zeta(-1, u, 1) + 2 * mp.zeta(-1, u)
+
+    with mp.workdps(40):
+        want = float(big_g(hi) - big_g(lo))
+    assert _integral_zeta2(lo, hi)[0] == pytest.approx(want, abs=1e-13)
+
+
 _NEAR_ONE = (0.95, 0.989, 0.9988)
 
 
@@ -217,9 +236,9 @@ def test_cot_factors_are_taken_at_the_reduced_argument(monkeypatch, x):
     )
     g = identities.EULER_GAMMA
     factors = (
-        identities._rhs_eq48({"x": x}) / (math.pi * (g + identities.LN_2PI)),
+        _by_id("EQ4.8").rhs({"x": x}) / (math.pi * (g + identities.LN_2PI)),
         (identities._psi_via_series(x) + g) / (-0.5 * math.pi),
-        identities._rhs_psirefl({"x": x}) / math.pi,
+        _by_id("PSIREFL").rhs({"x": x}) / math.pi,
     )
     with mp.workdps(50):
         want = mp.cot(mp.pi * mp.mpf(x))
