@@ -27,8 +27,11 @@ route, selected by passing a path.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Tuple
 
 import numpy as np
@@ -111,13 +114,18 @@ class ExtrapolationPath:
 
 
 def _weights(narr: np.ndarray, weight: str) -> np.ndarray:
-    if weight == "unit":
-        return np.ones_like(narr)
+    """w(n) over the array narr, for every weight but unit."""
     if weight == "log_n":
         return np.log(narr)
     if weight == "log_2pi_n":
         return np.log(_TWO_PI * narr)
     return EULER_GAMMA + np.log(_TWO_PI * narr)
+
+
+def _coefficients(narr: np.ndarray, s: float, weight: str) -> np.ndarray:
+    """w(n) n^(s-1) over the array narr; unit weight is n^(s-1) alone."""
+    power = narr ** (s - 1.0)
+    return power if weight == "unit" else _weights(narr, weight) * power
 
 
 def _master_sum(
@@ -132,6 +140,13 @@ def _master_sum(
     rounding floor of every forward difference taken, the rounding of
     the transform ratio as magnified by the transform, and the head's
     rounding floor.
+
+    Sweep k needs only the k-th forward difference at 0.  The loop
+    keeps the anti-diagonal D^j d[k-j], j = 0..k, and extends it by one
+    entry per sweep, D^(j+1) d[k-j] = D^j d[k+1-j] - D^j d[k-j], so
+    differences are taken only as far as the loop goes: one subtraction
+    at sweep 1, k at sweep k.  Each entry is the same subtraction of
+    the same operands as in the full difference table.
 
     With block = 1 the transform runs on the coefficients c(N + j)
     with ratio mu = z/(1-z), |mu| = 1/(2 sin pi y).  They are c(N) plus
@@ -159,14 +174,19 @@ def _master_sum(
         fr = (narr * y_hi) % 1.0 + narr * y_lo
         return np.exp(2j * np.pi * (fr % 1.0))
 
-    z1 = complex(np.exp(2j * np.pi * ((y_hi % 1.0) + y_lo)))
+    def phase(n: float) -> complex:
+        # phases() at one n, in scalar arithmetic.
+        fr = (n * y_hi) % 1.0 + n * y_lo
+        return cmath.exp(2j * math.pi * (fr % 1.0))
+
+    z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
     if abs(1.0 - z1) < 1e-9:
         raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
 
     narr = np.arange(1, n_direct, dtype=np.float64)
-    coeff = _weights(narr, weight) * narr ** (s - 1.0)
-    head = complex(np.sum(coeff * phases(narr)))
-    abs_head = float(np.sum(np.abs(coeff)))
+    coeff = _coefficients(narr, s, weight)
+    head = complex((coeff * phases(narr)).sum())
+    abs_head = float(np.abs(coeff).sum())
 
     n0 = float(n_direct)
     if block == 1:
@@ -182,16 +202,16 @@ def _master_sum(
             a, b = w0 * ej, lj * (1.0 + ej)
             offsets, size = a + b, np.abs(a) + np.abs(b)
         d = (p * offsets).tolist()
-        floor = _OFFSET_ROUNDING * p * float(np.max(size))
+        floor = _OFFSET_ROUNDING * p * float(size.max())
         first, ratio = p * w0, z1
     else:
         narr = n0 + np.arange((_SWEEPS + 2) * block, dtype=np.float64)
-        coeff = (_weights(narr, weight) * narr ** (s - 1.0)).reshape(-1, block)
+        coeff = _coefficients(narr, s, weight).reshape(-1, block)
         d = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1).tolist()
-        floor = _OFFSET_ROUNDING * float(np.max(np.abs(coeff).sum(axis=1)))
-        first, ratio = d[0], complex(phases(np.array([float(block)]))[0])
+        floor = _OFFSET_ROUNDING * float(np.abs(coeff).sum(axis=1).max())
+        first, ratio = d[0], phase(float(block))
 
-    z_n = complex(phases(np.array([n0]))[0])
+    z_n = phase(n0)
     mu = ratio / (1.0 - ratio)
     mupow = z_n / (1.0 - ratio)
     tail = mupow * first
@@ -200,16 +220,17 @@ def _master_sum(
     # Through 1/(1 - ratio) and mu^k, a rounding delta of the ratio moves
     # term k by about (k + 1)|term k| delta/|1 - ratio|.
     spread = incs[0]
+    diag = d[:1]
     for k in range(1, _SWEEPS):
-        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+        diag = list(accumulate(diag, sub, initial=d[k]))
         mupow *= mu
         floor *= 2.0
         noise += abs(mupow) * floor
-        if abs(d[0]) <= floor:
+        if abs(diag[-1]) <= floor:
             # Only rounding noise is left: the floor is the error.
             incs.append(0.0)
             break
-        term = mupow * d[0]
+        term = mupow * diag[-1]
         tail += term
         incs.append(abs(term))
         spread += (k + 1) * incs[-1]

@@ -4,7 +4,9 @@ Everything here is computed by mpmath (or plain quadrature) through
 representations that share no code with the package: the package sums
 real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
-finite differences.
+finite differences.  The one exception is `full_table_master_sum`, the
+engine's master sum as it was before a rewrite that had to keep its
+output bit for bit; it is kept to check exactly that.
 """
 from __future__ import annotations
 
@@ -105,3 +107,102 @@ def brute_partial_trig(x: float, s: float, trig: str, terms: int) -> float:
     for n in range(1, terms + 1):
         acc += fn(2.0 * math.pi * n * x) * n ** (s - 1.0)
     return acc
+
+
+def full_table_master_sum(
+    y: float, s: float, weight: str, n_direct: int, block: int = 1
+):
+    """`regsum._master_sum` as it was before its differences moved to one
+    anti-diagonal and its scalar phases to cmath: every sweep rebuilds
+    the whole forward-difference table, and each phase is a one-element
+    numpy exp.  Tests compare the two with `==`, value and error.  The
+    third item names the loop's exit: "floor" (a difference sank below
+    the rounding floor), "small" (an increment below 1e-17 of the
+    tail), "diverge" (three growing increments) or "sweeps" (all
+    sweeps taken)."""
+    import numpy as np
+
+    from zetalim import regsum
+    from zetalim.result import ConvergenceError
+
+    def weights(narr):
+        if weight == "unit":
+            return np.ones_like(narr)
+        if weight == "log_n":
+            return np.log(narr)
+        if weight == "log_2pi_n":
+            return np.log(2.0 * math.pi * narr)
+        return regsum.EULER_GAMMA + np.log(2.0 * math.pi * narr)
+
+    sweeps = regsum._SWEEPS
+    y = y - round(y)
+    y_hi = round(y * 2**26) / 2**26
+    y_lo = y - y_hi
+
+    def phases(narr):
+        fr = (narr * y_hi) % 1.0 + narr * y_lo
+        return np.exp(2j * np.pi * (fr % 1.0))
+
+    z1 = complex(np.exp(2j * np.pi * ((y_hi % 1.0) + y_lo)))
+    if abs(1.0 - z1) < 1e-9:
+        raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
+
+    narr = np.arange(1, n_direct, dtype=np.float64)
+    coeff = weights(narr) * narr ** (s - 1.0)
+    head = complex(np.sum(coeff * phases(narr)))
+    abs_head = float(np.sum(np.abs(coeff)))
+
+    n0 = float(n_direct)
+    if block == 1:
+        lj = np.log1p(np.arange(sweeps + 2, dtype=np.float64) / n0)
+        ej = np.expm1((s - 1.0) * lj)
+        p = n0 ** (s - 1.0)
+        if weight == "unit":
+            w0 = 1.0
+            offsets, size = ej, np.abs(ej)
+        else:
+            w0 = float(weights(np.array([n0]))[0])
+            a, b = w0 * ej, lj * (1.0 + ej)
+            offsets, size = a + b, np.abs(a) + np.abs(b)
+        d = (p * offsets).tolist()
+        floor = regsum._OFFSET_ROUNDING * p * float(np.max(size))
+        first, ratio = p * w0, z1
+    else:
+        narr = n0 + np.arange((sweeps + 2) * block, dtype=np.float64)
+        coeff = (weights(narr) * narr ** (s - 1.0)).reshape(-1, block)
+        d = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1).tolist()
+        floor = regsum._OFFSET_ROUNDING * float(np.max(np.abs(coeff).sum(axis=1)))
+        first, ratio = d[0], complex(phases(np.array([float(block)]))[0])
+
+    z_n = complex(phases(np.array([n0]))[0])
+    mu = ratio / (1.0 - ratio)
+    mupow = z_n / (1.0 - ratio)
+    tail = mupow * first
+    incs = [abs(tail)]
+    noise = 0.0
+    spread = incs[0]
+    exit_kind = "sweeps"
+    for k in range(1, sweeps):
+        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+        mupow *= mu
+        floor *= 2.0
+        noise += abs(mupow) * floor
+        if abs(d[0]) <= floor:
+            incs.append(0.0)
+            exit_kind = "floor"
+            break
+        term = mupow * d[0]
+        tail += term
+        incs.append(abs(term))
+        spread += (k + 1) * incs[-1]
+        if len(incs) >= 3 and incs[-1] < 1e-17 * (abs(tail) + 1.0):
+            exit_kind = "small"
+            break
+        if len(incs) >= 6 and incs[-1] > incs[-2] > incs[-3]:
+            tail -= term
+            incs.pop()
+            exit_kind = "diverge"
+            break
+    drift = regsum._RATIO_ROUNDING * spread / abs(1.0 - ratio)
+    err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
+    return head + tail, err, exit_kind

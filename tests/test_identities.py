@@ -244,3 +244,42 @@ def test_cot_factors_are_taken_at_the_reduced_argument(monkeypatch, x):
         want = mp.cot(mp.pi * mp.mpf(x))
         for got in factors:
             assert abs(float((got - want) / want)) <= 1e-15, (x, got)
+
+
+def test_complex_limit_pair_is_evaluated_once_per_point(monkeypatch):
+    # Two regularized limits per point, cosine and sine, over 12 points.
+    calls = []
+    limit = identities.regularized_limit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return limit(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "regularized_limit", counting)
+    res = _single(_by_id("EQ4.14C"))
+    assert res.passed
+    assert len(res.points) == 12
+    assert len(calls) == 24
+
+
+def test_complex_sides_report_moduli_and_complex_residual():
+    lhs, rhs = 3.0 + 4.0j, 4.0 + 3.0j
+    case = IdentityCase(
+        id="SYNTH-C",
+        lhs=lambda pt: lhs,
+        rhs=lambda pt: rhs if pt["x"] < 0.5 else lhs,
+        domain=Domain(kind="x-default"),
+        tol=1e-6,
+        notes="equal moduli, different complex values below x = 1/2",
+    )
+    res = _single(case, grid_density=3)
+    assert [p.coords[0][1] for p in res.points] == [0.25, 0.5, 0.75]
+    for p in res.points:
+        assert p.lhs == p.rhs == 5.0
+        assert isinstance(p.lhs, float) and isinstance(p.rhs, float)
+    first, *rest = res.points
+    assert first.residual == abs(lhs - rhs) == math.sqrt(2.0)
+    assert not first.passed
+    assert all(p.residual == 0.0 and p.passed for p in rest)
+    assert not res.passed
+    assert res.max_residual == math.sqrt(2.0)

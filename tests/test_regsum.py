@@ -9,6 +9,7 @@ from oracles import (
     HALF_LOG_HALF_PI,
     K_LOG_COS_LIMIT_AT_03,
     brute_partial_trig,
+    full_table_master_sum,
     mp_weighted_sum,
     psi_formula_target,
 )
@@ -440,6 +441,48 @@ def test_limits_never_reach_the_head_cap(monkeypatch):
             for s_target in (0.0, 1.0):
                 regularized_limit(x, "sine", weight, parity, s_target=s_target)
     assert heads and max(heads) < regsum._HEAD_CAP
+
+
+def _seeded_master_calls(seed: int):
+    """(y, s, weight, n_direct, block) over every weight and s in
+    {-2, 0, 1/2, 1}: plain calls, edge-band calls in blocks of
+    round(1/(2y)) terms as the adaptive engine makes them, and blocks of
+    7..40 terms at any y, where the transform can also diverge or run
+    through every sweep."""
+    import random
+
+    rng = random.Random(seed)
+    calls = []
+    for weight in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n"):
+        for s in (-2.0, 0.0, 0.5, 1.0):
+            for _ in range(5):
+                y = rng.uniform(0.02, 0.98)
+                calls.append((y, s, weight, rng.choice((16, 64, 128)), 1))
+                y = rng.uniform(0.012, 0.07)
+                b = round(0.5 / y)
+                calls.append((rng.choice((y, 1.0 - y, -y)), s, weight, 24 * b, b))
+                b = rng.randint(7, 40)
+                calls.append((rng.uniform(0.02, 0.98), s, weight, rng.choice((64, 24 * b)), b))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_master_sum_matches_the_full_difference_table(seed):
+    # The anti-diagonal differences and cmath phases must not move a bit
+    # on either route; the golden report makes no blocked calls.
+    from zetalim import regsum
+
+    exits = {1: set(), 7: set()}
+    calls = _seeded_master_calls(seed)
+    assert len(calls) >= 200
+    for y, s, weight, n_direct, block in calls:
+        value, err, exit_kind = full_table_master_sum(y, s, weight, n_direct, block)
+        assert regsum._master_sum(y, s, weight, n_direct, block) == (value, err), (
+            y, s, weight, n_direct, block,
+        )
+        exits[min(block, 7)].add(exit_kind)
+    for block, seen in exits.items():
+        assert {"floor", "small", "diverge"} <= seen, (block, seen)
 
 
 def test_edge_series_raises_beyond_the_blocked_range():
