@@ -11,48 +11,6 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "Domain",
-    "DomainError",
-    "EULER_GAMMA",
-    "EvalResult",
-    "ExtrapolationPath",
-    "HurwitzQuery",
-    "IdentityCase",
-    "PoleError",
-    "StieltjesQuery",
-    "TrigSeriesSpec",
-    "VerificationReport",
-    "alternating_log_limit",
-    "bernoulli",
-    "bernoulli_table",
-    "closed_form",
-    "default_x_grid",
-    "deninger_cos_log_sum",
-    "digamma",
-    "gamma1_finite_difference",
-    "gamma1_reflection_diff",
-    "hurwitz_hasse",
-    "hurwitz_zeta",
-    "integral_gamma",
-    "kummer_sine_series",
-    "log_gamma",
-    "log_sine_fourier",
-    "log_sine_fourier_target",
-    "neville_zero",
-    "pole_residue_check",
-    "quadrature_zeta2_integral",
-    "registry",
-    "regularized_limit",
-    "stieltjes_gamma",
-    "trig_dirichlet_sum",
-    "uniform_x",
-    "verify",
-    "verify_all",
-    "__version__",
-]
-
 # Public name -> the submodule that defines it.
 _SOURCE = {
     name: module
@@ -78,6 +36,7 @@ _SOURCE = {
     for name in names
 }
 _SUBMODULES = frozenset(_SOURCE.values())
+__all__ = sorted(_SOURCE) + ["__version__"]
 
 
 def __getattr__(name: str):

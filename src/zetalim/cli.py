@@ -69,15 +69,9 @@ def _cell(value) -> str:
 
 
 def _jnum(value) -> str:
-    if value is None:
-        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if not math.isfinite(value):
-        return "null"
-    return _f17(value)
+    return _cell(value) or "null"
 
 
 def _jstr(text: str) -> str:

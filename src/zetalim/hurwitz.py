@@ -73,17 +73,14 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
 
 def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     n_cut = _EM_CUTOFF
-    v0: list[float] = []
-    v1: list[float] = []
-    v2: list[float] = []
+    terms: list[float] = []
     for n in range(n_cut):
         t = (n + x) ** (-s)
-        v0.append(t)
-        if m >= 1:
+        if m == 0:
+            terms.append(t)
+        else:
             lg = math.log(n + x)
-            v1.append(-lg * t)
-            if m >= 2:
-                v2.append(lg * lg * t)
+            terms.append(-lg * t if m == 1 else lg * lg * t)
 
     a = n_cut + x
     lga = math.log(a)
@@ -91,22 +88,21 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
 
     # Pole piece a^{1-s}/(s-1) and boundary piece a^{-s}/2.
     sm1 = s - 1.0
-    pole0 = pw * a / sm1
-    v0.append(pole0)
-    v0.append(0.5 * pw)
-    if m >= 1:
-        v1.append(-pw * a * (lga / sm1 + 1.0 / sm1**2))
-        v1.append(-0.5 * lga * pw)
-        if m >= 2:
-            v2.append(pw * a * (lga**2 / sm1 + 2.0 * lga / sm1**2 + 2.0 / sm1**3))
-            v2.append(0.5 * lga * lga * pw)
+    if m == 0:
+        terms += (pw * a / sm1, 0.5 * pw)
+    elif m == 1:
+        terms += (-pw * a * (lga / sm1 + 1.0 / sm1**2), -0.5 * lga * pw)
+    else:
+        terms += (
+            pw * a * (lga**2 / sm1 + 2.0 * lga / sm1**2 + 2.0 / sm1**3),
+            0.5 * lga * lga * pw,
+        )
 
     # Bernoulli corrections c_k * P_k(s) * a^{-s-2k+1} with the rising
     # product P_k(s) = s (s+1) ... (s+2k-2) and its s-derivatives
     # propagated by the product rule.
     p, dp, ddp = 1.0, 0.0, 0.0
     j = 0
-    last = (0.0, 0.0, 0.0)
     for k in range(1, _EM_ORDER + 1):
         while j <= 2 * k - 2:
             f = s + j
@@ -116,18 +112,15 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
             j += 1
         e = a ** (-s - 2 * k + 1)
         c = _EM_COEF[k - 1]
-        t0 = c * p * e
-        t1 = c * (dp - lga * p) * e
-        t2 = c * (ddp - 2.0 * lga * dp + lga * lga * p) * e
-        v0.append(t0)
-        if m >= 1:
-            v1.append(t1)
-            if m >= 2:
-                v2.append(t2)
-        last = (t0, t1, t2)
+        if m == 0:
+            terms.append(c * p * e)
+        elif m == 1:
+            terms.append(c * (dp - lga * p) * e)
+        else:
+            terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
-    value = math.fsum((v0, v1, v2)[m])
-    err = abs(last[m]) + 1e-18
+    value = math.fsum(terms)
+    err = abs(terms[-1]) + 1e-18
     return EvalResult(
         value=value,
         err_estimate=err,

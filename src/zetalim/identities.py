@@ -11,6 +11,7 @@ ordered by case id.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -54,8 +55,7 @@ _GL24 = np.array(np.polynomial.legendre.leggauss(24)).T.tolist()
 
 Point = Mapping[str, float]
 Evaluator = Callable[[Point], Union[float, complex]]
-
-DOMAIN_KINDS = ("x-default", "u-default", "x-fixed", "sx-grid", "sm-grid", "scalar")
+Axis = Tuple[str, Union[Tuple[float, ...], Callable[[int], Tuple[float, ...]]]]
 
 
 def uniform_x(grid_density: int) -> Tuple[float, ...]:
@@ -79,36 +79,20 @@ def default_x_grid(grid_density: int) -> Tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Domain:
-    """Grid recipe for one case.
+    """Grid of one case: the product of its named axes.
 
-    kind selects how points are produced; `values` holds fixed
-    coordinates for x-fixed and sx/sm kinds (or the scalar annotation),
-    and `s_values` the s-axis of the product kinds.  Product kinds with
-    empty `values` draw their x-axis from uniform_x(grid_density).
+    Each axis is a (label, values) pair, where values is a tuple of
+    fixed coordinates or a function of the grid density (uniform_x,
+    default_x_grid).  points() runs over every combination, the first
+    axis outermost; no axes give one point with no coordinates.
     """
 
-    kind: str
-    label: str = "x"
-    values: Tuple[float, ...] = ()
-    s_values: Tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in DOMAIN_KINDS:
-            raise DomainError(f"unknown domain kind {self.kind!r}")
+    axes: Tuple[Axis, ...] = ()
 
     def points(self, grid_density: int) -> Tuple[Tuple[Tuple[str, float], ...], ...]:
-        if self.kind == "scalar":
-            if self.values:
-                return (((self.label, self.values[0]),),)
-            return ((),)
-        if self.kind in ("x-default", "u-default"):
-            return tuple(((self.label, v),) for v in default_x_grid(grid_density))
-        if self.kind == "x-fixed":
-            return tuple(((self.label, v),) for v in self.values)
-        if self.kind == "sx-grid":
-            xs = self.values if self.values else uniform_x(grid_density)
-            return tuple((("s", s), ("x", x)) for s in self.s_values for x in xs)
-        return tuple((("s", s), ("m", m)) for s in self.s_values for m in (0, 1, 2))
+        labels = [label for label, _ in self.axes]
+        grids = [v(grid_density) if callable(v) else v for _, v in self.axes]
+        return tuple(tuple(zip(labels, combo)) for combo in itertools.product(*grids))
 
 
 @dataclass(frozen=True)
@@ -269,14 +253,14 @@ def quadrature_zeta2_integral() -> EvalResult:
 
 def registry() -> Tuple[IdentityCase, ...]:
     """The fixed verification catalogue, in stable order."""
-    x_default = Domain("x-default")
-    u_default = Domain("u-default", label="u")
+    x_default = Domain((("x", default_x_grid),))
+    u_default = Domain((("u", default_x_grid),))
     cases = (
         IdentityCase(
             id="EQ2.3",
             lhs=lambda pt: pole_residue_check(pt["x"]),
             rhs=lambda pt: 1.0,
-            domain=Domain("x-fixed", values=(0.5, 1.0, 3.7)),
+            domain=Domain((("x", (0.5, 1.0, 3.7)),)),
             tol=1e-9,
             notes="Residue at the s = 1 pole: extrapolated (s-1)*zeta(s,x) equals 1 for every x.",
         ),
@@ -284,7 +268,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.9",
             lhs=lambda pt: _zeta(pt["s"], 1.0 + pt["x"]) - _zeta(pt["s"], pt["x"]),
             rhs=lambda pt: -pt["x"] ** -pt["s"],
-            domain=Domain("sx-grid", values=X_ORACLE, s_values=S_ORACLE),
+            domain=Domain((("s", S_ORACLE), ("x", X_ORACLE))),
             tol=1e-9,
             notes="Forward shift: zeta(s,1+x) - zeta(s,x) = -x^(-s).",
         ),
@@ -292,7 +276,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.10",
             lhs=lambda pt: _gamma1(1.0 + pt["x"]) - _gamma1(pt["x"]),
             rhs=lambda pt: -math.log(pt["x"]) / pt["x"],
-            domain=Domain("x-fixed", values=tuple(k / 5.0 for k in range(1, 16))),
+            domain=Domain((("x", tuple(k / 5.0 for k in range(1, 16))),)),
             tol=1e-9,
             notes="Recurrence gamma1(1+x) - gamma1(x) = -ln(x)/x.",
         ),
@@ -304,8 +288,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             ),
             rhs=lambda pt: 1.0 / pt["x"],
             domain=Domain(
-                "x-fixed",
-                values=tuple(k / 10.0 for k in range(1, 10)) + (1.5, 2.5, 5.0, 7.5, 10.0),
+                (("x", tuple(k / 10.0 for k in range(1, 10)) + (1.5, 2.5, 5.0, 7.5, 10.0)),)
             ),
             tol=1e-9,
             notes="Recurrence gamma0(x) - gamma0(1+x) = 1/x, the digamma shift in disguise.",
@@ -322,7 +305,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.20",
             lhs=lambda pt: integral_gamma(1, pt["u"]).value,
             rhs=lambda pt: 0.0,
-            domain=Domain("scalar", label="u", values=(2.0,)),
+            domain=Domain((("u", (2.0,)),)),
             tol=1e-9,
             notes="integral_gamma(1, 2) vanishes: the antiderivative route gives exactly 0.",
         ),
@@ -330,7 +313,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.21",
             lhs=lambda pt: math.fsum(0.5 * w * _gamma1(1.5 + 0.5 * t) for t, w in _GL24),
             rhs=lambda pt: integral_gamma(1, 2.0).value,
-            domain=Domain("scalar", label="u", values=(2.0,)),
+            domain=Domain((("u", (2.0,)),)),
             tol=1e-8,
             notes="Gauss-Legendre quadrature of gamma1 over [1,2] matches the closed-form integral.",
         ),
@@ -346,7 +329,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.4",
             lhs=lambda pt: _zeta(pt["s"], pt["x"]) + _zeta(pt["s"], 1.0 - pt["x"]),
             rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "cosine"),
-            domain=Domain("sx-grid", s_values=S_FOURIER),
+            domain=Domain((("s", S_FOURIER), ("x", uniform_x))),
             tol=1e-8,
             notes="Even Fourier closure: zeta(s,x) + zeta(s,1-x) = 4 Gamma(1-s) sin(pi s/2) * sum cos(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
@@ -354,7 +337,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.5",
             lhs=lambda pt: _zeta(pt["s"], pt["x"]) - _zeta(pt["s"], 1.0 - pt["x"]),
             rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "sine"),
-            domain=Domain("sx-grid", s_values=S_FOURIER),
+            domain=Domain((("s", S_FOURIER), ("x", uniform_x))),
             tol=1e-8,
             notes="Odd Fourier closure: zeta(s,x) - zeta(s,1-x) = 4 Gamma(1-s) cos(pi s/2) * sum sin(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
@@ -431,7 +414,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.13",
             lhs=lambda pt: quadrature_zeta2_integral().value,
             rhs=lambda pt: 0.0,
-            domain=Domain("scalar"),
+            domain=Domain(),
             tol=1e-6,
             notes="Integral of zeta''(0,u) over (0,1) vanishes.",
         ),
@@ -509,7 +492,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="ALTLOG",
             lhs=lambda pt: alternating_log_limit().value,
             rhs=lambda pt: 0.5 * math.log(0.5 * math.pi),
-            domain=Domain("scalar"),
+            domain=Domain(),
             tol=1e-7,
             notes="Regularized sum of (-1)^n ln(n) (2 pi n)^(s-1) equals ln(pi/2)/2.",
         ),
@@ -523,9 +506,9 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="HALFARG",
-            lhs=lambda pt: _zeta(pt["s"], 0.5, int(pt["m"])),
-            rhs=lambda pt: _halfarg_rhs(pt["s"], int(pt["m"])),
-            domain=Domain("sm-grid", s_values=S_ORACLE),
+            lhs=lambda pt: _zeta(pt["s"], 0.5, pt["m"]),
+            rhs=lambda pt: _halfarg_rhs(pt["s"], pt["m"]),
+            domain=Domain((("s", S_ORACLE), ("m", (0, 1, 2)))),
             tol=1e-9,
             notes="Half argument: zeta(s,1/2) = (2^s - 1) zeta(s), checked together with its first and second s-derivatives.",
         ),
@@ -566,34 +549,28 @@ def _run_case(case: IdentityCase, grid_density: int, tol_scale: float) -> CaseRe
     )
 
 
-def _assemble(results, wall_time: float) -> VerificationReport:
-    ordered = tuple(sorted(results, key=lambda c: c.case_id))
-    finite = [c.max_residual for c in ordered if c.max_residual is not None]
-    return VerificationReport(
-        cases=ordered,
-        cases_run=len(ordered),
-        cases_passed=sum(1 for c in ordered if c.passed),
-        max_residual=max(finite) if finite else None,
-        wall_time=wall_time,
-    )
-
-
-def _check_run_args(grid_density: int, tol_scale: float) -> None:
+def _verify(cases: Tuple[IdentityCase, ...], grid_density: int, tol_scale: float) -> VerificationReport:
     if grid_density < 3:
         raise DomainError(f"grid_density must be >= 3, got {grid_density}")
     if not tol_scale > 0.0:
         raise DomainError(f"tol_scale must be positive, got {tol_scale}")
+    start = time.perf_counter()
+    results = tuple(sorted(
+        (_run_case(case, grid_density, tol_scale) for case in cases), key=lambda c: c.case_id
+    ))
+    finite = [c.max_residual for c in results if c.max_residual is not None]
+    return VerificationReport(
+        cases=results,
+        cases_run=len(results),
+        cases_passed=sum(1 for c in results if c.passed),
+        max_residual=max(finite) if finite else None,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def verify(case: IdentityCase, grid_density: int = 9, tol_scale: float = 1.0) -> VerificationReport:
-    _check_run_args(grid_density, tol_scale)
-    start = time.perf_counter()
-    result = _run_case(case, grid_density, tol_scale)
-    return _assemble([result], time.perf_counter() - start)
+    return _verify((case,), grid_density, tol_scale)
 
 
 def verify_all(grid_density: int = 9, tol_scale: float = 1.0) -> VerificationReport:
-    _check_run_args(grid_density, tol_scale)
-    start = time.perf_counter()
-    results = [_run_case(case, grid_density, tol_scale) for case in registry()]
-    return _assemble(results, time.perf_counter() - start)
+    return _verify(registry(), grid_density, tol_scale)

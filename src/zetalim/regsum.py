@@ -96,13 +96,10 @@ class TrigSeriesSpec:
 class ExtrapolationPath:
     """Geometric offset ladder h_k = h0 2^{-k}, k = 0..depth."""
 
-    target: float
     h0: float = 0.25
     depth: int = 8
 
     def __post_init__(self) -> None:
-        if self.target not in (0.0, 1.0):
-            raise DomainError(f"limit target must be 0 or 1, got {self.target}")
         if not 0.0 < self.h0 <= 0.25:
             raise DomainError(f"h0 must satisfy 0 < h0 <= 1/4, got {self.h0}")
         if self.depth < 6:
@@ -354,19 +351,18 @@ def regularized_limit(
         raise DomainError(
             f"regularized limits need {_EDGE_BAND} < x < {1.0 - _EDGE_BAND}, got {x}"
         )
+    s_target = float(s_target)
+    if s_target not in (0.0, 1.0):
+        raise DomainError(f"limit target must be 0 or 1, got {s_target}")
     if path is None:
-        if float(s_target) not in (0.0, 1.0):
-            raise DomainError(f"limit target must be 0 or 1, got {s_target}")
         value, err, terms = _series_sum(
             TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
-                           s=float(s_target), scale=scale)
+                           s=s_target, scale=scale)
         )
         return EvalResult(
             value=value, err_estimate=err, terms_used=terms,
             method_tag="euler-at-target",
         )
-    if path.target != float(s_target):
-        raise DomainError("path.target disagrees with s_target")
     hs = list(path.offsets)
     vals = []
     point_err = 0.0
@@ -374,7 +370,7 @@ def regularized_limit(
     for h in hs:
         r = trig_dirichlet_sum(
             TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
-                           s=path.target - h, scale=scale)
+                           s=s_target - h, scale=scale)
         )
         vals.append(r.value)
         point_err = max(point_err, r.err_estimate)

@@ -43,10 +43,44 @@ def test_registry_shape():
 
 def test_registry_specific_cases():
     assert _by_id("EQ4.1").tol == 1e-6
-    dom = _by_id("EQ3.20").domain
-    assert dom.kind == "scalar"
-    assert dom.label == "u"
-    assert dom.values == (2.0,)
+    assert _by_id("EQ3.20").domain.axes == (("u", (2.0,)),)
+    assert _by_id("HALFARG").domain.axes == (("s", identities.S_ORACLE), ("m", (0, 1, 2)))
+    assert _by_id("EQ4.13").domain.axes == ()
+
+
+def test_domain_points_are_the_product_of_named_axes():
+    sm = Domain((("s", (-1.0, 0.5)), ("m", (0, 1, 2))))
+    assert sm.points(3) == (
+        (("s", -1.0), ("m", 0)), (("s", -1.0), ("m", 1)), (("s", -1.0), ("m", 2)),
+        (("s", 0.5), ("m", 0)), (("s", 0.5), ("m", 1)), (("s", 0.5), ("m", 2)),
+    )
+    assert all(type(dict(coords)["m"]) is int for coords in sm.points(3))
+    assert sm.points(5) == sm.points(3)
+    assert Domain().points(3) == Domain().points(9) == ((),)
+    sx = Domain((("s", (2.0,)), ("x", uniform_x)))
+    for density in (3, 5, 9):
+        assert sx.points(density) == tuple((("s", 2.0), ("x", x)) for x in uniform_x(density))
+
+
+# Points per case at grid densities 3, 5 and 9.
+_POINT_COUNTS = {
+    "EQ2.3": (3, 3, 3), "EQ3.9": (30, 30, 30), "EQ3.10": (15, 15, 15),
+    "EQ3.11": (14, 14, 14), "EQ3.18": (3, 5, 12), "EQ3.20": (1, 1, 1),
+    "EQ3.21": (1, 1, 1), "EQ3.2": (3, 5, 12), "EQ4.4": (15, 25, 45),
+    "EQ4.5": (15, 25, 45), "EQ4.1": (3, 5, 12), "EQ4.14": (3, 5, 12),
+    "EQ4.14C": (3, 5, 12), "EQ4.8": (3, 5, 12), "EQ4.10.1": (3, 5, 12),
+    "EQ4.12": (3, 5, 12), "EQ4.12.1": (3, 5, 12), "EQ4.13": (1, 1, 1),
+    "EQ4.18": (3, 5, 12), "EQ4.19": (3, 5, 12), "EQ4.20": (3, 5, 12),
+    "KUMMER": (3, 5, 12), "LOGSINE": (3, 5, 12), "EQ4.21": (3, 5, 12),
+    "EQ4.22": (3, 5, 12), "EQ4.23": (3, 5, 12), "ALTLOG": (1, 1, 1),
+    "PSIREFL": (3, 5, 12), "HALFARG": (18, 18, 18),
+}
+
+
+@pytest.mark.parametrize("column, density", [(0, 3), (1, 5), (2, 9)])
+def test_registry_point_counts(column, density):
+    got = {c.id: len(c.domain.points(density)) for c in registry()}
+    assert got == {cid: counts[column] for cid, counts in _POINT_COUNTS.items()}
 
 
 @pytest.mark.parametrize("density", [3, 5, 9])
@@ -56,7 +90,7 @@ def test_grids_avoid_singular_points(density):
             for label, value in coords:
                 if label in ("x", "u"):
                     assert 0.0 < value, (c.id, coords)
-                    if c.domain.kind in ("x-default", "u-default"):
+                    if callable(dict(c.domain.axes)[label]):
                         assert 0.0 < value < 1.0
                 if label == "s":
                     assert abs(value - 1.0) > 1e-3, (c.id, coords)
@@ -154,7 +188,7 @@ def test_point_errors_are_captured_not_raised():
         id="SYNTH",
         lhs=boom,
         rhs=lambda pt: 0.0,
-        domain=Domain(kind="x-default"),
+        domain=Domain((("x", default_x_grid),)),
         tol=1e-6,
         notes="runner error-capture check",
     )
@@ -171,12 +205,10 @@ def test_case_validation():
             id="BAD",
             lhs=lambda pt: 0.0,
             rhs=lambda pt: 0.0,
-            domain=Domain(kind="x-default"),
+            domain=Domain((("x", default_x_grid),)),
             tol=1e-4,
             notes="tolerance outside the allowed band",
         )
-    with pytest.raises(DomainError):
-        Domain(kind="y-grid")
 
 
 def test_runner_argument_validation():
@@ -268,7 +300,7 @@ def test_complex_sides_report_moduli_and_complex_residual():
         id="SYNTH-C",
         lhs=lambda pt: lhs,
         rhs=lambda pt: rhs if pt["x"] < 0.5 else lhs,
-        domain=Domain(kind="x-default"),
+        domain=Domain((("x", default_x_grid),)),
         tol=1e-6,
         notes="equal moduli, different complex values below x = 1/2",
     )

@@ -47,16 +47,14 @@ def test_spec_validation():
 
 
 def test_path_offsets():
-    p = ExtrapolationPath(target=1.0)
+    p = ExtrapolationPath()
     assert len(p.offsets) == 9
     assert p.offsets[0] == 0.25
     assert p.offsets[-1] == 0.25 * 2.0**-8
     with pytest.raises(DomainError):
-        ExtrapolationPath(target=0.5)
+        ExtrapolationPath(h0=0.3)
     with pytest.raises(DomainError):
-        ExtrapolationPath(target=1.0, h0=0.3)
-    with pytest.raises(DomainError):
-        ExtrapolationPath(target=1.0, depth=4)
+        ExtrapolationPath(depth=4)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.25, 0.5])
@@ -190,7 +188,7 @@ def test_scale_is_immaterial_in_the_limit():
 def test_neville_corrections_shrink_along_the_ladder():
     from zetalim.extrapolate import neville_zero
 
-    path = ExtrapolationPath(target=1.0)
+    path = ExtrapolationPath()
     hs = list(path.offsets)
     vs = [
         trig_dirichlet_sum(
@@ -295,11 +293,11 @@ def test_closed_form_validation():
 
 
 def test_limit_with_custom_path():
-    path = ExtrapolationPath(target=1.0, h0=0.125, depth=7)
+    path = ExtrapolationPath(h0=0.125, depth=7)
     got = regularized_limit(0.25, "sine", "unit", path=path).value
     assert got == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(DomainError):
-        regularized_limit(0.25, "sine", "unit", s_target=0.0, path=path)
+        regularized_limit(0.25, "sine", "unit", s_target=0.5, path=path)
 
 
 def test_limit_domain_guard():
@@ -366,7 +364,7 @@ def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
     # rounding noise in the Euler tail moved its samples.
     got = regularized_limit(x, trig, "unit", parity)
     assert abs(got.value - closed_form(x, case_id)) <= got.err_estimate + 1e-13
-    ladder = regularized_limit(x, trig, "unit", parity, path=ExtrapolationPath(1.0))
+    ladder = regularized_limit(x, trig, "unit", parity, path=ExtrapolationPath())
     assert math.isfinite(ladder.value)
 
 
@@ -396,7 +394,7 @@ def test_limit_error_estimate_is_honest(x, parity, weight, trig):
 def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
     from zetalim import default_x_grid
 
-    path = ExtrapolationPath(target=s_target)
+    path = ExtrapolationPath()
     for x in default_x_grid(9):
         for trig in ("sine", "cosine"):
             direct = regularized_limit(x, trig, weight, parity, scale, s_target)
