@@ -54,7 +54,8 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
     form.  err_estimate is the magnitude of the final correction term
     for the requested derivative order (truncation estimate; rounding
     of the direct sum is not included).  A sum that leaves the binary64
-    range (large |s|, e.g. s = -400 at x = 0.5) raises ConvergenceError.
+    range (large |s|, e.g. s = -400 at x = 0.5, or terms of both signs
+    overflowing to +-inf) raises ConvergenceError.
     """
     s, x, m = q.s, q.x, q.m
     if abs(s - 1.0) < _POLE_RADIUS:
@@ -66,7 +67,7 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
         r = _euler_maclaurin(s, x, m)
         if math.isfinite(r.value) and math.isfinite(r.err_estimate):
             return r
-    except OverflowError:
+    except (OverflowError, ValueError):  # fsum raises ValueError on -inf + inf
         pass
     raise ConvergenceError(f"Euler-Maclaurin sum overflows binary64 at s = {s}, x = {x}")
 
@@ -143,6 +144,19 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     D[j] = Delta^j f(n-j), takes n subtractions per outer term and ends
     in Delta^n f(0), so each f(n)'s conversion is the only rounding in
     the difference table.
+
+    The outer sum is accumulated in the same integers with 64 guard
+    bits, q_n = ((-1)^n D[n] << 64) // (n+1) in units of 2^(e-64), and
+    converted to mpf once, after the loop.  It stops after three terms
+    in a row whose share of the value, q_n/(s-1), is below 1e-23
+    (1 + |zeta(s, x)|), tested in integers: 7 digits past the binary64
+    value returned.  Weighing the terms against the value rather than
+    against their own sum matters for s < 0, where that sum cancels a
+    prefix many orders larger than zeta.  On 2000 seeded points (s in
+    [-2, 3] outside 1 +- 0.02, x log-uniform in [0.05, 20]) the float is
+    the one a 1e-30 stop returns and equals 50-digit mpmath zeta rounded
+    to binary64, with 37-74 outer terms; a 1e-30 stop takes 71-175.
+    Stops at 1e-21 and 1e-22 moved none of those floats, 1e-20 moved 4.
     """
     import mpmath as mp
 
@@ -159,23 +173,26 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
         prefix = mp.fsum((j + xx) ** (-ss) for j in range(shift))
         a = 1 - ss
         e = mp.frexp(x_eff**a)[1] - 300
-        tol = mp.mpf(10) ** -30
+        # In units of 2^(e-64), pre + acc is (s-1) zeta(s, x) and sm1 is
+        # |s-1|, so each outer term is weighed against 1 + |zeta(s, x)|.
+        pre = int(mp.ldexp(prefix * (ss - 1), 64 - e))
+        sm1 = max(1, int(mp.ldexp(abs(ss - 1), 64 - e)))
         diag: list[int] = []
-        acc = mp.mpf(0)
+        acc = 0
         last = mp.inf
         outer_used = small_run = 0
         for n in range(max_terms + 1):
             fn = int(mp.ldexp((n + x_eff) ** a, -e))
             diag = list(accumulate(diag, sub, initial=fn))
-            t = mp.ldexp(diag[-1] if n % 2 == 0 else -diag[-1], e) / (n + 1)
-            acc += t
+            q = ((diag[-1] if n % 2 == 0 else -diag[-1]) << 64) // (n + 1)
+            acc += q
             outer_used = n + 1
-            last = abs(t)
-            small_run = small_run + 1 if last < tol * (1 + abs(acc)) else 0
+            last = abs(q)
+            small_run = small_run + 1 if last * 10**23 < sm1 + abs(pre + acc) else 0
             if small_run >= 3:
                 break
-        value = prefix + acc / (ss - 1)
-        err = float(last / abs(ss - 1)) + 1e-16 * abs(float(value))
+        value = prefix + mp.ldexp(acc, e - 64) / (ss - 1)
+        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 1e-16 * abs(float(value))
     if err > 1e-8:
         raise ConvergenceError(
             f"binomial series stalled at {outer_used} outer terms "

@@ -27,6 +27,9 @@ _G1_CUTOFF = 50
 _G1_ORDER = 8
 _FD_STEPS = (0.125, 0.0625, 0.03125, 0.015625)
 
+# B_{2k} / (2k) for k = 1 .. 8
+_TAIL_COEF = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, _G1_ORDER + 1))
+
 
 @dataclass(frozen=True)
 class StieltjesQuery:
@@ -51,8 +54,8 @@ def _tail_closure(a: float) -> tuple[float, float]:
     inv2 = 1.0 / (a * a)
     p = inv2
     last = 0.0
-    for k in range(1, _G1_ORDER + 1):
-        last = bernoulli(2 * k) / (2 * k) * (lga - HARMONIC[2 * k - 2]) * p
+    for k, c in enumerate(_TAIL_COEF, 1):
+        last = c * (lga - HARMONIC[2 * k - 2]) * p
         pieces.append(last)
         p *= inv2
     return math.fsum(pieces), last

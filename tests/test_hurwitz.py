@@ -1,6 +1,8 @@
 """Hurwitz zeta: Euler-Maclaurin and Hasse routes against references."""
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from oracles import ZETA2_AT_HALF, mp_zeta
@@ -186,16 +188,17 @@ def test_em_overflow_is_a_convergence_error(s):
 @pytest.mark.parametrize(
     "s, x, terms, value",
     [
-        (0.5, 0.25, 154, 0.23996352449563096),
-        (-1.5, 3.0, 122, -3.8539123266360233),
-        (1.8, 1.0, 184, 1.882229618102822),
-        (3.0, 1.0, 194, 1.2020569031595942),
+        (0.5, 0.25, 88, 0.23996352449563096),
+        (-1.5, 3.0, 79, -3.8539123266360233),
+        (1.8, 1.0, 90, 1.882229618102822),
+        (3.0, 1.0, 90, 1.2020569031595942),
     ],
 )
 def test_hasse_term_count_and_value_are_pinned(s, x, terms, value):
-    # Term counts and values of an 80-digit mpf difference table: an
-    # exact-integer table must reach the same stopping decisions and
-    # round to the same float.
+    # The series stops after three outer terms in a row whose share of
+    # the value is below 1e-23 (1 + |zeta|), tested in fixed-point
+    # integers.  The values are the floats an 80-digit mpf sum stopped
+    # at 1e-30 returns: the earlier stop must round to the same float.
     r = hurwitz_hasse(s, x)
     assert r.terms_used == terms
     assert r.value == value
@@ -204,7 +207,60 @@ def test_hasse_term_count_and_value_are_pinned(s, x, terms, value):
 @pytest.mark.parametrize("s", [1.6, 1.8, 2.5, 3.0])
 @pytest.mark.parametrize("x", [0.05, 1.0, 19.0])
 def test_hasse_within_its_error_estimate_past_160_terms(s, x):
-    # These points need 160-175 outer terms after the shift to x >= 20.
+    # Slow points: 45-74 outer terms after the shift to x >= 20
+    # (160-175 under a 1e-30 stop, hence the name).
     r = hurwitz_hasse(s, x)
     ref = mp_zeta(s, x, 0)
     assert abs(r.value - ref) <= r.err_estimate + 1e-15 * max(1.0, abs(ref))
+
+
+def _hasse_grid(count=40, seed=9):
+    # s in [-2, 3] outside 1 +- 0.02, x log-uniform in [0.05, 20].
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < count:
+        s = rng.uniform(-2.0, 3.0)
+        if abs(s - 1.0) >= 0.02:
+            pts.append((s, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))))
+    return pts
+
+
+def test_hasse_is_correctly_rounded_on_a_seeded_grid():
+    with mp.workdps(50):
+        misses = [
+            (s, x) for s, x in _hasse_grid()
+            if hurwitz_hasse(s, x).value != float(mp.zeta(s, x))
+        ]
+    assert misses == []
+
+
+def test_hasse_outer_terms_stay_bounded_on_a_seeded_grid():
+    # Deterministic cost guard: outer terms after the shift to x >= 20
+    # (44-69 on this grid; a 1e-30 stop takes 88-173).
+    outer = [
+        hurwitz_hasse(s, x).terms_used - max(0, math.ceil(20.0 - x))
+        for s, x in _hasse_grid()
+    ]
+    assert max(outer) <= 100
+
+
+@pytest.mark.parametrize("s", [-5.5, -9.5, -11.5])
+@pytest.mark.parametrize("x", [0.05, 0.3, 1.0])
+def test_hasse_keeps_its_digits_where_the_prefix_cancels(s, x):
+    # zeta is ~1e-2 here while the prefix and the outer sum / (s-1) are
+    # ~20^(1-s); a stop weighed against the outer sum alone loses up to
+    # 7 digits (9e-14 relative at s = -5.5, 1.1e-7 at -11.5).
+    with mp.workdps(50):
+        ref = mp.zeta(s, x)
+        assert abs(hurwitz_hasse(s, x).value - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [(-185.93208121661354, 15.219553722904008), (-207.89101520727104, 0.05403002853975402)],
+)
+def test_em_terms_of_both_signs_overflowing_are_a_convergence_error(s, x):
+    # The m = 2 terms reach +inf and -inf without a float ** raising;
+    # fsum then refuses to add them.
+    with pytest.raises(ConvergenceError, match=rf"s = {s!r}, x = {x!r}"):
+        hurwitz_zeta(HurwitzQuery(s, x, 2))
