@@ -16,8 +16,8 @@ M is summed head-first with the tail accelerated by an iterated Euler
 transform on the forward differences of the coefficient sequence; on
 the unit circle away from z = 1 that converges geometrically, for s < 1
 and beyond.  Next to z = 1 its ratio z/(1-z) grows like 1/(2 pi y) and
-so does its rounding, so there the tail is cut into blocks of about
-1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
+so does its rounding, so there head and tail are cut into blocks of
+about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
 series evaluated once at s = s*.  Neville extrapolation over the
@@ -136,7 +136,12 @@ def _master_sum(
     an error estimate: the last accepted transform increment, the
     rounding floor of every forward difference taken, the rounding of
     the transform ratio as magnified by the transform, and the head's
-    rounding floor.
+    rounding floor.  The estimate does not cover the final roundings of
+    head, tail and phases: the value is within err + a few ulps of
+    max(1, |M|).  On a grid of 336 adaptive sums (y next to 0, 1 and
+    inside, s in [-1.5, 1], every weight) against mpmath the worst
+    excess over err is 3.4 ulps, and at s <= -1, where err is a few
+    ulps itself, the error reaches 3x err.
 
     Sweep k needs only the k-th forward difference at 0.  The loop
     keeps the anti-diagonal D^j d[k-j], j = 0..k, and extends it by one
@@ -160,7 +165,10 @@ def _master_sum(
     |z^B/(1-z^B)| <= 0.51 for B >= 7, and the transform is the
     well-conditioned alternating case (Cohen, Rodriguez Villegas and
     Zagier, Exp. Math. 9, 2000).  Its floor starts at 4 ulps of the
-    largest block's sum of |c|.
+    largest block's sum of |c|.  The head is the same sequence's first
+    h = ceil(N/B) blocks, ending at n = N and padded with c(n) = 0 for
+    n < 1, each block sum times its one phase z^(N - (h-q)B): B + h
+    complex exps in all, where a per-term head takes N.
     """
     y = y - round(y)
     # Split y so that n*y mod 1 is exact for n up to 2^21.
@@ -180,13 +188,13 @@ def _master_sum(
     if abs(1.0 - z1) < 1e-9:
         raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
 
-    narr = np.arange(1, n_direct, dtype=np.float64)
-    coeff = _coefficients(narr, s, weight)
-    head = complex((coeff * phases(narr)).sum())
-    abs_head = float(np.abs(coeff).sum())
-
     n0 = float(n_direct)
     if block == 1:
+        narr = np.arange(1, n_direct, dtype=np.float64)
+        coeff = _coefficients(narr, s, weight)
+        head = complex((coeff * phases(narr)).sum())
+        # Every weight is >= 0 for n >= 1, so sum |c| is sum c.
+        abs_head = float(coeff.sum())
         # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
         lj = np.log1p(np.arange(_SWEEPS + 2, dtype=np.float64) / n0)
         ej = np.expm1((s - 1.0) * lj)
@@ -202,10 +210,21 @@ def _master_sum(
         floor = _OFFSET_ROUNDING * p * float(size.max())
         first, ratio = p * w0, z1
     else:
-        narr = n0 + np.arange((_SWEEPS + 2) * block, dtype=np.float64)
-        coeff = _coefficients(narr, s, weight).reshape(-1, block)
-        d = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1).tolist()
-        floor = _OFFSET_ROUNDING * float(np.abs(coeff).sum(axis=1).max())
+        # The head is the first h blocks of the same sequence, ending at
+        # n = N, with c(n) = 0 for n < 1: B + h phases, not one per term.
+        h = -(-n_direct // block)
+        start = n_direct - h * block
+        end = n_direct + (_SWEEPS + 2) * block
+        coeff = np.zeros(end - start)
+        coeff[1 - start:] = _coefficients(np.arange(1, end, dtype=np.float64), s, weight)
+        coeff = coeff.reshape(-1, block)
+        sums = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1)
+        size = coeff.sum(axis=1)
+        starts = start + block * np.arange(h, dtype=np.float64)
+        head = complex((sums[:h] * phases(starts)).sum())
+        abs_head = float(size[:h].sum())
+        d = sums[h:].tolist()
+        floor = _OFFSET_ROUNDING * float(size[h:].max())
         first, ratio = d[0], phase(float(block))
 
     z_n = phase(n0)
@@ -248,20 +267,26 @@ def _master_sum_adaptive(
 ) -> Tuple[complex, float, int]:
     """M(y, s, w) to _ENGINE_TARGET: value, error and head terms.
 
-    A plain _HEAD_START-term call settles interior y.  When it misses
-    and B = round(1/(2 min(y, 1-y))) >= _BLOCK_MIN, one call in blocks
-    of B terms over a 24 B-term head follows, if that head fits in
-    _HEAD_CAP.  The head then doubles, within _HEAD_CAP, while each
-    attempt at least halves the error.  A best error above _EDGE_ERR
-    raises ConvergenceError.
+    A plain _HEAD_START-term call settles interior y.  When B =
+    round(1/(2 min(y, 1-y))) >= _BLOCK_MIN and a 24 B-term head fits in
+    _HEAD_CAP, a plain call almost never settles, so the first call
+    sums that head and the tail in blocks of B terms.  Constant
+    coefficients (unit weight at s = 1) are the exception: all their
+    forward differences vanish, so the plain call is exact and goes
+    first.  The head then doubles, within _HEAD_CAP, while each attempt
+    at least halves the error.  A best error above _EDGE_ERR raises
+    ConvergenceError.
     """
+    # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
+    # _HEAD_CAP anyway.
+    b = round(0.5 / max(abs(y - round(y)), 1.0 / _HEAD_CAP))
+    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP
     n, block = _HEAD_START, 1
-    value, err = _master_sum(y, s, weight, n)
-    best = (value, err, n)
-    if err <= _ENGINE_TARGET:
-        return best
-    b = round(0.5 / abs(y - round(y)))
-    if _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP:
+    best = (0j, math.inf, n)
+    if not blocked or (weight == "unit" and s == 1.0):
+        value, err = _master_sum(y, s, weight, n)
+        best = (value, err, n)
+    if blocked and best[1] > _ENGINE_TARGET:
         n, block = 24 * b, b
         value, err = _master_sum(y, s, weight, n, block)
         if err < best[1]:
@@ -314,9 +339,9 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     """Evaluate the series of `spec` inside its convergence region s < 1.
 
     Working range: min(x, 1 - x) >= about 3.7e-4.  Next to x = 0 and
-    x = 1 the master sum takes its tail in blocks of B = 1/(2 min(x,
-    1 - x)) terms after a head of 24 B, and below that range the head
-    would pass `_HEAD_CAP`, so the sum raises ConvergenceError.
+    x = 1 the master sum takes a head of 24 B terms and its tail, both
+    in blocks of B = 1/(2 min(x, 1 - x)) terms, and below that range the
+    head would pass `_HEAD_CAP`, so the sum raises ConvergenceError.
     """
     if not spec.s < 1.0:
         raise ConvergenceError(

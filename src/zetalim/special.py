@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .result import DomainError
+from .result import ConvergenceError, DomainError
 
 # Euler-Mascheroni constant, binary64-correct.
 EULER_GAMMA = 0.5772156649015329
@@ -74,7 +74,11 @@ def cot_pi(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Digamma psi(x) for real x > 0, absolute error below 1e-12."""
+    """Digamma psi(x) for real x > 0, absolute error below 1e-12.
+
+    Below x = 5.56e-309, psi(x) ~ -1/x leaves binary64 and this raises
+    ConvergenceError.
+    """
     if not x > 0.0:
         raise DomainError(f"digamma requires x > 0, got {x}")
     shift = 0.0
@@ -89,7 +93,10 @@ def digamma(x: float) -> float:
     for j, b in enumerate(_B2J, start=1):
         tail += b / (2 * j) * p
         p *= inv2
-    return math.log(t) - 0.5 / t - tail - shift
+    value = math.log(t) - 0.5 / t - tail - shift
+    if not math.isfinite(value):
+        raise ConvergenceError(f"digamma leaves binary64 at x = {x}")
+    return value
 
 
 def log_gamma(x: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .extrapolate import neville_zero
 from .hurwitz import HurwitzQuery, hurwitz_zeta
-from .result import DomainError, EvalResult
+from .result import ConvergenceError, DomainError, EvalResult
 from .special import HARMONIC, bernoulli, digamma
 
 _G1_CUTOFF = 50
@@ -62,7 +62,12 @@ def _tail_closure(a: float) -> tuple[float, float]:
 
 
 def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
-    """gamma_n(x) for n in {0, 1}."""
+    """gamma_n(x) for n in {0, 1}.
+
+    Where the value leaves binary64 (x below 5.56e-309 for n = 0, below
+    about 3.9e-306 for n = 1, where ln(x)/x overflows) this raises
+    ConvergenceError.
+    """
     if q.n == 0:
         return EvalResult(
             value=-digamma(q.x),
@@ -74,6 +79,8 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
     head = [_g(n + x) for n in range(_G1_CUTOFF + 1)]
     tail, last = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head) + tail
+    if not math.isfinite(value):
+        raise ConvergenceError(f"gamma_1 leaves binary64 at x = {x}")
     err = abs(last) + 1e-16 * (1.0 + math.fsum(abs(t) for t in head))
     return EvalResult(
         value=value,
@@ -113,7 +120,8 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
 
     Summand pairs ln(n+1-x)/(n+1-x) - ln(n+x)/(n+x) share a tail
     closure, so the cancellation between the two separate gamma_1
-    series never materializes.
+    series never materializes.  Below x = 3.9e-306, where ln(x)/x
+    overflows, this raises ConvergenceError.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"gamma1_reflection_diff requires 0 < x < 1, got {x}")
@@ -123,6 +131,10 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
     tail_hi, last_hi = _tail_closure(_G1_CUTOFF + 1.0 - x)
     tail_lo, last_lo = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head + [tail_hi, -tail_lo])
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"gamma_1 reflection difference leaves binary64 at x = {x}"
+        )
     err = abs(last_hi) + abs(last_lo) + 1e-16 * (1.0 + math.fsum(abs(t) for t in head))
     return EvalResult(
         value=value,

@@ -55,9 +55,7 @@ def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
     With sigma = 1 - s and z = e^(2 pi i x) the unit-weight sum is the
     polylog Li_sigma(z); a ln(n) factor is minus the order-derivative.
     """
-    sigma = mp.mpf(1) - mp.mpf(s)
-    z = mp.exp(2j * mp.pi * mp.mpf(x))
-    unit = mp.polylog(sigma, z)
+    unit = _mp_polylog(x, s)
     if weight == "unit":
         total = unit
     else:
@@ -70,6 +68,13 @@ def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
             total = (mp.euler + mp.log(2 * mp.pi)) * unit + logn
     part = mp.im(total) if trig == "sine" else mp.re(total)
     return float(part)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_polylog(x: float, s: float):
+    """Li_sigma(e^(2 pi i x)), sigma = 1 - s; cached like the log weight."""
+    sigma = mp.mpf(1) - mp.mpf(s)
+    return mp.polylog(sigma, mp.exp(2j * mp.pi * mp.mpf(x)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,7 +120,9 @@ def full_table_master_sum(
     """`regsum._master_sum` as it was before its differences moved to one
     anti-diagonal and its scalar phases to cmath: every sweep rebuilds
     the whole forward-difference table, and each phase is a one-element
-    numpy exp.  Tests compare the two with `==`, value and error.  The
+    numpy exp.  The blocked head follows the engine's: the first
+    ceil(N/B) block sums of the tail's own blocks, each times one
+    phase.  Tests compare the two with `==`, value and error.  The
     third item names the loop's exit: "floor" (a difference sank below
     the rounding floor), "small" (an increment below 1e-17 of the
     tail), "diverge" (three growing increments) or "sweeps" (all
@@ -147,13 +154,12 @@ def full_table_master_sum(
     if abs(1.0 - z1) < 1e-9:
         raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
 
-    narr = np.arange(1, n_direct, dtype=np.float64)
-    coeff = weights(narr) * narr ** (s - 1.0)
-    head = complex(np.sum(coeff * phases(narr)))
-    abs_head = float(np.sum(np.abs(coeff)))
-
     n0 = float(n_direct)
     if block == 1:
+        narr = np.arange(1, n_direct, dtype=np.float64)
+        coeff = weights(narr) * narr ** (s - 1.0)
+        head = complex(np.sum(coeff * phases(narr)))
+        abs_head = float(np.sum(np.abs(coeff)))
         lj = np.log1p(np.arange(sweeps + 2, dtype=np.float64) / n0)
         ej = np.expm1((s - 1.0) * lj)
         p = n0 ** (s - 1.0)
@@ -168,10 +174,20 @@ def full_table_master_sum(
         floor = regsum._OFFSET_ROUNDING * p * float(np.max(size))
         first, ratio = p * w0, z1
     else:
-        narr = n0 + np.arange((sweeps + 2) * block, dtype=np.float64)
-        coeff = (weights(narr) * narr ** (s - 1.0)).reshape(-1, block)
-        d = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1).tolist()
-        floor = regsum._OFFSET_ROUNDING * float(np.max(np.abs(coeff).sum(axis=1)))
+        # The head as the engine forms it: the first h blocks of one
+        # zero-padded sequence that ends its head at n = N.
+        h = -(-n_direct // block)
+        start = n_direct - h * block
+        narr = np.arange(1, n_direct + (sweeps + 2) * block, dtype=np.float64)
+        coeff = np.concatenate(
+            (np.zeros(1 - start), weights(narr) * narr ** (s - 1.0))
+        ).reshape(-1, block)
+        sums = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1)
+        starts = start + block * np.arange(h, dtype=np.float64)
+        head = complex(np.sum(sums[:h] * phases(starts)))
+        abs_head = float(np.sum(np.abs(coeff[:h]).sum(axis=1)))
+        d = sums[h:].tolist()
+        floor = regsum._OFFSET_ROUNDING * float(np.max(np.abs(coeff[h:]).sum(axis=1)))
         first, ratio = d[0], complex(phases(np.array([float(block)]))[0])
 
     z_n = complex(phases(np.array([n0]))[0])

@@ -172,6 +172,13 @@ def test_zeta_bad_x_is_runtime_error(capsys):
     assert code == 1
 
 
+def test_stieltjes_overflow_is_runtime_error(capsys):
+    code, out, err = run(capsys, "stieltjes", "--n", "1", "--x", "1e-320", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "1e-320" in err
+
+
 def test_hasse_with_derivative_is_usage_error(capsys):
     code, _, _ = run(
         capsys, "zeta", "--s", "2", "--x", "1", "--deriv", "1", "--method", "hasse"

@@ -408,17 +408,41 @@ _GRID_Y = (0.0051, 0.0101, 0.02, 0.05, 0.1, 0.16)
 
 
 @pytest.mark.parametrize("y", _GRID_Y + tuple(1.0 - y for y in _GRID_Y))
-@pytest.mark.parametrize("s", [0.0, 0.5, 0.9, 1.0])
-@pytest.mark.parametrize("weight", ["unit", "log_n"])
+@pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("weight", ["unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
 def test_master_sum_error_estimate_is_honest(y, s, weight):
     # Next to y = 0 and 1 the plain Euler ratio z/(1-z) is large and the
-    # engine sums in blocks of about 1/(2y) terms instead.
+    # engine sums in blocks of about 1/(2y) terms instead.  Past err only
+    # the final roundings are allowed: a few ulps of max(1, |value|),
+    # which at s <= -1 is up to 3x err itself.
     from zetalim import regsum
 
     value, err, _ = regsum._master_sum_adaptive(y, s, weight)
     for trig, part in (("sine", value.imag), ("cosine", value.real)):
         want = mp_weighted_sum(y, s, weight, trig)
-        assert abs(part - want) <= 2.0 * err + 1e-13, trig
+        assert abs(part - want) <= err + 8.0 * 2.0**-52 * max(1.0, abs(want)), trig
+
+
+@pytest.mark.parametrize("x", [0.0101, 0.03, 0.97, 0.9899])
+def test_edge_limits_make_one_master_call(monkeypatch, x):
+    # Next to x = 0 and 1 a plain 64-term call never settles a log
+    # weight; the blocked call goes first.  Unit weight at s = 1 has
+    # constant coefficients, which the plain call sums exactly.
+    from zetalim import regsum
+
+    calls = []
+    master = regsum._master_sum
+
+    def recording(y, s, weight, n_direct, block=1):
+        calls.append(block)
+        return master(y, s, weight, n_direct, block)
+
+    monkeypatch.setattr(regsum, "_master_sum", recording)
+    regularized_limit(x, "sine", "log_n")
+    assert calls == [round(1.0 / (2.0 * min(x, 1.0 - x)))]
+    calls.clear()
+    regularized_limit(x, "sine", "unit")
+    assert calls == [1]
 
 
 def test_limits_never_reach_the_head_cap(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import GAMMA1_AT_1, mp_gamma1, quad_integral_gamma0
 from zetalim import (
+    ConvergenceError,
     DomainError,
     StieltjesQuery,
     gamma1_finite_difference,
@@ -121,3 +122,19 @@ def test_result_metadata():
 def test_query_rejects_non_finite_x(n, x):
     with pytest.raises(DomainError):
         StieltjesQuery(n, x)
+
+
+@pytest.mark.parametrize("x", [1e-310, 5e-324])
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: stieltjes_gamma(StieltjesQuery(0, x)),
+     lambda x: stieltjes_gamma(StieltjesQuery(1, x)),
+     gamma1_reflection_diff,
+     digamma],
+    ids=["gamma0", "gamma1", "reflection", "digamma"],
+)
+def test_values_leaving_binary64_raise(f, x):
+    # psi(x) ~ -1/x and gamma_1(x) ~ -ln(x)/x overflow here; the error
+    # names x instead of returning +-inf.
+    with pytest.raises(ConvergenceError, match=repr(x)):
+        f(x)
