@@ -5,12 +5,13 @@ Formats: text (default), json, csv.  Report serialization uses fixed
 identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success or all cases passing, 1 evaluation or
-verification failure, 2 usage error.
+verification failure or an unwritable --out path, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -54,24 +55,18 @@ def _coord(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
-def _f17(value: float) -> str:
-    return "%.17g" % value
-
-
 def _cell(value) -> str:
+    """A csv or text cell: strings as they are, bools as true/false, ints
+    as digits, finite floats to 17 significant digits, else empty."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, int):
         return str(value)
-    if not math.isfinite(value):
-        return ""
-    return _f17(value)
-
-
-def _jnum(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return _cell(value) or "null"
+    return "%.17g" % value if math.isfinite(value) else ""
 
 
 def _jstr(text: str) -> str:
@@ -87,131 +82,95 @@ def _jstr(text: str) -> str:
     return "".join(out)
 
 
-def _render_eval_text(res: EvalResult) -> str:
-    return (
-        f"value        {'%.15g' % res.value}\n"
-        f"err_estimate {'%.3g' % res.err_estimate}\n"
-        f"terms_used   {res.terms_used}\n"
-        f"method       {res.method_tag}\n"
-    )
+def _json(value) -> str:
+    """A json value: a string quoted, a missing or non-finite number null."""
+    return _jstr(value) if isinstance(value, str) else _cell(value) or "null"
 
 
-def _render_eval_json(res: EvalResult) -> str:
-    return (
-        "{\n"
-        f'  "value": {_jnum(res.value)},\n'
-        f'  "err_estimate": {_jnum(res.err_estimate)},\n'
-        f'  "terms_used": {res.terms_used},\n'
-        f'  "method": {_jstr(res.method_tag)}\n'
-        "}\n"
-    )
+def _commas(items: List[str]) -> List[str]:
+    """`items` with a comma after each but the last."""
+    return [item + "," for item in items[:-1]] + items[-1:]
 
 
-def _render_eval_csv(res: EvalResult) -> str:
-    return (
-        "value,err_estimate,terms_used,method\n"
-        f"{_f17(res.value)},{_f17(res.err_estimate)},{res.terms_used},{res.method_tag}\n"
-    )
+def _json_lines(fields, indent: str = "") -> List[str]:
+    """One `"name": value` member per field, each but the last with a
+    comma; joined by spaces they form an inline object's body."""
+    return _commas([f"{indent}{_jstr(name)}: {_json(value)}" for name, value in fields])
 
 
-def _render_eval(res: EvalResult, fmt: str) -> str:
-    if fmt == "json":
-        return _render_eval_json(res)
-    if fmt == "csv":
-        return _render_eval_csv(res)
-    return _render_eval_text(res)
-
-
-def _render_report_json(report: VerificationReport) -> str:
-    lines: List[str] = ["{"]
-    lines.append('  "summary": {')
-    lines.append(f'    "cases_run": {report.cases_run},')
-    lines.append(f'    "cases_passed": {report.cases_passed},')
-    lines.append(f'    "max_residual": {_jnum(report.max_residual)}')
-    lines.append("  },")
-    lines.append('  "cases": [')
-    for ci, case in enumerate(report.cases):
-        lines.append("    {")
-        lines.append(f'      "id": {_jstr(case.case_id)},')
-        lines.append('      "points": [')
-        for pi, point in enumerate(case.points):
-            fields = [f"{_jstr(key)}: {_jnum(value)}" for key, value in point.coords]
-            fields.append(f'"lhs": {_jnum(point.lhs)}')
-            fields.append(f'"rhs": {_jnum(point.rhs)}')
-            fields.append(f'"residual": {_jnum(point.residual)}')
-            fields.append(f'"pass": {_jnum(point.passed)}')
-            if point.note:
-                fields.append(f'"note": {_jstr(point.note)}')
-            tail = "," if pi + 1 < len(case.points) else ""
-            lines.append("        {" + ", ".join(fields) + "}" + tail)
-        lines.append("      ],")
-        lines.append(f'      "max_residual": {_jnum(case.max_residual)},')
-        lines.append(f'      "pass": {_jnum(case.passed)}')
-        lines.append("    }" + ("," if ci + 1 < len(report.cases) else ""))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_report_csv(report: VerificationReport) -> str:
+def _csv(header, rows) -> str:
+    """csv text of `rows`, each a dict from column name to value."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for case in report.cases:
-        for point in case.points:
-            coords = dict(point.coords)
-            writer.writerow(
-                [
-                    case.case_id,
-                    _cell(coords.get("x")),
-                    _cell(coords.get("s")),
-                    _cell(coords.get("u")),
-                    _cell(coords.get("m")),
-                    _cell(point.lhs),
-                    _cell(point.rhs),
-                    _cell(point.residual),
-                    "true" if point.passed else "false",
-                    point.note,
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows([_cell(row.get(name)) for name in header] for row in rows)
     return buf.getvalue()
 
 
-def _render_report_text(report: VerificationReport) -> str:
-    lines = [
-        f"cases run    {report.cases_run}",
-        f"cases passed {report.cases_passed}",
-        f"max residual {_cell(report.max_residual) or 'n/a'}",
-        "",
+def _render_eval(res: EvalResult, fmt: str) -> str:
+    fields = [
+        ("value", res.value, "%.15g"),
+        ("err_estimate", res.err_estimate, "%.3g"),
+        ("terms_used", res.terms_used, "%d"),
+        ("method", res.method_tag, "%s"),
     ]
-    for case in report.cases:
-        verdict = "pass" if case.passed else "FAIL"
-        mr = _cell(case.max_residual) or "n/a"
-        lines.append(
-            f"{case.case_id:<9} {verdict}  max residual {mr}  ({len(case.points)} points)"
-        )
-        if not case.passed:
-            for point in case.points:
-                if point.passed:
-                    continue
-                loc = " ".join(f"{k}={_cell(v)}" for k, v in point.coords) or "scalar"
-                detail = (
-                    f"    {loc}  lhs={_cell(point.lhs) or 'n/a'}"
-                    f"  rhs={_cell(point.rhs) or 'n/a'}"
-                    f"  residual={_cell(point.residual) or 'n/a'}"
-                )
-                if point.note:
-                    detail += f"  note={point.note}"
-                lines.append(detail)
-    return "\n".join(lines) + "\n"
+    pairs = [(name, value) for name, value, _ in fields]
+    if fmt == "json":
+        return "\n".join(["{", *_json_lines(pairs, "  "), "}\n"])
+    if fmt == "csv":
+        return _csv([name for name, _ in pairs], [dict(pairs)])
+    return "".join(f"{name:<12} {spec % value}\n" for name, value, spec in fields)
+
+
+def _point_fields(point) -> List[Tuple[str, object]]:
+    """A report point's fields: its coordinates, then the verdict."""
+    fields = [*point.coords, ("lhs", point.lhs), ("rhs", point.rhs),
+              ("residual", point.residual), ("pass", point.passed)]
+    return fields + [("note", point.note)] if point.note else fields
 
 
 def _render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return _render_report_json(report)
+    summary = [
+        ("cases_run", report.cases_run),
+        ("cases_passed", report.cases_passed),
+        ("max_residual", report.max_residual),
+    ]
     if fmt == "csv":
-        return _render_report_csv(report)
-    return _render_report_text(report)
+        return _csv(_CSV_HEADER, [
+            dict(_point_fields(point), id=case.case_id)
+            for case in report.cases for point in case.points
+        ])
+    if fmt == "json":
+        cases = []
+        for case in report.cases:
+            members = [" ".join(_json_lines(_point_fields(p))) for p in case.points]
+            points = ["        {" + m + "}" for m in members]
+            verdict = [("max_residual", case.max_residual), ("pass", case.passed)]
+            cases.append("\n".join([
+                "    {", f'      "id": {_jstr(case.case_id)},', '      "points": [',
+                *_commas(points), "      ],", *_json_lines(verdict, "      "), "    }",
+            ]))
+        return "\n".join([
+            "{", '  "summary": {', *_json_lines(summary, "    "), "  },",
+            '  "cases": [', *_commas(cases), "  ]", "}\n",
+        ])
+    lines = [f"{name.replace('_', ' '):<12} {_cell(value) or 'n/a'}" for name, value in summary]
+    lines.append("")
+    for case in report.cases:
+        verdict = "pass" if case.passed else "FAIL"
+        mr = _cell(case.max_residual) or "n/a"
+        count = len(case.points)
+        lines.append(f"{case.case_id:<9} {verdict}  max residual {mr}  ({count} points)")
+        for point in case.points:
+            if point.passed:
+                continue
+            fields = _point_fields(point)
+            n = len(point.coords)
+            loc = " ".join(f"{k}={_cell(v)}" for k, v in fields[:n]) or "scalar"
+            lines.append(f"    {loc}" + "".join(
+                f"  {k}={_cell(v) or 'n/a'}" for k, v in fields[n:] if k != "pass"
+            ))
+    return "\n".join(lines) + "\n"
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -224,6 +183,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetalim",
@@ -272,6 +232,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
+    if args.cmd == "verify":
+        if args.grid < 3:
+            raise _UsageError(f"--grid must be >= 3, got {args.grid}")
+        if not args.tol_scale > 0.0:
+            raise _UsageError(f"--tol-scale must be positive, got {args.tol_scale}")
+        from .identities import registry, verify, verify_all
+
+        if args.id is not None:
+            case = next((c for c in registry() if c.id == args.id), None)
+            if case is None:
+                raise _UsageError(f"unknown identity id {args.id!r}")
+            report = verify(case, grid_density=args.grid, tol_scale=args.tol_scale)
+        else:
+            report = verify_all(grid_density=args.grid, tol_scale=args.tol_scale)
+        code = 0 if report.cases_passed == report.cases_run else 1
+        return _render_report(report, args.format), code
+
     if args.cmd == "zeta":
         if args.method == "hasse":
             if args.deriv != 0:
@@ -279,53 +256,18 @@ def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
             res = hurwitz_hasse(args.s, args.x)
         else:
             res = hurwitz_zeta(HurwitzQuery(args.s, args.x, args.deriv))
-        return _render_eval(res, args.format), 0
-
-    if args.cmd == "stieltjes":
+    elif args.cmd == "stieltjes":
         res = stieltjes_gamma(StieltjesQuery(args.n, args.x))
-        return _render_eval(res, args.format), 0
-
-    if args.cmd == "regsum":
+    else:
         from .regsum import regularized_limit
 
-        res = regularized_limit(
-            args.x,
-            _TRIG[args.trig],
-            _WEIGHT[args.weight],
-            _PARITY[args.parity],
-            _SCALE[args.scale],
-            args.starget,
-        )
-        return _render_eval(res, args.format), 0
-
-    if args.grid < 3:
-        raise _UsageError(f"--grid must be >= 3, got {args.grid}")
-    if not args.tol_scale > 0.0:
-        raise _UsageError(f"--tol-scale must be positive, got {args.tol_scale}")
-    from .identities import registry, verify, verify_all
-
-    if args.id is not None:
-        case = next((c for c in registry() if c.id == args.id), None)
-        if case is None:
-            raise _UsageError(f"unknown identity id {args.id!r}")
-        report = verify(case, grid_density=args.grid, tol_scale=args.tol_scale)
-    else:
-        report = verify_all(grid_density=args.grid, tol_scale=args.tol_scale)
-    rendered = _render_report(report, args.format)
-    return rendered, 0 if report.cases_passed == report.cases_run else 1
-
-
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        res = regularized_limit(args.x, _TRIG[args.trig], _WEIGHT[args.weight],
+                                _PARITY[args.parity], _SCALE[args.scale], args.starget)
+    return _render_eval(res, args.format), 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         text, code = _dispatch(args)
     except _UsageError as exc:
@@ -334,7 +276,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DomainError, PoleError, ConvergenceError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_out(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -3,8 +3,10 @@
 Both psi and ln(Gamma) are computed by recurrence shifts up to a large
 argument followed by the divergent asymptotic series truncated at its
 optimal useful order.  With the shift threshold 8 and Bernoulli terms
-through B_14 the absolute error stays below 1e-13 on (0, inf), well
-inside the 1e-12 target.
+through B_14 the error stays below 1e-14 max(1, |value|) on (0, inf),
+well inside the 1e-12 target: an absolute bound where |value| <= 1 and
+a relative one beyond (measured against mpmath on 5000 seeded x,
+log-uniform over [1e-300, 1e3] and [1e3, 1e300]).
 """
 from __future__ import annotations
 
@@ -74,7 +76,10 @@ def cot_pi(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Digamma psi(x) for real x > 0, absolute error below 1e-12.
+    """Digamma psi(x) for real x > 0, error below 1e-12 max(1, |psi(x)|).
+
+    The bound is relative to |psi| where |psi| > 1: at x = 1e-9, psi is
+    about -1e9 and one ulp of it is 1.2e-7.
 
     Below x = 5.56e-309, psi(x) ~ -1/x leaves binary64 and this raises
     ConvergenceError.
@@ -100,7 +105,7 @@ def digamma(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0, absolute error below 1e-12."""
+    """ln Gamma(x) for real x > 0, error below 1e-12 max(1, |ln Gamma(x)|)."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     shift = 0.0

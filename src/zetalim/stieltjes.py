@@ -125,9 +125,12 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"gamma1_reflection_diff requires 0 < x < 1, got {x}")
-    head = [
-        _g(n + 1.0 - x) - _g(n + x) for n in range(_G1_CUTOFF + 1)
-    ]
+    head = []
+    size = 0.0
+    for n in range(_G1_CUTOFF + 1):
+        hi, lo = _g(n + 1.0 - x), _g(n + x)
+        head.append(hi - lo)
+        size += abs(hi) + abs(lo)
     tail_hi, last_hi = _tail_closure(_G1_CUTOFF + 1.0 - x)
     tail_lo, last_lo = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head + [tail_hi, -tail_lo])
@@ -135,7 +138,11 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
         raise ConvergenceError(
             f"gamma_1 reflection difference leaves binary64 at x = {x}"
         )
-    err = abs(last_hi) + abs(last_lo) + 1e-16 * (1.0 + math.fsum(abs(t) for t in head))
+    # Each head pair, like the tail pair, is a difference of nearly equal
+    # terms, so rounding scales with the terms subtracted, not with the
+    # differences.
+    size += abs(tail_hi) + abs(tail_lo)
+    err = abs(last_hi) + abs(last_lo) + 1e-16 * (1.0 + size)
     return EvalResult(
         value=value,
         err_estimate=err,

@@ -49,6 +49,13 @@ def mp_gamma1(x: float) -> float:
         return float(-((256 * fine - coarse) / 255) / 2)
 
 
+def mp_gamma1_reflection_diff(x: float) -> float:
+    """gamma1(1-x) - gamma1(x) from mpmath's Stieltjes constants at 30
+    digits, with 1 - x taken exactly."""
+    with mp.workdps(30):
+        return float(mp.stieltjes(1, 1 - mp.mpf(x)) - mp.stieltjes(1, x))
+
+
 def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
     """sum_{n>=1} w(n) trig(2 n pi x) n^(s-1) through mpmath polylog.
 

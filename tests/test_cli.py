@@ -286,3 +286,55 @@ def test_verify_csv_matches_golden(capsys):
             assert got == point.get(key), (case_id, key, row[key])
         assert row["pass"] == ("true" if point["pass"] else "false"), case_id
         assert row["note"] == point.get("note", ""), case_id
+
+
+def test_parser_is_built_once():
+    from zetalim.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    with pytest.raises(SystemExit) as first:
+        main(["zeta", "--s", "2"])
+    first_err = capsys.readouterr().err
+    assert run(capsys, "zeta", "--s", "2", "--x", "1", "--format", "json")[0] == 0
+    with pytest.raises(SystemExit) as again:
+        main(["zeta", "--s", "2"])
+    assert first.value.code == again.value.code == 2
+    assert capsys.readouterr().err == first_err
+    assert "--x" in first_err
+
+
+def test_unwritable_out_path_is_runtime_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "zeta", "--s", "2", "--x", "1", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_verify_text_matches_golden(capsys):
+    """Every case line of the full `zetalim verify --format text` report
+    carries the golden json's id, verdict, max residual and point count."""
+    code, out, _ = run(capsys, "verify", "--format", "text")
+    assert code == 0
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "verify.json").read_text())
+    summary = golden["summary"]
+    head = out.split("\n")[:4]
+    assert head == [
+        f"cases run    {summary['cases_run']}",
+        f"cases passed {summary['cases_passed']}",
+        f"max residual {head[2].split()[-1]}",
+        "",
+    ]
+    assert float(head[2].split()[-1]) == summary["max_residual"]
+    lines = [line for line in out.split("\n")[4:] if line and not line.startswith(" ")]
+    assert len(lines) == len(golden["cases"])
+    for line, case in zip(lines, golden["cases"]):
+        case_id, verdict, _, _, residual, count, _ = line.split()
+        assert case_id == case["id"]
+        assert verdict == ("pass" if case["pass"] else "FAIL"), case_id
+        assert float(residual) == case["max_residual"], case_id
+        assert count == f"({len(case['points'])}", case_id
