@@ -3,9 +3,11 @@ trigonometric series, with a verification catalogue over the
 identities that connect them.
 
 The namespace is lazy (PEP 562): a public name imports its submodule
-on first use, so `import zetalim` loads no third-party module.  numpy
-comes in with `regsum` and `identities`, which the package loads as one
-unit; mpmath only with a call of `hurwitz_hasse`.
+on first use, so `import zetalim` loads no third-party module.  The
+package loads `regsum` and `identities` as one unit.  numpy comes in
+only with a blocked master sum, at a phase y within about 0.077 of an
+integer (a series next to x = 0 or 1); mpmath only with a call of
+`hurwitz_hasse`.
 """
 from importlib import import_module as _import_module
 
@@ -43,9 +45,9 @@ def __getattr__(name: str):
     module = _SOURCE.get(name, name if name in _SUBMODULES else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # identities imports regsum: loading it for either keeps the two, and
-    # numpy, one unit.  import_module, because `from . import` would come
-    # back through this function.
+    # identities imports regsum: loading it for either keeps the two one
+    # unit.  import_module, because `from . import` would come back
+    # through this function.
     if module == "regsum":
         _import_module(".identities", __name__)
     owner = _import_module(f".{module}", __name__)

@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from .extrapolate import neville_zero
 from .hurwitz import HurwitzQuery, hurwitz_zeta, pole_residue_check
 from .regsum import (
@@ -49,9 +47,40 @@ X_ORACLE = (0.1, 0.25, 0.5, 1.0, 2.0)
 S_FOURIER = (-2.0, -1.0, -0.5, 0.25, 0.5)
 X_EXTRAS = (0.25, 1.0 / 3.0, 0.75)
 
-# Gauss-Legendre [node, weight] pairs on [-1, 1], as Python floats.
-_GL16 = np.array(np.polynomial.legendre.leggauss(16)).T.tolist()
-_GL24 = np.array(np.polynomial.legendre.leggauss(24)).T.tolist()
+
+def _mirrored(half):
+    """Gauss-Legendre (node, weight) pairs on [-1, 1] in ascending node
+    order, from the pairs of negative nodes: the rule is symmetric."""
+    return half + tuple((-t, w) for t, w in reversed(half))
+
+
+# The negative-node halves of numpy.polynomial.legendre.leggauss(16) and
+# (24), each entry the repr of numpy's float; leggauss is exactly
+# symmetric at these orders, so the mirrored tables equal its output.
+_GL16 = _mirrored((
+    (-0.9894009349916499, 0.027152459411754176),
+    (-0.9445750230732326, 0.062253523938647456),
+    (-0.8656312023878318, 0.0951585116824926),
+    (-0.755404408355003, 0.12462897125553407),
+    (-0.6178762444026438, 0.1495959888165767),
+    (-0.45801677765722737, 0.16915651939500265),
+    (-0.2816035507792589, 0.18260341504492364),
+    (-0.09501250983763744, 0.18945061045506864),
+))
+_GL24 = _mirrored((
+    (-0.9951872199970213, 0.01234122979998869),
+    (-0.9747285559713095, 0.02853138862893356),
+    (-0.9382745520027328, 0.04427743881741941),
+    (-0.8864155270044011, 0.05929858491543636),
+    (-0.820001985973903, 0.07334648141108016),
+    (-0.7401241915785544, 0.0861901615319532),
+    (-0.6480936519369755, 0.09761865210411393),
+    (-0.5454214713888396, 0.10744427011596556),
+    (-0.4337935076260451, 0.11550566805372552),
+    (-0.3150426796961634, 0.1216704729278033),
+    (-0.1911188674736163, 0.12583745634682825),
+    (-0.06405689286260563, 0.12793819534675202),
+))
 
 Point = Mapping[str, float]
 Evaluator = Callable[[Point], Union[float, complex]]

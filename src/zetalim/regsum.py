@@ -28,13 +28,12 @@ route, selected by passing a path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Tuple
-
-import numpy as np
 
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult
@@ -110,19 +109,43 @@ class ExtrapolationPath:
         return tuple(self.h0 * 2.0**-k for k in range(self.depth + 1))
 
 
-def _weights(narr: np.ndarray, weight: str) -> np.ndarray:
-    """w(n) over the array narr, for every weight but unit."""
-    if weight == "log_n":
-        return np.log(narr)
-    if weight == "log_2pi_n":
-        return np.log(_TWO_PI * narr)
-    return EULER_GAMMA + np.log(_TWO_PI * narr)
+# w(n) of each log weight: at a float n with log=math.log, or over a
+# numpy array with log=numpy.log.
+_LOG_WEIGHTS = {
+    "log_n": lambda n, log: log(n),
+    "log_2pi_n": lambda n, log: log(_TWO_PI * n),
+    "gamma_plus_log_2pi_n": lambda n, log: EULER_GAMMA + log(_TWO_PI * n),
+}
 
 
-def _coefficients(narr: np.ndarray, s: float, weight: str) -> np.ndarray:
-    """w(n) n^(s-1) over the array narr; unit weight is n^(s-1) alone."""
-    power = narr ** (s - 1.0)
-    return power if weight == "unit" else _weights(narr, weight) * power
+@functools.lru_cache(maxsize=64)
+def _plain_tables(s: float, weight: str, n_direct: int):
+    """The y-independent part of a plain master sum of n_direct terms:
+    the head's n < N as floats and its coefficients c(n), their sum
+    (every weight is >= 0 for n >= 1, so that is sum |c|), the tail
+    offsets d, their rounding floor and c(N)."""
+    e = s - 1.0
+    n0 = float(n_direct)
+    ns = tuple([float(n) for n in range(1, n_direct)])
+    # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
+    lj = [math.log1p(j / n0) for j in range(_SWEEPS + 2)]
+    ej = [math.expm1(e * l) for l in lj]
+    p = n0 ** e
+    if weight == "unit":
+        coeff = tuple([n ** e for n in ns])
+        w0 = 1.0
+        offsets, size = ej, [abs(x) for x in ej]
+    else:
+        w = _LOG_WEIGHTS[weight]
+        coeff = tuple([w(n, math.log) * n ** e for n in ns])
+        w0 = w(n0, math.log)
+        a = [w0 * x for x in ej]
+        b = [l * (1.0 + x) for l, x in zip(lj, ej)]
+        offsets = [u + v for u, v in zip(a, b)]
+        size = [abs(u) + abs(v) for u, v in zip(a, b)]
+    d = tuple([p * o for o in offsets])
+    floor = _OFFSET_ROUNDING * p * max(size)
+    return ns, coeff, math.fsum(coeff), d, floor, p * w0
 
 
 def _master_sum(
@@ -130,18 +153,18 @@ def _master_sum(
 ) -> Tuple[complex, float]:
     """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}.
 
-    Head of n_direct terms summed pairwise; the remainder is an
-    iterated Euler transform, which also sums the divergent series at
-    s >= 1 (to the analytic continuation in s).  Returns the value and
-    an error estimate: the last accepted transform increment, the
-    rounding floor of every forward difference taken, the rounding of
-    the transform ratio as magnified by the transform, and the head's
-    rounding floor.  The estimate does not cover the final roundings of
-    head, tail and phases: the value is within err + a few ulps of
-    max(1, |M|).  On a grid of 336 adaptive sums (y next to 0, 1 and
-    inside, s in [-1.5, 1], every weight) against mpmath the worst
-    excess over err is 3.4 ulps, and at s <= -1, where err is a few
-    ulps itself, the error reaches 3x err.
+    A head of n_direct terms; the remainder is an iterated Euler
+    transform, which also sums the divergent series at s >= 1 (to the
+    analytic continuation in s).  Returns the value and an error
+    estimate: the last accepted transform increment, the rounding floor
+    of every forward difference taken, the rounding of the transform
+    ratio as magnified by the transform, and the head's rounding floor.
+    The estimate does not cover the final roundings of head, tail and
+    phases: the value is within err + a few ulps of max(1, |M|).  On a
+    grid of 476 adaptive sums (y next to 0, 1 and inside, s in
+    [-1.5, 1], every weight) against mpmath the worst excess over err is
+    3.9 ulps, and at s <= -1, where err is a few ulps itself, the error
+    reaches 4.8x err.
 
     Sweep k needs only the k-th forward difference at 0.  The loop
     keeps the anti-diagonal D^j d[k-j], j = 0..k, and extends it by one
@@ -150,7 +173,9 @@ def _master_sum(
     at sweep 1, k at sweep k.  Each entry is the same subtraction of
     the same operands as in the full difference table.
 
-    With block = 1 the transform runs on the coefficients c(N + j)
+    With block = 1 the head is scalar: c(n) z^n added in order of n,
+    each c(n) from a table that depends on (s, w, N) only and is built
+    once per key.  The transform runs on the coefficients c(N + j)
     with ratio mu = z/(1-z), |mu| = 1/(2 sin pi y).  They are c(N) plus
     offsets computed with log1p/expm1, so their forward differences
     carry rounding of the offsets' size, not of c(N)'s.  That floor
@@ -168,21 +193,21 @@ def _master_sum(
     largest block's sum of |c|.  The head is the same sequence's first
     h = ceil(N/B) blocks, ending at n = N and padded with c(n) = 0 for
     n < 1, each block sum times its one phase z^(N - (h-q)B): B + h
-    complex exps in all, where a per-term head takes N.
+    complex exps in all, where a per-term head takes N.  numpy forms
+    these arrays and sums them pairwise; only this route loads it.
     """
     y = y - round(y)
     # Split y so that n*y mod 1 is exact for n up to 2^21.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
 
-    def phases(narr: np.ndarray) -> np.ndarray:
-        fr = (narr * y_hi) % 1.0 + narr * y_lo
-        return np.exp(2j * np.pi * (fr % 1.0))
+    def frac(n):
+        # n y mod 1, at a float n or over a numpy array.
+        fr = (n * y_hi) % 1.0 + n * y_lo
+        return fr % 1.0
 
     def phase(n: float) -> complex:
-        # phases() at one n, in scalar arithmetic.
-        fr = (n * y_hi) % 1.0 + n * y_lo
-        return cmath.exp(2j * math.pi * (fr % 1.0))
+        return cmath.exp(2j * math.pi * frac(n))
 
     z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
     if abs(1.0 - z1) < 1e-9:
@@ -190,33 +215,28 @@ def _master_sum(
 
     n0 = float(n_direct)
     if block == 1:
-        narr = np.arange(1, n_direct, dtype=np.float64)
-        coeff = _coefficients(narr, s, weight)
-        head = complex((coeff * phases(narr)).sum())
-        # Every weight is >= 0 for n >= 1, so sum |c| is sum c.
-        abs_head = float(coeff.sum())
-        # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
-        lj = np.log1p(np.arange(_SWEEPS + 2, dtype=np.float64) / n0)
-        ej = np.expm1((s - 1.0) * lj)
-        p = n0 ** (s - 1.0)
-        if weight == "unit":
-            w0 = 1.0
-            offsets, size = ej, np.abs(ej)
-        else:
-            w0 = float(_weights(np.array([n0]), weight)[0])
-            a, b = w0 * ej, lj * (1.0 + ej)
-            offsets, size = a + b, np.abs(a) + np.abs(b)
-        d = (p * offsets).tolist()
-        floor = _OFFSET_ROUNDING * p * float(size.max())
-        first, ratio = p * w0, z1
+        ns, coeff, abs_head, d, floor, first = _plain_tables(s, weight, n_direct)
+        # 2 pi frac(n), written out: a call per term would cost a fifth
+        # of the head.
+        angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+        head = sum(map(cmath.rect, coeff, angles))
+        ratio = z1
     else:
+        import numpy as np
+
+        def phases(narr: np.ndarray) -> np.ndarray:
+            return np.exp(2j * np.pi * frac(narr))
+
         # The head is the first h blocks of the same sequence, ending at
         # n = N, with c(n) = 0 for n < 1: B + h phases, not one per term.
         h = -(-n_direct // block)
         start = n_direct - h * block
         end = n_direct + (_SWEEPS + 2) * block
+        narr = np.arange(1, end, dtype=np.float64)
         coeff = np.zeros(end - start)
-        coeff[1 - start:] = _coefficients(np.arange(1, end, dtype=np.float64), s, weight)
+        coeff[1 - start:] = narr ** (s - 1.0)
+        if weight != "unit":
+            coeff[1 - start:] *= _LOG_WEIGHTS[weight](narr, np.log)
         coeff = coeff.reshape(-1, block)
         sums = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1)
         size = coeff.sum(axis=1)

@@ -81,7 +81,9 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
     value = math.fsum(head) + tail
     if not math.isfinite(value):
         raise ConvergenceError(f"gamma_1 leaves binary64 at x = {x}")
-    err = abs(last) + 1e-16 * (1.0 + math.fsum(abs(t) for t in head))
+    # The tail closure (about -ln^2(50 + x)/2) cancels against the head,
+    # so rounding scales with both.
+    err = abs(last) + 2.0**-52 * (1.0 + math.fsum(abs(t) for t in head) + abs(tail))
     return EvalResult(
         value=value,
         err_estimate=err,

@@ -49,6 +49,12 @@ def mp_gamma1(x: float) -> float:
         return float(-((256 * fine - coarse) / 255) / 2)
 
 
+def mp_stieltjes1(x: float) -> float:
+    """gamma1(x) from mpmath's Stieltjes constant at 30 digits."""
+    with mp.workdps(30):
+        return float(mp.stieltjes(1, x))
+
+
 def mp_gamma1_reflection_diff(x: float) -> float:
     """gamma1(1-x) - gamma1(x) from mpmath's Stieltjes constants at 30
     digits, with 1 - x taken exactly."""
@@ -127,13 +133,16 @@ def full_table_master_sum(
     """`regsum._master_sum` as it was before its differences moved to one
     anti-diagonal and its scalar phases to cmath: every sweep rebuilds
     the whole forward-difference table, and each phase is a one-element
-    numpy exp.  The blocked head follows the engine's: the first
-    ceil(N/B) block sums of the tail's own blocks, each times one
-    phase.  Tests compare the two with `==`, value and error.  The
-    third item names the loop's exit: "floor" (a difference sank below
-    the rounding floor), "small" (an increment below 1e-17 of the
-    tail), "diverge" (three growing increments) or "sweeps" (all
-    sweeps taken)."""
+    numpy exp.  The heads follow the engine's: the plain head in scalar
+    arithmetic, c(n) rotated by cmath.rect and added in order of n; the
+    blocked head as the first ceil(N/B) block sums of the tail's own
+    blocks, each times one phase.  Tests compare the two with `==`,
+    value and error.  The third item names the loop's exit: "floor" (a
+    difference sank below the rounding floor), "small" (an increment
+    below 1e-17 of the tail), "diverge" (three growing increments) or
+    "sweeps" (all sweeps taken)."""
+    import cmath
+
     import numpy as np
 
     from zetalim import regsum
@@ -147,6 +156,15 @@ def full_table_master_sum(
         if weight == "log_2pi_n":
             return np.log(2.0 * math.pi * narr)
         return regsum.EULER_GAMMA + np.log(2.0 * math.pi * narr)
+
+    def scalar_weight(n):
+        if weight == "unit":
+            return 1.0
+        if weight == "log_n":
+            return math.log(n)
+        if weight == "log_2pi_n":
+            return math.log(2.0 * math.pi * n)
+        return regsum.EULER_GAMMA + math.log(2.0 * math.pi * n)
 
     sweeps = regsum._SWEEPS
     y = y - round(y)
@@ -163,22 +181,24 @@ def full_table_master_sum(
 
     n0 = float(n_direct)
     if block == 1:
-        narr = np.arange(1, n_direct, dtype=np.float64)
-        coeff = weights(narr) * narr ** (s - 1.0)
-        head = complex(np.sum(coeff * phases(narr)))
-        abs_head = float(np.sum(np.abs(coeff)))
-        lj = np.log1p(np.arange(sweeps + 2, dtype=np.float64) / n0)
-        ej = np.expm1((s - 1.0) * lj)
+        ns = [float(n) for n in range(1, n_direct)]
+        coeff = [scalar_weight(n) * n ** (s - 1.0) for n in ns]
+        angles = [2.0 * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+        head = sum(cmath.rect(c, t) for c, t in zip(coeff, angles))
+        abs_head = math.fsum(abs(c) for c in coeff)
+        lj = [math.log1p(j / n0) for j in range(sweeps + 2)]
+        ej = [math.expm1((s - 1.0) * v) for v in lj]
         p = n0 ** (s - 1.0)
+        w0 = scalar_weight(n0)
         if weight == "unit":
-            w0 = 1.0
-            offsets, size = ej, np.abs(ej)
+            offsets, size = ej, [abs(e) for e in ej]
         else:
-            w0 = float(weights(np.array([n0]))[0])
-            a, b = w0 * ej, lj * (1.0 + ej)
-            offsets, size = a + b, np.abs(a) + np.abs(b)
-        d = (p * offsets).tolist()
-        floor = regsum._OFFSET_ROUNDING * p * float(np.max(size))
+            a = [w0 * e for e in ej]
+            b = [v * (1.0 + e) for v, e in zip(lj, ej)]
+            offsets = [u + v for u, v in zip(a, b)]
+            size = [abs(u) + abs(v) for u, v in zip(a, b)]
+        d = [p * o for o in offsets]
+        floor = regsum._OFFSET_ROUNDING * p * max(size)
         first, ratio = p * w0, z1
     else:
         # The head as the engine forms it: the first h blocks of one

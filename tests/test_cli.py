@@ -218,12 +218,8 @@ def test_verify_json_matches_golden(tmp_path, capsys):
 
     and says which cases moved and why.
 
-    The bytes depend on which SIMD loops numpy dispatches its array log,
-    pow and exp to.  The golden was written with numpy's AVX-512 loops
-    (AVX512_SPR, AVX512_ICL, X86_V4).  With those disabled, 9 points
-    (EQ4.4: 8, EQ4.5: 1) change in their last digits, and all 29 cases
-    still pass with the same maximum residual; on such a machine this
-    comparison fails while the tolerance-based check below passes.
+    The report runs in scalar Python arithmetic and loads no numpy, so
+    its bytes do not depend on which SIMD loops numpy would dispatch to.
     """
     out = tmp_path / "verify.json"
     assert main(["verify", "--format", "json", "--out", str(out)]) == 0
@@ -236,8 +232,8 @@ _AVX512_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
 
 
 def test_verify_json_without_avx512_loops_is_close_to_golden():
-    """With numpy's AVX-512 loops disabled, the report's sides stay within
-    1e-12 max(1, |v|) of the golden and every case passes."""
+    """With numpy's AVX-512 loops disabled the report is byte-identical to
+    the golden: none of its sums goes through numpy."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:
@@ -253,21 +249,12 @@ def test_verify_json_without_avx512_loops_is_close_to_golden():
     proc = subprocess.run(
         [sys.executable, "-m", "zetalim.cli", "verify", "--format", "json"],
         capture_output=True,
-        text=True,
         timeout=300,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    golden = json.loads((Path(__file__).resolve().parent / "golden" / "verify.json").read_text())
-    assert got["summary"]["cases_run"] == got["summary"]["cases_passed"] == 29
-    assert [c["id"] for c in got["cases"]] == [c["id"] for c in golden["cases"]]
-    for case, want_case in zip(got["cases"], golden["cases"]):
-        assert len(case["points"]) == len(want_case["points"]), case["id"]
-        for point, want in zip(case["points"], want_case["points"]):
-            for key in ("lhs", "rhs"):
-                v = want[key]
-                assert abs(point[key] - v) <= 1e-12 * max(1.0, abs(v)), (case["id"], key, v)
+    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
+    assert proc.stdout == golden.read_bytes()
 
 
 def test_verify_csv_matches_golden(capsys):

@@ -5,10 +5,12 @@ against an independent high-precision reference: the few ulps allow for
 the final rounding of the value, not for an estimate that leaves out a
 source of error.
 """
+import random
+
 import pytest
 
-from oracles import mp_gamma1_reflection_diff
-from zetalim.stieltjes import gamma1_reflection_diff
+from oracles import mp_gamma1_reflection_diff, mp_stieltjes1
+from zetalim.stieltjes import StieltjesQuery, gamma1_reflection_diff, stieltjes_gamma
 
 ULP = 2.0 ** -52
 
@@ -21,6 +23,25 @@ REFLECTION_X = [round(0.400 + 0.005 * k, 3) for k in range(45)] + [0.001, 0.01, 
 def test_gamma1_reflection_diff_error_estimate_is_honest(x):
     res = gamma1_reflection_diff(x)
     ref = mp_gamma1_reflection_diff(x)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
+# gamma_1's head (about 6.7 at x = 5.8) and tail closure (about -8.1)
+# cancel; a rounding floor that left out the tail missed 18 of the 151
+# points of the band x in [5, 6.5].  The band in steps of 0.01, and
+# seeded x log-uniform over [1e-3, 100].
+_rng = random.Random(2026)
+GAMMA1_X = [round(5.0 + 0.01 * k, 2) for k in range(151)] + [
+    10.0 ** _rng.uniform(-3.0, 2.0) for _ in range(150)
+]
+
+
+@pytest.mark.parametrize("x", GAMMA1_X)
+def test_stieltjes_gamma1_error_estimate_is_honest(x):
+    res = stieltjes_gamma(StieltjesQuery(1, x))
+    ref = mp_stieltjes1(x)
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )

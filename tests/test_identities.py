@@ -238,6 +238,13 @@ def test_quadrature_uses_one_sixteen_node_rule():
     assert quadrature_zeta2_integral().terms_used == 16
 
 
+@pytest.mark.parametrize("n, table", [(16, "_GL16"), (24, "_GL24")])
+def test_gauss_legendre_literals_equal_leggauss(n, table):
+    # The literal tables must keep EQ3.21's and EQ4.13's bits.
+    np = pytest.importorskip("numpy")
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert getattr(identities, table) == tuple(zip(nodes.tolist(), weights.tolist()))
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.2, 0.9), (0.5, 1.0), (1e-3, 1e-2)])
 def test_quadrature_partial_intervals_match_closed_form(lo, hi):
     # The integral of zeta''(0, u) over [lo, hi] is G(hi) - G(lo) with

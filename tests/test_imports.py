@@ -15,6 +15,8 @@ import zetalim
 
 _SRC = str(Path(zetalim.__file__).resolve().parents[1])
 _PROBED = ("numpy", "mpmath", "zetalim.identities", "zetalim.regsum")
+# The package loads these two as one unit.
+_UNIT = {"zetalim.identities", "zetalim.regsum"}
 
 
 def _run(args):
@@ -71,7 +73,31 @@ def test_hasse_loads_mpmath_but_not_numpy():
 def test_regsum_and_identities_load_as_one_unit(code):
     # bench/tracer.py loads the layers with `from zetalim import regsum`
     # and wraps only the modules loaded by then.
-    assert _loaded_after(code) == {"numpy", "zetalim.identities", "zetalim.regsum"}
+    assert _loaded_after(code) == _UNIT
+
+
+@pytest.mark.parametrize(
+    ("code", "loaded"),
+    [
+        ("import zetalim\nzetalim.verify_all()", _UNIT),
+        ("from zetalim.cli import main\nmain(['verify', '--format', 'json'])", _UNIT),
+        (
+            "from zetalim.cli import main\n"
+            "main(['regsum', '--x', '0.25', '--trig', 'sin', '--weight', 'logn'])",
+            {"zetalim.regsum"},
+        ),
+    ],
+    ids=["verify_all", "cli-verify", "cli-regsum-interior"],
+)
+def test_verify_and_interior_regsum_load_no_numpy(code, loaded):
+    # Every master sum these make is plain: scalar Python.
+    assert _loaded_after(code) == loaded
+
+
+def test_edge_band_limit_loads_numpy():
+    # Next to x = 0 the master sum is summed in blocks, through numpy.
+    code = "import zetalim\nzetalim.regularized_limit(0.03, 'sine', 'log_n')"
+    assert _loaded_after(code) == {"numpy"} | _UNIT
 
 
 def test_every_public_name_resolves_and_is_listed():
