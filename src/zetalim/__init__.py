@@ -24,9 +24,7 @@ _SOURCE = {
             "quadrature_zeta2_integral", "registry", "uniform_x", "verify", "verify_all",
         ),
         "regsum": (
-            "ExtrapolationPath", "TrigSeriesSpec", "alternating_log_limit", "closed_form",
-            "deninger_cos_log_sum", "kummer_sine_series", "log_sine_fourier",
-            "log_sine_fourier_target", "regularized_limit", "trig_dirichlet_sum",
+            "ExtrapolationPath", "TrigSeriesSpec", "regularized_limit", "trig_dirichlet_sum",
         ),
         "result": ("ConvergenceError", "DomainError", "EvalResult", "PoleError"),
         "special": ("EULER_GAMMA", "bernoulli", "bernoulli_table", "digamma", "log_gamma"),

@@ -20,6 +20,8 @@ from .special import bernoulli
 _POLE_RADIUS = 1e-8
 _EM_CUTOFF = 30
 _EM_ORDER = 12
+# Largest offset of pole_residue_check's ladder s = 1 + h.
+_RESIDUE_STEP = 0.25
 
 # B_{2k} / (2k)! for k = 1 .. 12
 _EM_COEF = tuple(
@@ -206,15 +208,13 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     )
 
 
-def pole_residue_check(x: float, h: float = 0.25) -> float:
+def pole_residue_check(x: float) -> float:
     """Residue of zeta(s, x) at s = 1 by extrapolating (s-1) zeta(s, x).
 
-    Samples h_k = h 2^{-k} for k = 0..6 and returns the Neville limit
-    at h = 0; the exact residue is 1 for every x > 0.
+    Samples h_k = _RESIDUE_STEP 2^{-k} for k = 0..6 and returns the
+    Neville limit at h = 0; the exact residue is 1 for every x > 0.
     """
-    if not 0.0 < h <= 0.25:
-        raise DomainError(f"step must satisfy 0 < h <= 0.25, got {h}")
-    hs = [h * 2.0**-k for k in range(7)]
+    hs = [_RESIDUE_STEP * 2.0**-k for k in range(7)]
     vs = [hk * hurwitz_zeta(HurwitzQuery(1.0 + hk, x)).value for hk in hs]
     value, _ = neville_zero(hs, vs)
     return value

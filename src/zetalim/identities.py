@@ -1,8 +1,10 @@
 """Identity catalogue and verification reports.
 
 Every case binds a left and a right evaluator over a small grid plus
-an absolute tolerance.  verify() walks the grid without early abort:
-an evaluator exception becomes a failing point with the reason noted.
+an absolute tolerance.  A row writes its identity's closed form itself;
+regsum supplies only the series.  verify() walks the grid without
+early abort: an evaluator exception becomes a failing point with the
+reason noted.
 A point's residual is |lhs - rhs|; where the two sides are complex
 numbers the report lists each side's modulus, |lhs| and |rhs|, next to
 the complex residual.
@@ -19,17 +21,7 @@ from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .extrapolate import neville_zero
 from .hurwitz import HurwitzQuery, hurwitz_zeta, pole_residue_check
-from .regsum import (
-    TrigSeriesSpec,
-    alternating_log_limit,
-    closed_form,
-    deninger_cos_log_sum,
-    kummer_sine_series,
-    log_sine_fourier,
-    log_sine_fourier_target,
-    regularized_limit,
-    trig_dirichlet_sum,
-)
+from .regsum import TrigSeriesSpec, regularized_limit, trig_dirichlet_sum
 from .result import DomainError, EvalResult
 from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
 from .stieltjes import (
@@ -212,6 +204,18 @@ def _fourier_side(s: float, x: float, trig: str) -> float:
     return 4.0 * math.exp(log_gamma(1.0 - s)) * phase(0.5 * math.pi * s) * c
 
 
+def _series_at_zero(x: float, trig: str, weight: str) -> float:
+    """sum w(n) trig(2 n pi x) / n, summed at s = 0."""
+    return trig_dirichlet_sum(TrigSeriesSpec(x=x, trig=trig, weight=weight, s=0.0)).value
+
+
+def _pi_min(x: float) -> float:
+    """pi min(x, 1 - x), the angle at which 1/sin and tan(./2) are taken,
+    as cot_pi does for cot: for x > 1/2, 1 - x is exact, while pi x next
+    to pi carries a rounding error that they magnify."""
+    return math.pi * min(x, 1.0 - x)
+
+
 def _zeta2_pair(u: float) -> float:
     return 0.5 * (_zeta(0.0, u, 2) + _zeta(0.0, 1.0 - u, 2))
 
@@ -373,7 +377,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         IdentityCase(
             id="EQ4.1",
             lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit").value,
-            rhs=lambda pt: closed_form(pt["x"], "4.1"),
+            rhs=lambda pt: 0.5 * cot_pi(pt["x"]),
             domain=x_default,
             tol=1e-6,
             notes="Regularized sine sum equals cot(pi x)/2.",
@@ -381,7 +385,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         IdentityCase(
             id="EQ4.14",
             lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit").value,
-            rhs=lambda pt: closed_form(pt["x"], "4.14"),
+            rhs=lambda pt: -0.5,
             domain=x_default,
             tol=1e-6,
             notes="Regularized cosine sum equals -1/2 for every x in (0,1).",
@@ -392,7 +396,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 regularized_limit(pt["x"], "cosine", "unit").value,
                 regularized_limit(pt["x"], "sine", "unit").value,
             ),
-            rhs=lambda pt: complex(closed_form(pt["x"], "4.3re"), closed_form(pt["x"], "4.3im")),
+            rhs=lambda pt: complex(-0.5, 0.5 * cot_pi(pt["x"])),
             domain=x_default,
             tol=1e-6,
             notes="Complex pairing of the two unit-weight limits equals e^(2 pi i x)/(1 - e^(2 pi i x)); the residual is the complex modulus of the difference while the lhs/rhs columns list each side's modulus.",
@@ -420,7 +424,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="EQ4.12",
-            lhs=lambda pt: deninger_cos_log_sum(pt["u"]).value,
+            lhs=lambda pt: _series_at_zero(pt["u"], "cosine", "log_n"),
             rhs=lambda pt: (
                 _zeta2_pair(pt["u"])
                 + (EULER_GAMMA + LN_2PI) * math.log(2.0 * math.sin(math.pi * pt["u"]))
@@ -431,9 +435,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="EQ4.12.1",
-            lhs=lambda pt: trig_dirichlet_sum(
-                TrigSeriesSpec(x=pt["u"], trig="cosine", weight="gamma_plus_log_2pi_n", s=0.0)
-            ).value,
+            lhs=lambda pt: _series_at_zero(pt["u"], "cosine", "gamma_plus_log_2pi_n"),
             rhs=lambda pt: _zeta2_pair(pt["u"]),
             domain=u_default,
             tol=1e-6,
@@ -452,7 +454,9 @@ def registry() -> Tuple[IdentityCase, ...]:
             lhs=lambda pt: 2.0 * regularized_limit(
                 pt["x"], "cosine", "log_n", scale="two_pi_n_power"
             ).value,
-            rhs=lambda pt: closed_form(pt["x"], "4.18"),
+            rhs=lambda pt: (
+                digamma(pt["x"]) + 0.5 * math.pi * cot_pi(pt["x"]) + EULER_GAMMA + LN_2PI
+            ),
             domain=x_default,
             tol=1e-6,
             notes="Doubled regularized log-cosine sum equals psi(x) + (pi/2) cot(pi x) + gamma + ln 2 pi.",
@@ -477,7 +481,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="KUMMER",
-            lhs=lambda pt: kummer_sine_series(pt["x"]).value,
+            lhs=lambda pt: 2.0 / math.pi * _series_at_zero(pt["x"], "sine", "log_2pi_n"),
             rhs=lambda pt: (
                 log_gamma(pt["x"]) - log_gamma(1.0 - pt["x"]) + 2.0 * EULER_GAMMA * (pt["x"] - 0.5)
             ),
@@ -487,8 +491,13 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="LOGSINE",
-            lhs=lambda pt: log_sine_fourier(pt["u"]).value,
-            rhs=lambda pt: log_sine_fourier_target(pt["u"]),
+            lhs=lambda pt: 1.0 / math.pi * _series_at_zero(pt["u"], "sine", "log_n"),
+            rhs=lambda pt: (
+                log_gamma(pt["u"])
+                - 0.5 * math.log(math.pi)
+                + 0.5 * math.log(math.sin(math.pi * pt["u"]))
+                + (pt["u"] - 0.5) * (EULER_GAMMA + LN_2PI)
+            ),
             domain=u_default,
             tol=1e-6,
             notes="sum ln(n) sin(2 n pi u)/(pi n) = ln Gamma(u) - ln(pi)/2 + ln(sin pi u)/2 + (u - 1/2)(gamma + ln 2 pi).",
@@ -496,7 +505,11 @@ def registry() -> Tuple[IdentityCase, ...]:
         IdentityCase(
             id="EQ4.21",
             lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit", "alternating").value,
-            rhs=lambda pt: closed_form(pt["x"], "4.21"),
+            rhs=lambda pt: (
+                # tan(pi x / 2) = 1 / tan(pi (1 - x) / 2)
+                0.5 / math.tan(0.5 * _pi_min(pt["x"])) if pt["x"] > 0.5
+                else 0.5 * math.tan(0.5 * _pi_min(pt["x"]))
+            ),
             domain=x_default,
             tol=1e-6,
             notes="Alternating sine sum: regularized sum of (-1)^(n+1) sin(n pi x) n^(s-1) equals tan(pi x/2)/2.",
@@ -504,7 +517,7 @@ def registry() -> Tuple[IdentityCase, ...]:
         IdentityCase(
             id="EQ4.22",
             lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit", "alternating").value,
-            rhs=lambda pt: closed_form(pt["x"], "4.22"),
+            rhs=lambda pt: 0.5,
             domain=x_default,
             tol=1e-6,
             notes="Alternating cosine sum: regularized sum of (-1)^(n+1) cos(n pi x) n^(s-1) equals 1/2 for every x.",
@@ -512,14 +525,16 @@ def registry() -> Tuple[IdentityCase, ...]:
         IdentityCase(
             id="EQ4.23",
             lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit", "odd_only").value,
-            rhs=lambda pt: closed_form(pt["x"], "4.23"),
+            rhs=lambda pt: 0.5 / math.sin(_pi_min(pt["x"])),
             domain=x_default,
             tol=1e-6,
             notes="Odd-index sine sum: regularized sum over odd n of sin(n pi x) n^(s-1) equals 1/(2 sin pi x). The 1/2 prefactor is forced by the half-sum decomposition odd = (all + alternating)/2 and by the x = 1/2 value, where the series is the alternating (2k+1)^(-s) family with limit 1/2.",
         ),
         IdentityCase(
             id="ALTLOG",
-            lhs=lambda pt: alternating_log_limit().value,
+            lhs=lambda pt: regularized_limit(
+                0.5, "cosine", "log_n", "all_n", "two_pi_n_power", 1.0
+            ).value,
             rhs=lambda pt: 0.5 * math.log(0.5 * math.pi),
             domain=Domain(),
             tol=1e-7,

@@ -37,8 +37,7 @@ from typing import Tuple
 
 from .extrapolate import neville_zero
 from .result import ConvergenceError, DomainError, EvalResult
-from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
-from .stieltjes import gamma1_reflection_diff
+from .special import EULER_GAMMA
 
 TRIG_KINDS = ("sine", "cosine")
 WEIGHT_KINDS = ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
@@ -428,101 +427,4 @@ def regularized_limit(
     err = max(corrections[-1], point_err)
     return EvalResult(
         value=value, err_estimate=err, terms_used=terms, method_tag="neville-osc"
-    )
-
-
-def closed_form(x: float, case_id: str) -> float:
-    """Closed-form target of a regularized limit at this x.
-
-    Supported case ids: 4.1 (sine, unit), 4.3re / 4.3im (complex
-    combination), 4.8 (sine, log weight), 4.14 (cosine, unit), 4.18
-    (cosine, log weight, doubled), 4.21 / 4.22 (alternating), 4.23
-    (odd index sine).  The 4.23 target is 1/(2 sin pi x): the value at
-    x = 1/2 is the alternating (2n+1)^{-s} series at s = 0, which
-    equals 1/2, pinning the prefactor.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"closed_form requires 0 < x < 1, got {x}")
-    # 1/sin and tan(./2) at pi*y, y = min(x, 1 - x), as cot_pi does for
-    # cot: for x > 1/2, 1 - x is exact, while pi*x next to pi carries a
-    # rounding error that they magnify.
-    mirrored = x > 0.5
-    piy = math.pi * (1.0 - x if mirrored else x)
-    if case_id in ("4.1", "4.3im"):
-        return 0.5 * cot_pi(x)
-    if case_id == "4.3re":
-        return -0.5
-    if case_id == "4.8":
-        c = math.pi * (EULER_GAMMA + math.log(_TWO_PI))
-        diff = gamma1_reflection_diff(x).value
-        return (diff - c * cot_pi(x)) / _TWO_PI
-    if case_id == "4.14":
-        return -0.5
-    if case_id == "4.18":
-        return digamma(x) + 0.5 * math.pi * cot_pi(x) + EULER_GAMMA + math.log(_TWO_PI)
-    if case_id == "4.21":
-        # tan(pi x / 2) = 1 / tan(pi (1 - x) / 2)
-        return 0.5 / math.tan(0.5 * piy) if mirrored else 0.5 * math.tan(0.5 * piy)
-    if case_id == "4.22":
-        return 0.5
-    if case_id == "4.23":
-        return 0.5 / math.sin(piy)
-    raise ValueError(f"unknown closed-form case id: {case_id!r}")
-
-
-def _scaled_series(u: float, trig: str, weight: str, fac: float) -> EvalResult:
-    """fac times the series of (u, trig, weight), summed at s = 0."""
-    if not _EDGE_BAND < u < 1.0 - _EDGE_BAND:
-        raise DomainError(f"argument must lie in (0.01, 0.99), got {u}")
-    r = trig_dirichlet_sum(TrigSeriesSpec(x=u, trig=trig, weight=weight, s=0.0))
-    return EvalResult(
-        value=fac * r.value,
-        err_estimate=fac * r.err_estimate,
-        terms_used=r.terms_used,
-        method_tag=r.method_tag,
-    )
-
-
-def deninger_cos_log_sum(u: float) -> EvalResult:
-    """sum_{n>=1} (ln n / n) cos(2 n pi u), summed directly at s = 0."""
-    return _scaled_series(u, "cosine", "log_n", 1.0)
-
-
-def kummer_sine_series(x: float) -> EvalResult:
-    """(2/pi) sum_{n>=1} ln(2 pi n) sin(2 n pi x) / n.
-
-    Equals ln Gamma(x) - ln Gamma(1-x) + 2 gamma (x - 1/2) on (0, 1).
-    """
-    return _scaled_series(x, "sine", "log_2pi_n", 2.0 / math.pi)
-
-
-def log_sine_fourier(u: float) -> EvalResult:
-    """sum_{n>=1} ln(n) sin(2 n pi u) / (pi n).
-
-    Equals ln Gamma(u) - ln(pi)/2 + ln(sin pi u)/2
-    + (u - 1/2)(gamma + ln 2 pi) on (0, 1).
-    """
-    return _scaled_series(u, "sine", "log_n", 1.0 / math.pi)
-
-
-def log_sine_fourier_target(u: float) -> float:
-    """Closed form matched by log_sine_fourier."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"target requires 0 < u < 1, got {u}")
-    return (
-        log_gamma(u)
-        - 0.5 * math.log(math.pi)
-        + 0.5 * math.log(math.sin(math.pi * u))
-        + (u - 0.5) * (EULER_GAMMA + math.log(_TWO_PI))
-    )
-
-
-def alternating_log_limit() -> EvalResult:
-    """lim_{s -> 1} sum (-1)^n ln(n) (2 pi n)^{s-1} = ln(pi/2) / 2.
-
-    The sign (-1)^n is cos(2 pi n / 2), so this is the cosine series
-    with log weight at x = 1/2.
-    """
-    return regularized_limit(
-        0.5, "cosine", "log_n", "all_n", "two_pi_n_power", 1.0
     )

@@ -11,7 +11,6 @@ log-uniform over [1e-300, 1e3] and [1e3, 1e300]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -35,17 +34,11 @@ def _bernoulli_fractions(count: int) -> Tuple[Fraction, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact-rational Bernoulli numbers B_0 .. B_32."""
-
-    values: Tuple[Fraction, ...]
-
-
-_TABLE = BernoulliTable(_bernoulli_fractions(33))
+# Exact-rational Bernoulli numbers B_0 .. B_32.
+_TABLE = _bernoulli_fractions(33)
 
 # Float copies of B_2, B_4, ..., B_14 used by the asymptotic series.
-_B2J = tuple(float(_TABLE.values[2 * j]) for j in range(1, 8))
+_B2J = tuple(float(_TABLE[2 * j]) for j in range(1, 8))
 
 # Harmonic numbers H_1 .. H_16 (used by Stieltjes tail closures).
 HARMONIC = tuple(
@@ -55,12 +48,13 @@ HARMONIC = tuple(
 
 def bernoulli(k: int) -> float:
     """Bernoulli number B_k from the precomputed table (0 <= k <= 32)."""
-    if not 0 <= k < len(_TABLE.values):
+    if not 0 <= k < len(_TABLE):
         raise DomainError(f"Bernoulli index {k} outside table")
-    return float(_TABLE.values[k])
+    return float(_TABLE[k])
 
 
-def bernoulli_table() -> BernoulliTable:
+def bernoulli_table() -> Tuple[Fraction, ...]:
+    """Exact-rational Bernoulli numbers B_0 .. B_32."""
     return _TABLE
 
 

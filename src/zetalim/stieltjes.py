@@ -69,9 +69,11 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
     ConvergenceError.
     """
     if q.n == 0:
+        value = -digamma(q.x)
+        # digamma's bound is relative where |psi| > 1.
         return EvalResult(
-            value=-digamma(q.x),
-            err_estimate=1e-13,
+            value=value,
+            err_estimate=1e-13 * max(1.0, abs(value)),
             terms_used=1,
             method_tag="digamma",
         )

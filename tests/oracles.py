@@ -49,6 +49,11 @@ def mp_gamma1(x: float) -> float:
         return float(-((256 * fine - coarse) / 255) / 2)
 
 
+def mp_stieltjes0(x: float) -> float:
+    """gamma0(x) = -psi(x) from mpmath's digamma at 40 digits."""
+    return float(-mp.digamma(x))
+
+
 def mp_stieltjes1(x: float) -> float:
     """gamma1(x) from mpmath's Stieltjes constant at 30 digits."""
     with mp.workdps(30):

@@ -13,7 +13,6 @@ from oracles import GAMMA1_AT_1, HALF_LOG_HALF_PI
 from zetalim import (
     HurwitzQuery,
     StieltjesQuery,
-    alternating_log_limit,
     gamma1_finite_difference,
     hurwitz_hasse,
     hurwitz_zeta,
@@ -21,6 +20,7 @@ from zetalim import (
     pole_residue_check,
     quadrature_zeta2_integral,
     registry,
+    regularized_limit,
     stieltjes_gamma,
     verify,
 )
@@ -136,7 +136,7 @@ def test_criterion_10_digamma_suite():
 
 
 def test_criterion_11_alternating_log_constant():
-    got = alternating_log_limit().value
+    got = regularized_limit(0.5, "cosine", "log_n", "all_n", "two_pi_n_power", 1.0).value
     _report(abs(got - HALF_LOG_HALF_PI) <= 1e-7, 11)
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from oracles import mp_gamma1_reflection_diff, mp_stieltjes1
+from oracles import mp_gamma1_reflection_diff, mp_stieltjes0, mp_stieltjes1
 from zetalim.stieltjes import StieltjesQuery, gamma1_reflection_diff, stieltjes_gamma
 
 ULP = 2.0 ** -52
@@ -45,3 +45,15 @@ def test_stieltjes_gamma1_error_estimate_is_honest(x):
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )
+
+
+# Log-spaced over [1e-9, 1e12], four points a decade: where |psi| > 1,
+# digamma's error is relative, about 7e-8 at x = 1e-9.
+GAMMA0_X = [10.0 ** (k / 4.0) for k in range(-36, 49)]
+
+
+@pytest.mark.parametrize("x", GAMMA0_X)
+def test_stieltjes_gamma0_error_estimate_is_honest(x):
+    res = stieltjes_gamma(StieltjesQuery(0, x))
+    ref = mp_stieltjes0(x)
+    assert abs(res.value - ref) <= res.err_estimate, (res.value, ref, res.err_estimate)

@@ -140,13 +140,6 @@ def test_pole_residue_is_one(x):
     assert pole_residue_check(x) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_pole_residue_rejects_bad_step():
-    with pytest.raises(DomainError):
-        pole_residue_check(1.0, h=0.0)
-    with pytest.raises(DomainError):
-        pole_residue_check(1.0, h=0.5)
-
-
 def test_result_invariants():
     r = hurwitz_zeta(HurwitzQuery(2.0, 1.0))
     assert isinstance(r, EvalResult)

@@ -28,9 +28,9 @@ def _run(args):
     return proc.stdout
 
 
-def _loaded_after(code: str) -> set:
-    """The probed modules present in sys.modules after running `code`."""
-    report = f"print(json.dumps([m for m in {_PROBED!r} if m in sys.modules]))"
+def _loaded_after(code: str, probed=_PROBED) -> set:
+    """The `probed` modules present in sys.modules after running `code`."""
+    report = f"print(json.dumps([m for m in {probed!r} if m in sys.modules]))"
     probe = f"{code}\nimport json, sys\n{report}"
     return set(json.loads(_run(["-c", probe]).splitlines()[-1]))
 
@@ -66,7 +66,7 @@ def test_hasse_loads_mpmath_but_not_numpy():
     "code",
     [
         "from zetalim import regsum",
-        "import zetalim\nzetalim.closed_form",
+        "import zetalim\nzetalim.regularized_limit",
         "from zetalim import verify",
     ],
 )
@@ -74,6 +74,13 @@ def test_regsum_and_identities_load_as_one_unit(code):
     # bench/tracer.py loads the layers with `from zetalim import regsum`
     # and wraps only the modules loaded by then.
     assert _loaded_after(code) == _UNIT
+
+
+def test_regsum_loads_no_catalogue_layer():
+    # A direct submodule import, not the package's unit: the series
+    # engine stands below hurwitz, stieltjes and the identity catalogue.
+    layers = ("zetalim.hurwitz", "zetalim.stieltjes", "zetalim.identities")
+    assert _loaded_after("import zetalim.regsum", layers) == set()
 
 
 @pytest.mark.parametrize(
@@ -114,7 +121,7 @@ def test_submodules_resolve_as_attributes():
     code = (
         "import zetalim\n"
         "assert zetalim.special.digamma is zetalim.digamma\n"
-        "assert zetalim.regsum.closed_form is zetalim.closed_form"
+        "assert zetalim.regsum.regularized_limit is zetalim.regularized_limit"
     )
     _run(["-c", code])
 

@@ -18,15 +18,31 @@ from zetalim import (
     DomainError,
     ExtrapolationPath,
     TrigSeriesSpec,
-    alternating_log_limit,
-    closed_form,
-    deninger_cos_log_sum,
-    kummer_sine_series,
-    log_sine_fourier,
-    log_sine_fourier_target,
+    registry,
     regularized_limit,
     trig_dirichlet_sum,
 )
+
+_ROWS = {case.id: case for case in registry()}
+# The paper's equation -> the registry row that holds its closed form.
+_CLOSED_FORM_ROW = {
+    "4.1": "EQ4.1", "4.3im": "EQ4.14C", "4.8": "EQ4.8", "4.14": "EQ4.14",
+    "4.18": "EQ4.18", "4.21": "EQ4.21", "4.22": "EQ4.22", "4.23": "EQ4.23",
+}
+
+
+def _closed_form(x: float, case_id: str) -> float:
+    """The closed-form side of the row: the rhs, but for EQ4.8, whose
+    lhs is the closed form gamma_1(1 - x) - gamma_1(x)."""
+    row = _ROWS[_CLOSED_FORM_ROW[case_id]]
+    if case_id == "4.8":
+        return row.lhs({"x": x})
+    rhs = row.rhs({"x": x})
+    return rhs.imag if case_id == "4.3im" else rhs
+
+
+def _lhs(row_id: str, **pt: float) -> float:
+    return _ROWS[row_id].lhs(pt)
 
 
 def test_spec_validation():
@@ -267,29 +283,20 @@ def test_closed_forms_match_limits(x):
         ("4.23", regularized_limit(x, "sine", "unit", parity="odd_only").value),
     ]
     for cid, got in pairs:
-        assert got == pytest.approx(closed_form(x, cid), abs=1e-7), cid
+        assert got == pytest.approx(_closed_form(x, cid), abs=1e-7), cid
 
 
 def test_closed_form_values_at_quarter():
-    assert closed_form(0.25, "4.1") == pytest.approx(0.5, abs=1e-15)
-    assert closed_form(0.25, "4.14") == pytest.approx(-0.5, abs=1e-15)
-    assert closed_form(0.25, "4.21") == pytest.approx(
+    assert _closed_form(0.25, "4.1") == pytest.approx(0.5, abs=1e-15)
+    assert _closed_form(0.25, "4.14") == pytest.approx(-0.5, abs=1e-15)
+    assert _closed_form(0.25, "4.21") == pytest.approx(
         0.5 * math.tan(math.pi / 8.0), abs=1e-15
     )
-    assert closed_form(0.25, "4.22") == pytest.approx(0.5, abs=1e-15)
-    assert closed_form(0.25, "4.23") == pytest.approx(
+    assert _closed_form(0.25, "4.22") == pytest.approx(0.5, abs=1e-15)
+    assert _closed_form(0.25, "4.23") == pytest.approx(
         0.5 / math.sin(math.pi / 4.0), abs=1e-15
     )
-    assert closed_form(0.5, "4.23") == pytest.approx(0.5, abs=1e-15)
-
-
-def test_closed_form_validation():
-    with pytest.raises(ValueError):
-        closed_form(0.3, "nope")
-    with pytest.raises(DomainError):
-        closed_form(0.0, "4.1")
-    with pytest.raises(DomainError):
-        closed_form(1.0, "4.1")
+    assert _closed_form(0.5, "4.23") == pytest.approx(0.5, abs=1e-15)
 
 
 def test_limit_with_custom_path():
@@ -308,19 +315,19 @@ def test_limit_domain_guard():
 
 
 def test_deninger_series():
-    got = deninger_cos_log_sum(0.5)
-    assert got.value == pytest.approx(ETA_PRIME_AT_1, abs=1e-9)
-    a = deninger_cos_log_sum(0.3).value
-    b = deninger_cos_log_sum(0.7).value
+    assert _lhs("EQ4.12", u=0.5) == pytest.approx(ETA_PRIME_AT_1, abs=1e-9)
+    a = _lhs("EQ4.12", u=0.3)
+    b = _lhs("EQ4.12", u=0.7)
     assert a == pytest.approx(b, abs=1e-9)
-    with pytest.raises(DomainError):
-        deninger_cos_log_sum(0.005)
+    # Inside the edge band the sum is taken in blocks, to the band's 1e-8.
+    want = mp_weighted_sum(0.005, 0.0, "log_n", "cosine")
+    assert _lhs("EQ4.12", u=0.005) == pytest.approx(want, abs=1e-8)
 
 
 def test_kummer_series():
-    assert kummer_sine_series(0.5).value == pytest.approx(0.0, abs=1e-9)
-    a = kummer_sine_series(0.25).value
-    b = kummer_sine_series(0.75).value
+    assert _lhs("KUMMER", x=0.5) == pytest.approx(0.0, abs=1e-9)
+    a = _lhs("KUMMER", x=0.25)
+    b = _lhs("KUMMER", x=0.75)
     assert a == pytest.approx(-b, abs=1e-8)
     from zetalim.special import EULER_GAMMA, log_gamma
 
@@ -333,16 +340,15 @@ def test_kummer_series():
 
 
 def test_log_sine_fourier():
-    assert log_sine_fourier(0.5).value == pytest.approx(0.0, abs=1e-9)
-    a = log_sine_fourier(0.25).value
-    b = log_sine_fourier(0.75).value
+    assert _lhs("LOGSINE", u=0.5) == pytest.approx(0.0, abs=1e-9)
+    a = _lhs("LOGSINE", u=0.25)
+    b = _lhs("LOGSINE", u=0.75)
     assert a == pytest.approx(-b, abs=1e-8)
-    assert a == pytest.approx(log_sine_fourier_target(0.25), abs=1e-7)
+    assert a == pytest.approx(_ROWS["LOGSINE"].rhs({"u": 0.25}), abs=1e-7)
 
 
 def test_alternating_log_limit():
-    got = alternating_log_limit()
-    assert got.value == pytest.approx(HALF_LOG_HALF_PI, abs=1e-7)
+    assert _lhs("ALTLOG") == pytest.approx(HALF_LOG_HALF_PI, abs=1e-7)
 
 
 def test_double_cos_log_limit_is_psi_combination():
@@ -363,7 +369,7 @@ def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
     # The Neville ladder used to raise "extrapolation unstable" here:
     # rounding noise in the Euler tail moved its samples.
     got = regularized_limit(x, trig, "unit", parity)
-    assert abs(got.value - closed_form(x, case_id)) <= got.err_estimate + 1e-13
+    assert abs(got.value - _closed_form(x, case_id)) <= got.err_estimate + 1e-13
     ladder = regularized_limit(x, trig, "unit", parity, path=ExtrapolationPath())
     assert math.isfinite(ladder.value)
 
@@ -548,8 +554,7 @@ def _mp_closed_form(x: float, case_id: str):
         if case_id in ("4.1", "4.3im"):
             return cot / 2
         if case_id == "4.8":
-            diff = mp.stieltjes(1, 1 - t) - mp.stieltjes(1, t)
-            return (diff - pi * (mp.euler + mp.log(2 * pi)) * cot) / (2 * pi)
+            return mp.stieltjes(1, 1 - t) - mp.stieltjes(1, t)
         if case_id == "4.18":
             return mp.digamma(t) + pi / 2 * cot + mp.euler + mp.log(2 * pi)
         if case_id == "4.21":
@@ -563,7 +568,8 @@ _EDGE_X = (0.95, 0.989, 0.9899, 0.9988)
 @pytest.mark.parametrize("x", _EDGE_X + tuple(round(1.0 - x, 4) for x in _EDGE_X))
 @pytest.mark.parametrize(
     "case_id, rtol",
-    # Bare trig factors to a few ulps; 4.8 and 4.18 add gamma_1 and psi.
+    # Bare trig factors to a few ulps; 4.18 adds psi, and 4.8 is the
+    # gamma_1 reflection difference.
     [("4.1", 1e-15), ("4.3im", 1e-15), ("4.21", 1e-15), ("4.23", 1e-15),
      ("4.8", 1e-14), ("4.18", 1e-14)],
 )
@@ -572,4 +578,4 @@ def test_closed_form_trig_factors_near_the_edges(x, case_id, rtol):
     # 1/sin and tan(./2) magnify (4.7e-15 relative at x = 0.989, 7.4e-14
     # at 0.9988) unless they are taken at pi*(1 - x).
     exact = float(_mp_closed_form(x, case_id))
-    assert abs(closed_form(x, case_id) - exact) <= rtol * abs(exact)
+    assert abs(_closed_form(x, case_id) - exact) <= rtol * abs(exact)

@@ -35,8 +35,8 @@ def test_bernoulli_against_mpmath():
 
 def test_bernoulli_table_covers_order_16():
     table = bernoulli_table()
-    assert len(table.values) == 33
-    assert float(table.values[32]) == pytest.approx(float(mp.bernoulli(32)), rel=1e-15)
+    assert len(table) == 33
+    assert float(table[32]) == pytest.approx(float(mp.bernoulli(32)), rel=1e-15)
 
 
 def test_bernoulli_rejects_negative_index():
