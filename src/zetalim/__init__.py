@@ -23,9 +23,7 @@ _SOURCE = {
             "Domain", "IdentityCase", "VerificationReport", "default_x_grid",
             "quadrature_zeta2_integral", "registry", "uniform_x", "verify", "verify_all",
         ),
-        "regsum": (
-            "ExtrapolationPath", "TrigSeriesSpec", "regularized_limit", "trig_dirichlet_sum",
-        ),
+        "regsum": ("TrigSeriesSpec", "regularized_limit", "trig_dirichlet_sum"),
         "result": ("ConvergenceError", "DomainError", "EvalResult", "PoleError"),
         "special": ("EULER_GAMMA", "bernoulli", "bernoulli_table", "digamma", "log_gamma"),
         "stieltjes": (

@@ -19,8 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .extrapolate import neville_zero
-from .hurwitz import HurwitzQuery, hurwitz_zeta, pole_residue_check
+from .hurwitz import HurwitzQuery, _pole_limit, hurwitz_zeta, pole_residue_check
 from .regsum import TrigSeriesSpec, regularized_limit, trig_dirichlet_sum
 from .result import DomainError, EvalResult
 from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
@@ -182,18 +181,6 @@ def _gamma1(x: float) -> float:
     return stieltjes_gamma(StieltjesQuery(1, x)).value
 
 
-def _gamma0_laurent(x: float) -> float:
-    # Limit of zeta(1+h, x) - 1/h as h -> 0, which is the constant
-    # Laurent coefficient at the pole.
-    hs, vs = [], []
-    h = 0.25
-    for _ in range(7):
-        hs.append(h)
-        vs.append(_zeta(1.0 + h, x) - 1.0 / h)
-        h *= 0.5
-    return neville_zero(hs, vs)[0]
-
-
 def _fourier_side(s: float, x: float, trig: str) -> float:
     """4 Gamma(1-s) sin(pi s/2) (cosine) or cos(pi s/2) (sine) times
     the sum of trig(2 n pi x) (2 pi n)^(s-1)."""
@@ -352,11 +339,11 @@ def registry() -> Tuple[IdentityCase, ...]:
         ),
         IdentityCase(
             id="EQ3.2",
-            lhs=lambda pt: _gamma0_laurent(pt["x"]),
+            lhs=lambda pt: _pole_limit(pt["x"], "gamma0")[0],
             rhs=lambda pt: stieltjes_gamma(StieltjesQuery(0, pt["x"])).value,
             domain=x_default,
             tol=1e-9,
-            notes="Constant Laurent coefficient of zeta(s,x) at s = 1 equals -psi(x); the left side is an independent pole-subtracted limit.",
+            notes="Constant Laurent coefficient of zeta(s,x) at s = 1 equals -psi(x); the left side extrapolates the pole-free even part [zeta(1+h,x) + zeta(1-h,x)]/2 to h = 0.",
         ),
         IdentityCase(
             id="EQ4.4",

@@ -21,9 +21,9 @@ about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
 series evaluated once at s = s*.  Neville extrapolation over the
-sample path s* - h_k, h_k = h0 2^{-k}, every sampled s strictly inside
-the s < 1 convergence half-line, stays as the independent cross-check
-route, selected by passing a path.
+samples at s* - h_k, h_k = 0.25 2^{-k} (extrapolate.LADDER), every s
+strictly inside the s < 1 convergence half-line, stays as the
+independent cross-check route, selected by ladder=True.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Tuple
 
-from .extrapolate import neville_zero
+from .extrapolate import LADDER, neville_zero
 from .result import ConvergenceError, DomainError, EvalResult
 from .special import EULER_GAMMA
 
@@ -45,6 +45,7 @@ PARITY_KINDS = ("all_n", "alternating", "odd_only")
 SCALE_KINDS = ("n_power", "two_pi_n_power")
 
 _TWO_PI = 2.0 * math.pi
+# trig_dirichlet_sum claims at least _EDGE_ERR for min(x, 1-x) below this.
 _EDGE_BAND = 0.01
 _HEAD_START = 64
 _HEAD_CAP = 32768
@@ -88,24 +89,6 @@ class TrigSeriesSpec:
             raise DomainError(f"scale must be one of {SCALE_KINDS}")
         if self.parity == "odd_only" and self.weight != "unit":
             raise DomainError("odd_only parity is defined for unit weight only")
-
-
-@dataclass(frozen=True)
-class ExtrapolationPath:
-    """Geometric offset ladder h_k = h0 2^{-k}, k = 0..depth."""
-
-    h0: float = 0.25
-    depth: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.h0 <= 0.25:
-            raise DomainError(f"h0 must satisfy 0 < h0 <= 1/4, got {self.h0}")
-        if self.depth < 6:
-            raise DomainError(f"depth must be >= 6, got {self.depth}")
-
-    @property
-    def offsets(self) -> Tuple[float, ...]:
-        return tuple(self.h0 * 2.0**-k for k in range(self.depth + 1))
 
 
 # w(n) of each log weight: at a float n with log=math.log, or over a
@@ -381,24 +364,21 @@ def regularized_limit(
     parity: str = "all_n",
     scale: str = "n_power",
     s_target: float = 1.0,
-    path: ExtrapolationPath | None = None,
+    ladder: bool = False,
 ) -> EvalResult:
-    """Limit s -> s_target of the series.
+    """Limit s -> s_target of the series, over trig_dirichlet_sum's range.
 
     By default the Euler-summed series is evaluated once at s = s_target
     (method tag "euler-at-target"): the transform's value is analytic in
-    s, so it equals the limit.  Passing `path` selects the independent
+    s, so it equals the limit.  ladder=True selects the independent
     cross-check route instead, Neville extrapolation over the samples
-    at s_target - h along the ladder (method tag "neville-osc").
+    at s_target - h, h = LADDER[k], k = 0..8 (method tag "neville-osc").
+    A master sum that cannot reach 1e-8 raises ConvergenceError.
     """
-    if not _EDGE_BAND < x < 1.0 - _EDGE_BAND:
-        raise DomainError(
-            f"regularized limits need {_EDGE_BAND} < x < {1.0 - _EDGE_BAND}, got {x}"
-        )
     s_target = float(s_target)
     if s_target not in (0.0, 1.0):
         raise DomainError(f"limit target must be 0 or 1, got {s_target}")
-    if path is None:
+    if not ladder:
         value, err, terms = _series_sum(
             TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
                            s=s_target, scale=scale)
@@ -407,11 +387,10 @@ def regularized_limit(
             value=value, err_estimate=err, terms_used=terms,
             method_tag="euler-at-target",
         )
-    hs = list(path.offsets)
     vals = []
     point_err = 0.0
     terms = 0
-    for h in hs:
+    for h in LADDER:
         r = trig_dirichlet_sum(
             TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
                            s=s_target - h, scale=scale)
@@ -419,7 +398,7 @@ def regularized_limit(
         vals.append(r.value)
         point_err = max(point_err, r.err_estimate)
         terms += r.terms_used
-    value, corrections = neville_zero(hs, vals)
+    value, corrections = neville_zero(LADDER, vals)
     if corrections[-1] > 1e-10 and corrections[-1] > 8.0 * min(corrections):
         raise ConvergenceError(
             f"extrapolation unstable: corrections {corrections[-3:]}"

@@ -18,14 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .extrapolate import neville_zero
-from .hurwitz import HurwitzQuery, hurwitz_zeta
+from .hurwitz import _POLE_STEPS, HurwitzQuery, _pole_limit, hurwitz_zeta
 from .result import ConvergenceError, DomainError, EvalResult
 from .special import HARMONIC, bernoulli, digamma
 
 _G1_CUTOFF = 50
 _G1_ORDER = 8
-_FD_STEPS = (0.125, 0.0625, 0.03125, 0.015625)
 
 # B_{2k} / (2k) for k = 1 .. 8
 _TAIL_COEF = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, _G1_ORDER + 1))
@@ -95,26 +93,20 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
 
 
 def gamma1_finite_difference(x: float) -> EvalResult:
-    """gamma_1(x) as -1/2 d^2/ds^2 [(s-1) zeta(s, x)] at s = 1.
+    """gamma_1(x) as the limit of (1 - h O(h))/h^2 as h -> 0.
 
-    Central second differences of F(h) = h zeta(1+h, x), which is
-    entire in h with F(0) = 1, extrapolated in h^2.  Independent of the
+    h O(h) = h [zeta(1+h, x) - zeta(1-h, x)]/2 = 1 - gamma_1(x) h^2 -
+    gamma_3(x) h^4/6 - ...: the "gamma1" part of `_pole_limit`,
+    extrapolated in h^2 over ten zeta samples.  Independent of the
     series route above.
+    Dividing by h^2 magnifies rounding by up to 1/h^2 = 4096, and
+    err_estimate includes it.
     """
     if not x > 0.0:
         raise DomainError(f"gamma1_finite_difference requires x > 0, got {x}")
-    nodes = []
-    for h in _FD_STEPS:
-        fplus = h * hurwitz_zeta(HurwitzQuery(1.0 + h, x)).value
-        fminus = -h * hurwitz_zeta(HurwitzQuery(1.0 - h, x)).value
-        nodes.append((h * h, (fplus - 2.0 + fminus) / (h * h)))
-    hs = [n[0] for n in nodes]
-    vs = [n[1] for n in nodes]
-    second, corrections = neville_zero(hs, vs)
+    value, err = _pole_limit(x, "gamma1")
     return EvalResult(
-        value=-0.5 * second,
-        err_estimate=0.5 * corrections[-1] + 1e-12,
-        terms_used=len(nodes),
+        value=value, err_estimate=err, terms_used=2 * _POLE_STEPS,
         method_tag="gamma1-fd",
     )
 

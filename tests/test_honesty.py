@@ -10,7 +10,12 @@ import random
 import pytest
 
 from oracles import mp_gamma1_reflection_diff, mp_stieltjes0, mp_stieltjes1
-from zetalim.stieltjes import StieltjesQuery, gamma1_reflection_diff, stieltjes_gamma
+from zetalim.stieltjes import (
+    StieltjesQuery,
+    gamma1_finite_difference,
+    gamma1_reflection_diff,
+    stieltjes_gamma,
+)
 
 ULP = 2.0 ** -52
 
@@ -57,3 +62,18 @@ def test_stieltjes_gamma0_error_estimate_is_honest(x):
     res = stieltjes_gamma(StieltjesQuery(0, x))
     ref = mp_stieltjes0(x)
     assert abs(res.value - ref) <= res.err_estimate, (res.value, ref, res.err_estimate)
+
+
+# The pole-ladder route divides 1 - h O(h) by h^2 as small as 1/4096, so its
+# error is mostly magnified rounding: up to 1.3e-12 here, 0.34 of err.
+_rng_fd = random.Random(1901)
+GAMMA1_FD_X = [10.0 ** _rng_fd.uniform(-1.0, 1.0) for _ in range(40)]
+
+
+@pytest.mark.parametrize("x", GAMMA1_FD_X)
+def test_gamma1_finite_difference_error_estimate_is_honest(x):
+    res = gamma1_finite_difference(x)
+    ref = mp_stieltjes1(x)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )

@@ -11,10 +11,13 @@ from zetalim import (
     EvalResult,
     HurwitzQuery,
     PoleError,
+    gamma1_finite_difference,
     hurwitz_hasse,
     hurwitz_zeta,
     pole_residue_check,
+    registry,
 )
+from zetalim import hurwitz
 from zetalim.result import ConvergenceError
 
 S_ORACLE = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
@@ -138,6 +141,31 @@ def test_hasse_reports_nonconvergence_when_starved():
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])
 def test_pole_residue_is_one(x):
     assert pole_residue_check(x) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        pole_residue_check,
+        lambda x: next(c for c in registry() if c.id == "EQ3.2").lhs({"x": x}),
+        gamma1_finite_difference,
+    ],
+    ids=["residue", "EQ3.2-gamma0", "gamma1"],
+)
+def test_pole_quantities_share_one_ten_sample_ladder(monkeypatch, quantity):
+    # Residue, gamma_0 and gamma_1 each take zeta(1 +- h, x) at
+    # h = 0.25 2^-k, k = 0..4, and nothing else.
+    seen = []
+    original = hurwitz.hurwitz_zeta
+
+    def counted(q):
+        seen.append(q.s)
+        return original(q)
+
+    monkeypatch.setattr(hurwitz, "hurwitz_zeta", counted)
+    quantity(0.3)
+    steps = [0.25 * 2.0**-k for k in range(5)]
+    assert sorted(seen) == sorted([1.0 + h for h in steps] + [1.0 - h for h in steps])
 
 
 def test_result_invariants():

@@ -152,6 +152,15 @@ def test_verify_all_coarse_grid():
     assert len(coarse.points) < len(fine.points)
 
 
+@pytest.mark.parametrize("density", [99, 120])
+def test_dense_grids_pass_every_case(density):
+    # These grids put the regularized limits at x = 0.01, 0.99 and
+    # 1/121, 120/121, inside trig_dirichlet_sum's range.
+    report = verify_all(grid_density=density)
+    assert report.cases_run == len(registry()) == 29
+    assert report.cases_passed == report.cases_run
+
+
 def test_reports_are_sorted_by_case_id():
     report = verify_all(grid_density=3)
     ids = [c.case_id for c in report.cases]

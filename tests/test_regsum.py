@@ -16,7 +16,6 @@ from oracles import (
 from zetalim import (
     ConvergenceError,
     DomainError,
-    ExtrapolationPath,
     TrigSeriesSpec,
     registry,
     regularized_limit,
@@ -60,17 +59,6 @@ def test_spec_validation():
         TrigSeriesSpec(0.3, "sine", "unit", scale="pi_n")
     with pytest.raises(DomainError):
         TrigSeriesSpec(0.3, "sine", "log_n", parity="odd_only")
-
-
-def test_path_offsets():
-    p = ExtrapolationPath()
-    assert len(p.offsets) == 9
-    assert p.offsets[0] == 0.25
-    assert p.offsets[-1] == 0.25 * 2.0**-8
-    with pytest.raises(DomainError):
-        ExtrapolationPath(h0=0.3)
-    with pytest.raises(DomainError):
-        ExtrapolationPath(depth=4)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.25, 0.5])
@@ -202,10 +190,9 @@ def test_scale_is_immaterial_in_the_limit():
 
 
 def test_neville_corrections_shrink_along_the_ladder():
-    from zetalim.extrapolate import neville_zero
+    from zetalim.extrapolate import LADDER, neville_zero
 
-    path = ExtrapolationPath()
-    hs = list(path.offsets)
+    hs = list(LADDER)
     vs = [
         trig_dirichlet_sum(
             TrigSeriesSpec(0.5, "cosine", "log_n", s=1.0 - h,
@@ -299,19 +286,20 @@ def test_closed_form_values_at_quarter():
     assert _closed_form(0.5, "4.23") == pytest.approx(0.5, abs=1e-15)
 
 
-def test_limit_with_custom_path():
-    path = ExtrapolationPath(h0=0.125, depth=7)
-    got = regularized_limit(0.25, "sine", "unit", path=path).value
-    assert got == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(DomainError):
-        regularized_limit(0.25, "sine", "unit", s_target=0.5, path=path)
+def test_limit_target_must_be_zero_or_one():
+    for ladder in (False, True):
+        with pytest.raises(DomainError):
+            regularized_limit(0.25, "sine", "unit", s_target=0.5, ladder=ladder)
 
 
 def test_limit_domain_guard():
-    with pytest.raises(DomainError):
-        regularized_limit(0.005, "sine", "unit")
-    with pytest.raises(DomainError):
-        regularized_limit(0.999, "sine", "unit")
+    # Limits share trig_dirichlet_sum's range: x outside (0, 1) is a
+    # domain error, and a master sum that cannot reach 1e-8 raises.
+    for x in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            regularized_limit(x, "sine", "unit")
+    with pytest.raises(ConvergenceError):
+        regularized_limit(1e-4, "sine", "log_n")
 
 
 def test_deninger_series():
@@ -370,22 +358,34 @@ def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
     # rounding noise in the Euler tail moved its samples.
     got = regularized_limit(x, trig, "unit", parity)
     assert abs(got.value - _closed_form(x, case_id)) <= got.err_estimate + 1e-13
-    ladder = regularized_limit(x, trig, "unit", parity, path=ExtrapolationPath())
+    ladder = regularized_limit(x, trig, "unit", parity, ladder=True)
     assert math.isfinite(ladder.value)
 
 
-@pytest.mark.parametrize("x", [0.0101, 0.011, 0.05, 0.3, 0.95, 0.9899])
+@pytest.mark.parametrize(
+    "x", [5e-4, 1e-3, 5e-3, 0.0101, 0.011, 0.05, 0.3, 0.95, 0.9899, 0.995, 0.999, 0.9995]
+)
 @pytest.mark.parametrize("parity", ["all_n", "alternating"])
 @pytest.mark.parametrize("weight", ["log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
 @pytest.mark.parametrize("trig", ["sine", "cosine"])
 def test_limit_error_estimate_is_honest(x, parity, weight, trig):
     # At s = 1 the log-weighted tails have forward differences far below
-    # the rounding of ln N; the estimate has to cover that floor.
-    got = regularized_limit(x, trig, weight, parity)
+    # the rounding of ln N; the estimate has to cover that floor.  The
+    # alternating oracle takes the engine's own phase: for x >= 1/2 that
+    # is (x - 1)/2, exact where (x + 1)/2 rounds (by up to 3e-10 in the sum
+    # at x = 0.999).
     if parity == "all_n":
-        want = mp_weighted_sum(x, 1.0, weight, trig)
+        y, sign = x, 1.0
     else:
-        want = -mp_weighted_sum((x + 1.0) / 2.0, 1.0, weight, trig)
+        y, sign = (x - 1.0) / 2.0 if x >= 0.5 else (x + 1.0) / 2.0, -1.0
+    if abs(y - round(y)) < 3.7e-4:
+        # Past trig_dirichlet_sum's range (x = 0.9995 alternating, phase
+        # -2.5e-4) the limit raises instead of returning a guess.
+        with pytest.raises(ConvergenceError):
+            regularized_limit(x, trig, weight, parity)
+        return
+    got = regularized_limit(x, trig, weight, parity)
+    want = sign * mp_weighted_sum(y, 1.0, weight, trig)
     assert abs(got.value - want) <= 2.0 * got.err_estimate + 1e-13
     assert got.method_tag == "euler-at-target"
 
@@ -400,11 +400,10 @@ def test_limit_error_estimate_is_honest(x, parity, weight, trig):
 def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
     from zetalim import default_x_grid
 
-    path = ExtrapolationPath()
     for x in default_x_grid(9):
         for trig in ("sine", "cosine"):
             direct = regularized_limit(x, trig, weight, parity, scale, s_target)
-            ladder = regularized_limit(x, trig, weight, parity, scale, s_target, path=path)
+            ladder = regularized_limit(x, trig, weight, parity, scale, s_target, ladder=True)
             assert ladder.method_tag == "neville-osc"
             bound = 2.0 * (direct.err_estimate + ladder.err_estimate) + 1e-12
             assert abs(direct.value - ladder.value) <= bound, (x, trig)
