@@ -76,14 +76,13 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
 
 def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     n_cut = _EM_CUTOFF
-    terms: list[float] = []
-    for n in range(n_cut):
-        t = (n + x) ** (-s)
-        if m == 0:
-            terms.append(t)
-        else:
-            lg = math.log(n + x)
-            terms.append(-lg * t if m == 1 else lg * lg * t)
+    if m == 0:
+        terms = [(n + x) ** (-s) for n in range(n_cut)]
+    elif m == 1:
+        terms = [-math.log(n + x) * (n + x) ** (-s) for n in range(n_cut)]
+    else:
+        terms = [lg * lg * (n + x) ** (-s)
+                 for n in range(n_cut) for lg in [math.log(n + x)]]
 
     a = n_cut + x
     lga = math.log(a)
@@ -102,25 +101,30 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
         )
 
     # Bernoulli corrections c_k * P_k(s) * a^{-s-2k+1} with the rising
-    # product P_k(s) = s (s+1) ... (s+2k-2) and its s-derivatives
-    # propagated by the product rule.
+    # product P_k(s) = s (s+1) ... (s+2k-2).  For m >= 1 its
+    # s-derivatives are propagated by the product rule; m = 0 reads
+    # only P_k(s) and skips them.
     p, dp, ddp = 1.0, 0.0, 0.0
     j = 0
-    for k in range(1, _EM_ORDER + 1):
-        while j <= 2 * k - 2:
-            f = s + j
-            ddp = ddp * f + 2.0 * dp
-            dp = dp * f + p
-            p = p * f
-            j += 1
-        e = a ** (-s - 2 * k + 1)
-        c = _EM_COEF[k - 1]
-        if m == 0:
-            terms.append(c * p * e)
-        elif m == 1:
-            terms.append(c * (dp - lga * p) * e)
-        else:
-            terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
+    if m == 0:
+        for k, c in enumerate(_EM_COEF, 1):
+            while j <= 2 * k - 2:
+                p = p * (s + j)
+                j += 1
+            terms.append(c * p * a ** (-s - 2 * k + 1))
+    else:
+        for k, c in enumerate(_EM_COEF, 1):
+            while j <= 2 * k - 2:
+                f = s + j
+                ddp = ddp * f + 2.0 * dp
+                dp = dp * f + p
+                p = p * f
+                j += 1
+            e = a ** (-s - 2 * k + 1)
+            if m == 1:
+                terms.append(c * (dp - lga * p) * e)
+            else:
+                terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
     value = math.fsum(terms)
     err = abs(terms[-1]) + 1e-18

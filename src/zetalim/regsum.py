@@ -31,7 +31,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import sub
 from typing import Tuple
 
@@ -100,12 +100,31 @@ _LOG_WEIGHTS = {
 }
 
 
+def _differences(d):
+    """Delta^k d[0] for k = 1, ..., len(d) - 1, one per step, lazily.
+
+    Keeps the anti-diagonal D^j d[k-j], j = 0..k, and extends it by one
+    entry per step, D^(j+1) d[k-j] = D^j d[k+1-j] - D^j d[k-j]: step k
+    takes k subtractions, each the same subtraction of the same
+    operands as in the full difference table.
+    """
+    diag = d[:1]
+    for x in islice(d, 1, None):
+        diag = list(accumulate(diag, sub, initial=x))
+        yield diag[-1]
+
+
 @functools.lru_cache(maxsize=64)
 def _plain_tables(s: float, weight: str, n_direct: int):
     """The y-independent part of a plain master sum of n_direct terms:
     the head's n < N as floats and its coefficients c(n), their sum
-    (every weight is >= 0 for n >= 1, so that is sum |c|), the tail
-    offsets d, their rounding floor and c(N)."""
+    (every weight is >= 0 for n >= 1, so that is sum |c|), the tail's
+    forward differences Delta^k d[0], k >= 1, of the offsets d(j) =
+    c(N + j) - c(N), their rounding floor and c(N).
+
+    The differences run up to and including the first sweep k at which
+    |Delta^k d[0]| sinks below the floor doubled k times, where the
+    transform stops whatever y is, or to sweep _SWEEPS - 1."""
     e = s - 1.0
     n0 = float(n_direct)
     ns = tuple([float(n) for n in range(1, n_direct)])
@@ -125,9 +144,15 @@ def _plain_tables(s: float, weight: str, n_direct: int):
         b = [l * (1.0 + x) for l, x in zip(lj, ej)]
         offsets = [u + v for u, v in zip(a, b)]
         size = [abs(u) + abs(v) for u, v in zip(a, b)]
-    d = tuple([p * o for o in offsets])
     floor = _OFFSET_ROUNDING * p * max(size)
-    return ns, coeff, math.fsum(coeff), d, floor, p * w0
+    diffs = []
+    bound = floor
+    for delta in islice(_differences([p * o for o in offsets]), _SWEEPS - 1):
+        diffs.append(delta)
+        bound *= 2.0
+        if abs(delta) <= bound:
+            break
+    return ns, coeff, math.fsum(coeff), tuple(diffs), floor, p * w0
 
 
 def _master_sum(
@@ -148,12 +173,10 @@ def _master_sum(
     3.9 ulps, and at s <= -1, where err is a few ulps itself, the error
     reaches 4.8x err.
 
-    Sweep k needs only the k-th forward difference at 0.  The loop
-    keeps the anti-diagonal D^j d[k-j], j = 0..k, and extends it by one
-    entry per sweep, D^(j+1) d[k-j] = D^j d[k+1-j] - D^j d[k-j], so
-    differences are taken only as far as the loop goes: one subtraction
-    at sweep 1, k at sweep k.  Each entry is the same subtraction of
-    the same operands as in the full difference table.
+    Sweep k needs only the k-th forward difference at 0, which
+    _differences takes from one anti-diagonal with k subtractions, each
+    the same as in the full difference table.  The loop multiplies it
+    by mu^k and tests its exits.
 
     With block = 1 the head is scalar: c(n) z^n added in order of n,
     each c(n) from a table that depends on (s, w, N) only and is built
@@ -163,8 +186,11 @@ def _master_sum(
     carry rounding of the offsets' size, not of c(N)'s.  That floor
     doubles with each difference; once a difference sinks below it the
     transform has nothing left to resolve and stops, reporting the
-    floor.  Next to y = 0 or 1, where |mu| reaches 16-32 inside the
-    edge band, each term multiplies the floor's share by 2|mu|.
+    floor.  Neither the differences nor the floor depend on y, so the
+    table holds the differences up to that stop, taken once per key,
+    and a call takes none.  Next to y = 0 or 1, where |mu| reaches
+    16-32 inside the edge band, each term multiplies the floor's share
+    by 2|mu|.
 
     With block = B > 1 the transform runs on the block sums
     C(q) = sum_{r<B} c(N + qB + r) z^r with ratio z^B/(1-z^B).  For
@@ -197,7 +223,7 @@ def _master_sum(
 
     n0 = float(n_direct)
     if block == 1:
-        ns, coeff, abs_head, d, floor, first = _plain_tables(s, weight, n_direct)
+        ns, coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
         # 2 pi frac(n), written out: a call per term would cost a fifth
         # of the head.
         angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
@@ -225,7 +251,10 @@ def _master_sum(
         starts = start + block * np.arange(h, dtype=np.float64)
         head = complex((sums[:h] * phases(starts)).sum())
         abs_head = float(size[:h].sum())
+        # The block sums depend on y: their differences are taken as the
+        # loop reaches them.
         d = sums[h:].tolist()
+        diffs = _differences(d)
         floor = _OFFSET_ROUNDING * float(size[h:].max())
         first, ratio = d[0], phase(float(block))
 
@@ -238,23 +267,23 @@ def _master_sum(
     # Through 1/(1 - ratio) and mu^k, a rounding delta of the ratio moves
     # term k by about (k + 1)|term k| delta/|1 - ratio|.
     spread = incs[0]
-    diag = d[:1]
-    for k in range(1, _SWEEPS):
-        diag = list(accumulate(diag, sub, initial=d[k]))
+    for k, delta in zip(range(1, _SWEEPS), diffs):
         mupow *= mu
         floor *= 2.0
         noise += abs(mupow) * floor
-        if abs(diag[-1]) <= floor:
+        if abs(delta) <= floor:
             # Only rounding noise is left: the floor is the error.
             incs.append(0.0)
             break
-        term = mupow * diag[-1]
+        term = mupow * delta
         tail += term
-        incs.append(abs(term))
-        spread += (k + 1) * incs[-1]
-        if len(incs) >= 3 and incs[-1] < 1e-17 * (abs(tail) + 1.0):
+        inc = abs(term)
+        incs.append(inc)
+        spread += (k + 1) * inc
+        # incs holds k + 1 increments.
+        if k >= 2 and inc < 1e-17 * (abs(tail) + 1.0):
             break
-        if len(incs) >= 6 and incs[-1] > incs[-2] > incs[-3]:
+        if k >= 5 and inc > incs[-2] > incs[-3]:
             # Transform started diverging; drop the growing term.
             tail -= term
             incs.pop()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Tuple
 
 from .result import ConvergenceError, DomainError
@@ -24,13 +25,17 @@ _SHIFT_THRESHOLD = 8.0
 
 def _bernoulli_fractions(count: int) -> Tuple[Fraction, ...]:
     # Defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
-    # solved exactly in rationals.
+    # solved exactly: the sum is taken in integers over the lcm L of the
+    # denominators so far, and B_m = -sum / ((m + 1) L) is reduced once.
     vals = [Fraction(1)]
+    lcm = 1
     for m in range(1, count):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * vals[j]
-        vals.append(-acc / (m + 1))
+        acc = sum(
+            math.comb(m + 1, j) * b.numerator * (lcm // b.denominator)
+            for j, b in enumerate(vals)
+        )
+        vals.append(Fraction(-acc, (m + 1) * lcm))
+        lcm = math.lcm(lcm, vals[-1].denominator)
     return tuple(vals)
 
 
@@ -41,9 +46,7 @@ _TABLE = _bernoulli_fractions(33)
 _B2J = tuple(float(_TABLE[2 * j]) for j in range(1, 8))
 
 # Harmonic numbers H_1 .. H_16 (used by Stieltjes tail closures).
-HARMONIC = tuple(
-    float(sum(Fraction(1, i) for i in range(1, m + 1))) for m in range(1, 17)
-)
+HARMONIC = tuple(float(h) for h in accumulate(Fraction(1, i) for i in range(1, 17)))
 
 
 def bernoulli(k: int) -> float:

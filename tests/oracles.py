@@ -4,9 +4,10 @@ Everything here is computed by mpmath (or plain quadrature) through
 representations that share no code with the package: the package sums
 real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
-finite differences.  The one exception is `full_table_master_sum`, the
-engine's master sum as it was before a rewrite that had to keep its
-output bit for bit; it is kept to check exactly that.
+finite differences.  The exceptions are `full_table_master_sum` and
+`product_rule_euler_maclaurin`, engines as they were before rewrites
+that had to keep their output bit for bit; they are kept to check
+exactly that.
 """
 from __future__ import annotations
 
@@ -132,6 +133,54 @@ def brute_partial_trig(x: float, s: float, trig: str, terms: int) -> float:
     return acc
 
 
+def _scalar_weight(n: float, weight: str) -> float:
+    from zetalim import regsum
+
+    if weight == "unit":
+        return 1.0
+    if weight == "log_n":
+        return math.log(n)
+    if weight == "log_2pi_n":
+        return math.log(2.0 * math.pi * n)
+    return regsum.EULER_GAMMA + math.log(2.0 * math.pi * n)
+
+
+def plain_tail_offsets(s: float, weight: str, n_direct: int):
+    """The plain route's tail as `full_table_master_sum` forms it: the
+    offsets d(j) = c(N + j) - c(N), j = 0.._SWEEPS + 1, their rounding
+    floor and c(N)."""
+    from zetalim import regsum
+
+    n0 = float(n_direct)
+    lj = [math.log1p(j / n0) for j in range(regsum._SWEEPS + 2)]
+    ej = [math.expm1((s - 1.0) * v) for v in lj]
+    p = n0 ** (s - 1.0)
+    w0 = _scalar_weight(n0, weight)
+    if weight == "unit":
+        offsets, size = ej, [abs(e) for e in ej]
+    else:
+        a = [w0 * e for e in ej]
+        b = [v * (1.0 + e) for v, e in zip(lj, ej)]
+        offsets = [u + v for u, v in zip(a, b)]
+        size = [abs(u) + abs(v) for u, v in zip(a, b)]
+    d = [p * o for o in offsets]
+    return d, regsum._OFFSET_ROUNDING * p * max(size), p * w0
+
+
+def _difference_rows(d):
+    """The rows d, Delta d, Delta^2 d, ... of the full forward-difference
+    table, each rebuilt whole from the one before."""
+    while d:
+        yield d
+        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+
+
+def difference_column(d, count: int):
+    """Delta^k d[0] for k < count: the first column of the table that
+    `full_table_master_sum` rebuilds row by row."""
+    return [row[0] for row, _ in zip(_difference_rows(d), range(count))]
+
+
 def full_table_master_sum(
     y: float, s: float, weight: str, n_direct: int, block: int = 1
 ):
@@ -162,15 +211,6 @@ def full_table_master_sum(
             return np.log(2.0 * math.pi * narr)
         return regsum.EULER_GAMMA + np.log(2.0 * math.pi * narr)
 
-    def scalar_weight(n):
-        if weight == "unit":
-            return 1.0
-        if weight == "log_n":
-            return math.log(n)
-        if weight == "log_2pi_n":
-            return math.log(2.0 * math.pi * n)
-        return regsum.EULER_GAMMA + math.log(2.0 * math.pi * n)
-
     sweeps = regsum._SWEEPS
     y = y - round(y)
     y_hi = round(y * 2**26) / 2**26
@@ -187,24 +227,12 @@ def full_table_master_sum(
     n0 = float(n_direct)
     if block == 1:
         ns = [float(n) for n in range(1, n_direct)]
-        coeff = [scalar_weight(n) * n ** (s - 1.0) for n in ns]
+        coeff = [_scalar_weight(n, weight) * n ** (s - 1.0) for n in ns]
         angles = [2.0 * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
         head = sum(cmath.rect(c, t) for c, t in zip(coeff, angles))
         abs_head = math.fsum(abs(c) for c in coeff)
-        lj = [math.log1p(j / n0) for j in range(sweeps + 2)]
-        ej = [math.expm1((s - 1.0) * v) for v in lj]
-        p = n0 ** (s - 1.0)
-        w0 = scalar_weight(n0)
-        if weight == "unit":
-            offsets, size = ej, [abs(e) for e in ej]
-        else:
-            a = [w0 * e for e in ej]
-            b = [v * (1.0 + e) for v, e in zip(lj, ej)]
-            offsets = [u + v for u, v in zip(a, b)]
-            size = [abs(u) + abs(v) for u, v in zip(a, b)]
-        d = [p * o for o in offsets]
-        floor = regsum._OFFSET_ROUNDING * p * max(size)
-        first, ratio = p * w0, z1
+        d, floor, first = plain_tail_offsets(s, weight, n_direct)
+        ratio = z1
     else:
         # The head as the engine forms it: the first h blocks of one
         # zero-padded sequence that ends its head at n = N.
@@ -230,8 +258,9 @@ def full_table_master_sum(
     noise = 0.0
     spread = incs[0]
     exit_kind = "sweeps"
-    for k in range(1, sweeps):
-        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+    rows = _difference_rows(d)
+    next(rows)
+    for k, d in zip(range(1, sweeps), rows):
         mupow *= mu
         floor *= 2.0
         noise += abs(mupow) * floor
@@ -254,3 +283,57 @@ def full_table_master_sum(
     drift = regsum._RATIO_ROUNDING * spread / abs(1.0 - ratio)
     err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
     return head + tail, err, exit_kind
+
+
+def product_rule_euler_maclaurin(s: float, x: float, m: int):
+    """`hurwitz._euler_maclaurin` as it was before its m = 0 route
+    dropped the derivative chain: one loop for every m, the head term by
+    term, and the rising product P_k(s) with its s-derivatives always
+    propagated by the product rule.  Returns value, error estimate and
+    terms used, which tests compare with the engine's under `==`."""
+    from zetalim import hurwitz
+
+    n_cut = hurwitz._EM_CUTOFF
+    order = hurwitz._EM_ORDER
+    terms = []
+    for n in range(n_cut):
+        t = (n + x) ** (-s)
+        if m == 0:
+            terms.append(t)
+        else:
+            lg = math.log(n + x)
+            terms.append(-lg * t if m == 1 else lg * lg * t)
+
+    a = n_cut + x
+    lga = math.log(a)
+    pw = a ** (-s)
+    sm1 = s - 1.0
+    if m == 0:
+        terms += (pw * a / sm1, 0.5 * pw)
+    elif m == 1:
+        terms += (-pw * a * (lga / sm1 + 1.0 / sm1**2), -0.5 * lga * pw)
+    else:
+        terms += (
+            pw * a * (lga**2 / sm1 + 2.0 * lga / sm1**2 + 2.0 / sm1**3),
+            0.5 * lga * lga * pw,
+        )
+
+    p, dp, ddp = 1.0, 0.0, 0.0
+    j = 0
+    for k in range(1, order + 1):
+        while j <= 2 * k - 2:
+            f = s + j
+            ddp = ddp * f + 2.0 * dp
+            dp = dp * f + p
+            p = p * f
+            j += 1
+        e = a ** (-s - 2 * k + 1)
+        c = hurwitz._EM_COEF[k - 1]
+        if m == 0:
+            terms.append(c * p * e)
+        elif m == 1:
+            terms.append(c * (dp - lga * p) * e)
+        else:
+            terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
+
+    return math.fsum(terms), abs(terms[-1]) + 1e-18, n_cut + order + 2

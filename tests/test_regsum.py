@@ -9,8 +9,10 @@ from oracles import (
     HALF_LOG_HALF_PI,
     K_LOG_COS_LIMIT_AT_03,
     brute_partial_trig,
+    difference_column,
     full_table_master_sum,
     mp_weighted_sum,
+    plain_tail_offsets,
     psi_formula_target,
 )
 from zetalim import (
@@ -512,6 +514,40 @@ def test_master_sum_matches_the_full_difference_table(seed):
         exits[min(block, 7)].add(exit_kind)
     for block, seen in exits.items():
         assert {"floor", "small", "diverge"} <= seen, (block, seen)
+
+
+@pytest.mark.parametrize(
+    "s, weight, n_direct",
+    [(0.0, "unit", 64), (1.0, "unit", 64), (0.5, "log_n", 64), (1.0, "log_n", 128),
+     (-2.0, "log_2pi_n", 16), (0.0, "gamma_plus_log_2pi_n", 256)],
+)
+def test_plain_master_sum_takes_its_differences_once_per_key(monkeypatch, s, weight, n_direct):
+    # The tail's differences do not depend on y: a call on a warm key
+    # takes none, and the table holds the full table's first column up
+    # to the sweep at which the loop's floor test stops it.
+    from zetalim import regsum
+
+    regsum._master_sum(0.3, s, weight, n_direct)
+    calls = []
+    real = regsum.accumulate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regsum, "accumulate", counted)
+    for y in (0.3, 0.41, 0.77):
+        regsum._master_sum(y, s, weight, n_direct)
+    assert calls == []
+
+    diffs = regsum._plain_tables(s, weight, n_direct)[3]
+    d, floor, _ = plain_tail_offsets(s, weight, n_direct)
+    column = difference_column(d, regsum._SWEEPS)
+    stop = next(
+        (k for k in range(1, regsum._SWEEPS) if abs(column[k]) <= floor * 2.0**k),
+        regsum._SWEEPS - 1,
+    )
+    assert list(diffs) == column[1 : stop + 1]
 
 
 def test_edge_series_raises_beyond_the_blocked_range():

@@ -39,6 +39,15 @@ def test_bernoulli_table_covers_order_16():
     assert float(table[32]) == pytest.approx(float(mp.bernoulli(32)), rel=1e-15)
 
 
+def test_bernoulli_table_is_exact():
+    from fractions import Fraction
+
+    table = bernoulli_table()
+    for k in range(33):
+        assert type(table[k]) is Fraction
+        assert table[k] == Fraction(*mp.bernfrac(k)), k
+
+
 def test_bernoulli_rejects_negative_index():
     with pytest.raises(DomainError):
         bernoulli(-1)
