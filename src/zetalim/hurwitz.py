@@ -2,24 +2,31 @@
 
 The primary evaluator is Euler-Maclaurin with every term differentiated
 analytically in s, so the m = 1, 2 outputs carry no finite-difference
-noise.  An independent route sums the globally convergent binomial
-double series; the two routes share no code beyond float arithmetic and
-are used as mutual oracles.
+noise; at s = 0, -1, ..., -31 with m = 0 the Bernoulli polynomial
+gives the value exactly.  An independent route sums the globally
+convergent binomial double series; the two routes share no code beyond
+float arithmetic and are used as mutual oracles.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import sub
 
 from .extrapolate import LADDER, neville_zero
 from .result import ConvergenceError, DomainError, EvalResult, PoleError
-from .special import bernoulli
+from .special import bernoulli, bernoulli_table
 
 _POLE_RADIUS = 1e-8
-_EM_CUTOFF = 30
+_EM_CUTOFF = 6
 _EM_ORDER = 12
+# Rounding of the terms, per unit of sum |terms| that cancels in the
+# value: each term is formed within a few ulps, 2 eps, and the power
+# (n + x)^(-s) magnifies the rounding of n + x to binary64 |s| times,
+# |s|/2 eps.
+_EPS = 2.0**-52
 # Ladder steps sampled on each side of the pole.
 _POLE_STEPS = 5
 
@@ -51,13 +58,18 @@ class HurwitzQuery:
 def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
     """Euler-Maclaurin evaluation of d^m/ds^m zeta(s, x).
 
-    Direct sum to n = N-1 with N + x >= 30; pole, boundary and 12
-    Bernoulli correction pairs appended, each differentiated in closed
-    form.  err_estimate is the magnitude of the final correction term
-    for the requested derivative order (truncation estimate; rounding
-    of the direct sum is not included).  A sum that leaves the binary64
-    range (large |s|, e.g. s = -400 at x = 0.5, or terms of both signs
-    overflowing to +-inf) raises ConvergenceError.
+    Direct sum to n = N-1 with N = 6; pole, boundary and 12 Bernoulli
+    correction pairs appended, each differentiated in closed form.
+    err_estimate is the magnitude of the final correction term for the
+    requested derivative order (truncation) plus (2 + |s|/2) eps times
+    the part of sum |terms| that cancels (rounding of the terms; the
+    last rounding of the value is not counted).
+    At s = 0, -1, ..., -31 with m = 0 the value is the exact
+    -B_{n+1}(x)/(n+1), correctly rounded, claiming half an ulp.
+    A result without a significant digit, err_estimate >= max(1,
+    |value|), raises ConvergenceError, and so does a sum that leaves
+    the binary64 range (large |s|, e.g. s = -400 at x = 0.5, or terms
+    of both signs overflowing to +-inf).
     """
     s, x, m = q.s, q.x, q.m
     if abs(s - 1.0) < _POLE_RADIUS:
@@ -66,12 +78,43 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
             "use the Stieltjes expansion instead"
         )
     try:
+        if m == 0 and -32.0 < s <= 0.0 and s == int(s):  # the table holds B_0 .. B_32
+            return _bernoulli_polynomial(-int(s), x)
         r = _euler_maclaurin(s, x, m)
-        if math.isfinite(r.value) and math.isfinite(r.err_estimate):
+        if math.isfinite(r.value) and r.err_estimate < max(1.0, abs(r.value)):
             return r
     except (OverflowError, ValueError):  # fsum raises ValueError on -inf + inf
         pass
-    raise ConvergenceError(f"Euler-Maclaurin sum overflows binary64 at s = {s}, x = {x}")
+    raise ConvergenceError(
+        f"Euler-Maclaurin sum keeps no significant digit in binary64 at s = {s}, x = {x}"
+    )
+
+
+@cache
+def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
+    """(L, (L B_0, ..., L B_32)): the Bernoulli table over the lcm L of
+    its denominators, built on first use."""
+    table = bernoulli_table()
+    big_l = math.lcm(*[b.denominator for b in table])
+    return big_l, tuple(b.numerator * (big_l // b.denominator) for b in table)
+
+
+def _bernoulli_polynomial(n: int, x: float) -> EvalResult:
+    """zeta(-n, x) = -B_{n+1}(x)/(n+1) for 0 <= n <= 31, exactly.
+
+    With x = p/q and B_k = M_k/L, L q^(n+1) B_{n+1}(x) is the integer
+    sum_k C(n+1, k) M_k q^k p^(n+1-k), taken by Horner in p; one int/int
+    true division rounds the value correctly.
+    """
+    p, q = x.as_integer_ratio()
+    big_l, num = _bernoulli_numerators()
+    d = n + 1
+    acc, qk = 0, 1
+    for k in range(d + 1):
+        acc = acc * p + math.comb(d, k) * num[k] * qk
+        qk *= q
+    value = -acc / (d * big_l * q**d)
+    return EvalResult(value, 0.5 * math.ulp(value), d + 1, "bernoulli")
 
 
 def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
@@ -92,13 +135,16 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     sm1 = s - 1.0
     if m == 0:
         terms += (pw * a / sm1, 0.5 * pw)
-    elif m == 1:
-        terms += (-pw * a * (lga / sm1 + 1.0 / sm1**2), -0.5 * lga * pw)
     else:
-        terms += (
-            pw * a * (lga**2 / sm1 + 2.0 * lga / sm1**2 + 2.0 / sm1**3),
-            0.5 * lga * lga * pw,
-        )
+        # The pole piece's s-derivative is a sum whose parts alternate
+        # in sign at s < 1; each is a term of its own, so that fsum
+        # adds them exactly and the rounding term sees their sizes.
+        pa = pw * a / sm1
+        if m == 1:
+            terms += (-pa * lga, -pa / sm1, -0.5 * lga * pw)
+        else:
+            terms += (pa * lga * lga, 2.0 * pa * lga / sm1, 2.0 * pa / sm1**2,
+                      0.5 * lga * lga * pw)
 
     # Bernoulli corrections c_k * P_k(s) * a^{-s-2k+1} with the rising
     # product P_k(s) = s (s+1) ... (s+2k-2).  For m >= 1 its
@@ -127,7 +173,8 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
                 terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
     value = math.fsum(terms)
-    err = abs(terms[-1]) + 1e-18
+    cancelled = sum(map(abs, terms)) - abs(value)
+    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * _EPS * cancelled
     return EvalResult(
         value=value,
         err_estimate=err,

@@ -1,8 +1,6 @@
 """Shared result container and error types."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class DomainError(ValueError):
     """Argument outside the supported domain (e.g. x <= 0)."""
@@ -16,26 +14,34 @@ class ConvergenceError(ArithmeticError):
     """A series or transform failed to reach its accuracy target."""
 
 
-@dataclass(frozen=True)
 class EvalResult:
     """Numeric result with an a-posteriori error estimate.
 
     value: the computed quantity.
-    err_estimate: absolute error estimate derived from the last
-        correction or transform increment of the algorithm that
-        produced the value.  It is a truncation estimate, not a
-        rigorous bound on binary64 rounding.
+    err_estimate: absolute error estimate: the last correction or
+        transform increment of the algorithm that produced the value,
+        plus, where the algorithm says so, the rounding of its terms.
+        It is an estimate, not a rigorous bound.
     terms_used: number of series terms / nodes consumed (>= 1).
     method_tag: short label of the algorithm.
+
+    A plain slots class: building one is about a quarter of the cost
+    of a frozen dataclass, and no caller compares or hashes results.
     """
 
-    value: float
-    err_estimate: float
-    terms_used: int
-    method_tag: str
+    __slots__ = ("value", "err_estimate", "terms_used", "method_tag")
 
-    def __post_init__(self) -> None:
-        if self.err_estimate < 0.0:
+    def __init__(self, value: float, err_estimate: float, terms_used: int,
+                 method_tag: str) -> None:
+        if err_estimate < 0.0:
             raise ValueError("err_estimate must be >= 0")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise ValueError("terms_used must be >= 1")
+        self.value = value
+        self.err_estimate = err_estimate
+        self.terms_used = terms_used
+        self.method_tag = method_tag
+
+    def __repr__(self) -> str:
+        return (f"EvalResult(value={self.value!r}, err_estimate={self.err_estimate!r}, "
+                f"terms_used={self.terms_used!r}, method_tag={self.method_tag!r})")

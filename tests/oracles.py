@@ -289,8 +289,9 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
     """`hurwitz._euler_maclaurin` as it was before its m = 0 route
     dropped the derivative chain: one loop for every m, the head term by
     term, and the rising product P_k(s) with its s-derivatives always
-    propagated by the product rule.  Returns value, error estimate and
-    terms used, which tests compare with the engine's under `==`."""
+    propagated by the product rule.  Its pole piece and error estimate
+    follow the engine's, line for line.  Returns value, error estimate
+    and terms used, which tests compare with the engine's under `==`."""
     from zetalim import hurwitz
 
     n_cut = hurwitz._EM_CUTOFF
@@ -310,13 +311,16 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
     sm1 = s - 1.0
     if m == 0:
         terms += (pw * a / sm1, 0.5 * pw)
-    elif m == 1:
-        terms += (-pw * a * (lga / sm1 + 1.0 / sm1**2), -0.5 * lga * pw)
     else:
-        terms += (
-            pw * a * (lga**2 / sm1 + 2.0 * lga / sm1**2 + 2.0 / sm1**3),
-            0.5 * lga * lga * pw,
-        )
+        # The pole piece's s-derivative is a sum whose parts alternate
+        # in sign at s < 1; each is a term of its own, so that fsum
+        # adds them exactly and the rounding term sees their sizes.
+        pa = pw * a / sm1
+        if m == 1:
+            terms += (-pa * lga, -pa / sm1, -0.5 * lga * pw)
+        else:
+            terms += (pa * lga * lga, 2.0 * pa * lga / sm1, 2.0 * pa / sm1**2,
+                      0.5 * lga * lga * pw)
 
     p, dp, ddp = 1.0, 0.0, 0.0
     j = 0
@@ -336,4 +340,7 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
         else:
             terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
-    return math.fsum(terms), abs(terms[-1]) + 1e-18, n_cut + order + 2
+    value = math.fsum(terms)
+    cancelled = sum(map(abs, terms)) - abs(value)
+    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * hurwitz._EPS * cancelled
+    return value, err, n_cut + order + 2

@@ -5,11 +5,14 @@ against an independent high-precision reference: the few ulps allow for
 the final rounding of the value, not for an estimate that leaves out a
 source of error.
 """
+import math
 import random
 
 import pytest
 
-from oracles import mp_gamma1_reflection_diff, mp_stieltjes0, mp_stieltjes1
+from oracles import mp_gamma1_reflection_diff, mp_stieltjes0, mp_stieltjes1, mp_zeta
+from zetalim import HurwitzQuery, hurwitz_zeta, quadrature_zeta2_integral
+from zetalim.result import ConvergenceError
 from zetalim.stieltjes import (
     StieltjesQuery,
     gamma1_finite_difference,
@@ -77,3 +80,41 @@ def test_gamma1_finite_difference_error_estimate_is_honest(x):
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )
+
+
+# Seeded s in [-2, 12] (outside 1 +- 1e-6), x log-uniform over [0.01, 50],
+# m cycling through 0, 1, 2; then the grid below s = -2, where the terms
+# grow like (N + x)^(1-s) and cancel, so points may raise instead.
+_rng_zeta = random.Random(1601)
+HURWITZ_POINTS = []
+while len(HURWITZ_POINTS) < 300:
+    _s = _rng_zeta.uniform(-2.0, 12.0)
+    if abs(_s - 1.0) >= 1e-6:
+        _x = math.exp(_rng_zeta.uniform(math.log(0.01), math.log(50.0)))
+        HURWITZ_POINTS.append((_s, _x, len(HURWITZ_POINTS) % 3))
+HURWITZ_POINTS += [
+    (s, x, m)
+    for s in (-3.3, -5.0, -5.5, -10.0, -20.0, -20.5, -30.5)
+    for x in (0.05, 0.3, 1.0, 10.0)
+    for m in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("s, x, m", HURWITZ_POINTS)
+def test_hurwitz_zeta_error_estimate_is_honest(s, x, m):
+    try:
+        res = hurwitz_zeta(HurwitzQuery(s, x, m))
+    except ConvergenceError:
+        assert s < -2.0, "only the grid below s = -2 may find no significant digit"
+        return
+    ref = mp_zeta(s, x, m)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
+def test_quadrature_zeta2_integral_error_estimate_is_honest():
+    # The exact value is 0.  Each of the 16 nodes is a zeta''(0, u) whose
+    # Euler-Maclaurin terms cancel, so the claim is mostly their rounding.
+    res = quadrature_zeta2_integral()
+    assert abs(res.value) <= res.err_estimate + 4 * ULP, (res.value, res.err_estimate)

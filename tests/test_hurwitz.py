@@ -281,8 +281,10 @@ def test_hasse_keeps_its_digits_where_the_prefix_cancels(s, x):
     [(-185.93208121661354, 15.219553722904008), (-207.89101520727104, 0.05403002853975402)],
 )
 def test_em_terms_of_both_signs_overflowing_are_a_convergence_error(s, x):
-    # The m = 2 terms reach +inf and -inf without a float ** raising;
-    # fsum then refuses to add them.
+    # With a 30-term head the m = 2 terms reached +inf and -inf, which
+    # fsum refuses to add.  The six-term head keeps them finite, but
+    # their cancellation leaves an error estimate larger than the value:
+    # no significant digit, so still a ConvergenceError.
     with pytest.raises(ConvergenceError, match=rf"s = {s!r}, x = {x!r}"):
         hurwitz_zeta(HurwitzQuery(s, x, 2))
 
@@ -300,3 +302,28 @@ def test_em_matches_the_product_rule_loop_bit_for_bit(seed):
             r = hurwitz._euler_maclaurin(s, x, m)
             got = (r.value, r.err_estimate, r.terms_used)
             assert got == product_rule_euler_maclaurin(s, x, m), (s, x, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("s", [-2.5, 0.5, 3.0])
+def test_em_sums_twenty_terms(s, m):
+    # Deterministic cost guard: a six-term head, the pole and boundary
+    # pieces and 12 Bernoulli pairs.
+    assert hurwitz_zeta(HurwitzQuery(s, 0.3, m)).terms_used == 20
+
+
+@pytest.mark.parametrize("n", range(32))
+def test_nonpositive_integer_s_is_exact(n):
+    # zeta(-n, x) = -B_{n+1}(x)/(n+1), correctly rounded, claiming at most
+    # half an ulp.  200 digits carry the cancellation of B_{n+1}(x)'s
+    # terms (up to 60^32) down to its value.
+    rng = random.Random(3100 + n)
+    xs = [0.25, 0.3, 0.5, 1.0, 2.0, 10.0] + [
+        math.exp(rng.uniform(math.log(1e-3), math.log(60.0))) for _ in range(10)
+    ]
+    for x in xs:
+        r = hurwitz_zeta(HurwitzQuery(float(-n), x))
+        with mp.workdps(200):
+            want = float(-mp.bernpoly(n + 1, x) / (n + 1))
+        assert r.value == want, (x, r.value, want)
+        assert r.err_estimate <= 0.5 * math.ulp(r.value)

@@ -151,8 +151,8 @@ def test_module_entry_point_json_is_unchanged():
     assert out == (
         "{\n"
         '  "value": 1.6449340668482264,\n'
-        '  "err_estimate": 1.0000000000000045e-18,\n'
-        '  "terms_used": 44,\n'
+        '  "err_estimate": 6.556328692879256e-17,\n'
+        '  "terms_used": 20,\n'
         '  "method": "em"\n'
         "}\n"
     )
