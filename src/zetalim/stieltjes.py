@@ -10,35 +10,51 @@ g^{(m)}(t) = (-1)^m m! [ln t - H_m] / t^{m+1}:
     gamma_1(x) = sum_{n=0}^{N} g(n+x) - ln^2(N+x)/2 - g(N+x)/2
                  + sum_{k=1}^{K} B_{2k}/(2k) [ln A - H_{2k-1}] / A^{2k}
 
-with A = N + x, N = 50, K = 8.  A finite-difference route through the
-zeta evaluator serves as the independent cross-check.
+with A = N + x, N = 10, K = 8: at A >= 10 the first omitted correction
+is below 4e-18.  A finite-difference route through the zeta evaluator
+serves as the independent cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .hurwitz import _POLE_STEPS, HurwitzQuery, _pole_limit, hurwitz_zeta
+from .hurwitz import _EPS, _POLE_STEPS, HurwitzQuery, _pole_limit, hurwitz_zeta
 from .result import ConvergenceError, DomainError, EvalResult
 from .special import HARMONIC, bernoulli, digamma
 
-_G1_CUTOFF = 50
+_G1_CUTOFF = 10
 _G1_ORDER = 8
 
 # B_{2k} / (2k) for k = 1 .. 8
 _TAIL_COEF = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, _G1_ORDER + 1))
 
 
-@dataclass(frozen=True)
 class StieltjesQuery:
-    n: int
-    x: float
+    """Evaluation request: gamma_n(x) for n in {0, 1} at finite x > 0.
 
-    def __post_init__(self) -> None:
-        if self.n not in (0, 1):
-            raise DomainError(f"Stieltjes index must be 0 or 1, got {self.n}")
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise DomainError(f"stieltjes_gamma requires finite x > 0, got {self.x}")
+    A plain slots class, compared and hashed by (n, x).
+    """
+
+    __slots__ = ("n", "x")
+
+    def __init__(self, n: int, x: float) -> None:
+        if n not in (0, 1):
+            raise DomainError(f"Stieltjes index must be 0 or 1, got {n}")
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainError(f"stieltjes_gamma requires finite x > 0, got {x}")
+        self.n = n
+        self.x = x
+
+    def __repr__(self) -> str:
+        return f"StieltjesQuery(n={self.n!r}, x={self.x!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.x) == (other.n, other.x)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.x))
 
 
 def _g(t: float) -> float:
@@ -46,22 +62,30 @@ def _g(t: float) -> float:
 
 
 def _tail_closure(a: float) -> tuple[float, float]:
-    """Closed tail past the cutoff: value and last correction term."""
+    """Closed tail past the cutoff: value and truncation estimate.
+
+    The estimate bounds the last correction's magnitude,
+    |c_K| (|ln A| + H_{2K-1}) / A^{2K}, so it does not vanish where the
+    correction's own factor ln A - H_{2K-1} does (A = 27.6 for K = 8).
+    """
     lga = math.log(a)
     pieces = [-0.5 * lga * lga, -0.5 * _g(a)]
     inv2 = 1.0 / (a * a)
-    p = inv2
-    last = 0.0
+    p = 1.0
     for k, c in enumerate(_TAIL_COEF, 1):
-        last = c * (lga - HARMONIC[2 * k - 2]) * p
-        pieces.append(last)
         p *= inv2
-    return math.fsum(pieces), last
+        pieces.append(c * (lga - HARMONIC[2 * k - 2]) * p)
+    trunc = abs(_TAIL_COEF[-1]) * (abs(lga) + HARMONIC[2 * _G1_ORDER - 2]) * p
+    return math.fsum(pieces), trunc
 
 
 def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
     """gamma_n(x) for n in {0, 1}.
 
+    gamma_1 sums the 11-term head n = 0 .. 10 and the closed tail at
+    A = 10 + x (19 terms).  err_estimate is the tail's truncation bound
+    plus eps (1 + sum |head| + |tail|), the rounding of a head and tail
+    that cancel.
     Where the value leaves binary64 (x below 5.56e-309 for n = 0, below
     about 3.9e-306 for n = 1, where ln(x)/x overflows) this raises
     ConvergenceError.
@@ -77,13 +101,13 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
         )
     x = q.x
     head = [_g(n + x) for n in range(_G1_CUTOFF + 1)]
-    tail, last = _tail_closure(_G1_CUTOFF + x)
+    tail, trunc = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head) + tail
     if not math.isfinite(value):
         raise ConvergenceError(f"gamma_1 leaves binary64 at x = {x}")
-    # The tail closure (about -ln^2(50 + x)/2) cancels against the head,
+    # The tail closure (about -ln^2(10 + x)/2) cancels against the head,
     # so rounding scales with both.
-    err = abs(last) + 2.0**-52 * (1.0 + math.fsum(abs(t) for t in head) + abs(tail))
+    err = trunc + _EPS * (1.0 + math.fsum(abs(t) for t in head) + abs(tail))
     return EvalResult(
         value=value,
         err_estimate=err,
@@ -116,7 +140,10 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
 
     Summand pairs ln(n+1-x)/(n+1-x) - ln(n+x)/(n+x) share a tail
     closure, so the cancellation between the two separate gamma_1
-    series never materializes.  Below x = 3.9e-306, where ln(x)/x
+    series never materializes.  The head runs over n = 0 .. 10 and the
+    two tails close at 11 - x and 10 + x (19 terms).  err_estimate is
+    both tails' truncation bounds plus eps (1 + the sum of every
+    magnitude subtracted).  Below x = 3.9e-306, where ln(x)/x
     overflows, this raises ConvergenceError.
     """
     if not 0.0 < x < 1.0:
@@ -127,8 +154,8 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
         hi, lo = _g(n + 1.0 - x), _g(n + x)
         head.append(hi - lo)
         size += abs(hi) + abs(lo)
-    tail_hi, last_hi = _tail_closure(_G1_CUTOFF + 1.0 - x)
-    tail_lo, last_lo = _tail_closure(_G1_CUTOFF + x)
+    tail_hi, trunc_hi = _tail_closure(_G1_CUTOFF + 1.0 - x)
+    tail_lo, trunc_lo = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head + [tail_hi, -tail_lo])
     if not math.isfinite(value):
         raise ConvergenceError(
@@ -138,7 +165,7 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
     # terms, so rounding scales with the terms subtracted, not with the
     # differences.
     size += abs(tail_hi) + abs(tail_lo)
-    err = abs(last_hi) + abs(last_lo) + 1e-16 * (1.0 + size)
+    err = trunc_hi + trunc_lo + _EPS * (1.0 + size)
     return EvalResult(
         value=value,
         err_estimate=err,

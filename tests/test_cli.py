@@ -231,7 +231,7 @@ def test_verify_json_matches_golden(tmp_path, capsys):
 _AVX512_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
 
 
-def test_verify_json_without_avx512_loops_is_close_to_golden():
+def test_verify_json_without_avx512_loops_matches_golden():
     """With numpy's AVX-512 loops disabled the report is byte-identical to
     the golden: none of its sums goes through numpy."""
     try:

@@ -23,8 +23,16 @@ from zetalim.stieltjes import (
 ULP = 2.0 ** -52
 
 # The band where the difference passes through zero (near x = 0.5) and
-# its head pairs cancel most, plus both ends of (0, 1).
-REFLECTION_X = [round(0.400 + 0.005 * k, 3) for k in range(45)] + [0.001, 0.01, 0.99, 0.999]
+# its head pairs cancel most, plus both ends of (0, 1), and seeded x
+# log-uniform within [1e-12, 1e-9] of each end, where ln(x)/x dominates.
+# mpmath's Stieltjes constant slows down near x = 0, and did not
+# finish in minutes at x = 1e-300, so the points stop at 1e-12.
+_rng_refl = random.Random(1709)
+_edge = [10.0 ** _rng_refl.uniform(-12.0, -9.0) for _ in range(80)]
+REFLECTION_X = (
+    [round(0.400 + 0.005 * k, 3) for k in range(45)] + [0.001, 0.01, 0.99, 0.999]
+    + _edge[:40] + [1.0 - d for d in _edge[40:]]
+)
 
 
 @pytest.mark.parametrize("x", REFLECTION_X)
@@ -36,13 +44,20 @@ def test_gamma1_reflection_diff_error_estimate_is_honest(x):
     )
 
 
-# gamma_1's head (about 6.7 at x = 5.8) and tail closure (about -8.1)
-# cancel; a rounding floor that left out the tail missed 18 of the 151
-# points of the band x in [5, 6.5].  The band in steps of 0.01, and
-# seeded x log-uniform over [1e-3, 100].
+# gamma_1's head and tail closure cancel (2.5 and -3.9 at x = 5.8 with
+# the ten-term head); with the 50-term head a rounding floor that left
+# out the tail missed 18 of the 151 points of the band x in [5, 6.5].
+# That band in steps of 0.01; seeded x log-uniform over [1e-3, 100];
+# the band x in [17, 18.2], where the last tail correction changes sign
+# (ln(10 + x) = H_15 at x = 17.6); and seeded x log-uniform over
+# [1e-12, 1e6].
 _rng = random.Random(2026)
 GAMMA1_X = [round(5.0 + 0.01 * k, 2) for k in range(151)] + [
     10.0 ** _rng.uniform(-3.0, 2.0) for _ in range(150)
+]
+_rng_wide = random.Random(1710)
+GAMMA1_X += [round(17.0 + 0.01 * k, 2) for k in range(121)] + [
+    10.0 ** _rng_wide.uniform(-12.0, 6.0) for _ in range(240)
 ]
 
 

@@ -133,6 +133,15 @@ def test_query_validation():
         hurwitz_hasse(2.0, -0.5)
 
 
+def test_query_compares_and_hashes_by_its_fields():
+    q = HurwitzQuery(s=0.5, x=0.3)
+    assert (q.s, q.x, q.m) == (0.5, 0.3, 0)
+    assert repr(q) == "HurwitzQuery(s=0.5, x=0.3, m=0)"
+    assert q == HurwitzQuery(0.5, 0.3, 0) and q != HurwitzQuery(0.5, 0.3, 1)
+    assert q != (0.5, 0.3, 0)
+    assert {q: 1}[HurwitzQuery(0.5, 0.3)] == 1
+
+
 def test_hasse_reports_nonconvergence_when_starved():
     with pytest.raises(ConvergenceError):
         hurwitz_hasse(0.5, 0.3, max_terms=5)

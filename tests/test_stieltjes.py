@@ -14,7 +14,8 @@ from zetalim import (
     log_gamma,
     stieltjes_gamma,
 )
-from zetalim.special import digamma
+from zetalim import stieltjes
+from zetalim.special import HARMONIC, bernoulli, digamma
 
 XS = (0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
@@ -107,6 +108,33 @@ def test_query_validation():
         integral_gamma(2, 2.0)
     with pytest.raises(DomainError):
         integral_gamma(0, -2.0)
+
+
+def test_query_compares_and_hashes_by_its_fields():
+    q = StieltjesQuery(n=1, x=2.5)
+    assert repr(q) == "StieltjesQuery(n=1, x=2.5)"
+    assert q == StieltjesQuery(1, 2.5) and q != StieltjesQuery(0, 2.5)
+    assert q != (1, 2.5)
+    assert {q: 1}[StieltjesQuery(1, 2.5)] == 1
+
+
+@pytest.mark.parametrize("x", [1e-6, 0.3, 0.999, 17.6, 1e6])
+def test_gamma1_routes_sum_nineteen_terms(x):
+    # Deterministic cost guard: an 11-term head and 8 Bernoulli
+    # corrections, in each route.
+    assert stieltjes_gamma(StieltjesQuery(1, x)).terms_used == 19
+    if x < 1.0:
+        assert gamma1_reflection_diff(x).terms_used == 19
+
+
+def test_gamma1_truncation_estimate_does_not_vanish():
+    # The last correction B_16/16 (ln A - H_15) / A^16 passes through
+    # zero at A = e^{H_15} = 27.6, x = 17.6; its magnitude bound does not.
+    c, h = bernoulli(16) / 16, HARMONIC[14]
+    for k in range(121):
+        a = stieltjes._G1_CUTOFF + 17.0 + 0.01 * k
+        trunc = stieltjes._tail_closure(a)[1]
+        assert trunc > 0.0 and trunc >= abs(c * (math.log(a) - h) / a**16), a
 
 
 def test_result_metadata():
