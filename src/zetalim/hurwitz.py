@@ -15,17 +15,12 @@ from itertools import accumulate
 from operator import sub
 
 from .extrapolate import LADDER, neville_zero
-from .result import ConvergenceError, DomainError, EvalResult, PoleError
+from .result import EPS, ConvergenceError, DomainError, EvalResult, PoleError
 from .special import bernoulli, bernoulli_table
 
 _POLE_RADIUS = 1e-8
 _EM_CUTOFF = 6
 _EM_ORDER = 12
-# Rounding of the terms, per unit of sum |terms| that cancels in the
-# value: each term is formed within a few ulps, 2 eps, and the power
-# (n + x)^(-s) magnifies the rounding of n + x to binary64 |s| times,
-# |s|/2 eps.
-_EPS = 2.0**-52
 # Ladder steps sampled on each side of the pole.
 _POLE_STEPS = 5
 
@@ -187,8 +182,12 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
                 terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
     value = math.fsum(terms)
+    # Rounding of the terms, per unit of sum |terms| that cancels in the
+    # value: each term is formed within a few ulps, 2 eps, and the power
+    # (n + x)^(-s) magnifies the rounding of n + x to binary64 |s| times,
+    # |s|/2 eps.
     cancelled = sum(map(abs, terms)) - abs(value)
-    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * _EPS * cancelled
+    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * EPS * cancelled
     return EvalResult(
         value=value,
         err_estimate=err,
@@ -303,7 +302,7 @@ def _pole_limit(x: float, part: str) -> tuple[float, float]:
         vals.append(val)
         noise = max(noise, gain * 0.5 * (abs(up) + abs(down)))
     value, corrections = neville_zero(nodes, vals)
-    return value, corrections[-1] + 4.0 * 2.0**-52 * noise
+    return value, corrections[-1] + 4.0 * EPS * noise
 
 
 def pole_residue_check(x: float) -> float:

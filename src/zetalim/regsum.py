@@ -36,7 +36,7 @@ from operator import sub
 from typing import Tuple
 
 from .extrapolate import LADDER, neville_zero
-from .result import ConvergenceError, DomainError, EvalResult
+from .result import EPS, ConvergenceError, DomainError, EvalResult
 from .special import EULER_GAMMA
 
 TRIG_KINDS = ("sine", "cosine")
@@ -45,22 +45,20 @@ PARITY_KINDS = ("all_n", "alternating", "odd_only")
 SCALE_KINDS = ("n_power", "two_pi_n_power")
 
 _TWO_PI = 2.0 * math.pi
-# trig_dirichlet_sum claims at least _EDGE_ERR for min(x, 1-x) below this.
-_EDGE_BAND = 0.01
 _HEAD_START = 64
 _HEAD_CAP = 32768
 _SWEEPS = 40
 _ENGINE_TARGET = 5e-12
-# Edge-band accuracy: a master sum that cannot reach it raises.
+# An adaptive master sum whose best error stays above this raises.
 _EDGE_ERR = 1e-8
 # Shortest block worth a blocked call: with fewer terms (y above about
 # 0.08, |z/(1-z)| below 2) the plain head's doublings cost less.
 _BLOCK_MIN = 7
 # Rounding of one tail offset relative to its size: 4 ulps.
-_OFFSET_ROUNDING = 4.0 * 2.0**-52
+_OFFSET_ROUNDING = 4.0 * EPS
 # Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
 # 3 ulps, measured against mpmath.
-_RATIO_ROUNDING = 8.0 * 2.0**-52
+_RATIO_ROUNDING = 8.0 * EPS
 
 
 @dataclass(frozen=True)
@@ -166,12 +164,9 @@ def _master_sum(
     estimate: the last accepted transform increment, the rounding floor
     of every forward difference taken, the rounding of the transform
     ratio as magnified by the transform, and the head's rounding floor.
-    The estimate does not cover the final roundings of head, tail and
-    phases: the value is within err + a few ulps of max(1, |M|).  On a
-    grid of 476 adaptive sums (y next to 0, 1 and inside, s in
-    [-1.5, 1], every weight) against mpmath the worst excess over err is
-    3.9 ulps, and at s <= -1, where err is a few ulps itself, the error
-    reaches 4.8x err.
+    The final roundings of head, tail and phases, a few ulps of
+    max(1, |M|), are left to _master_sum_adaptive, which adds them once
+    to the sum it keeps.
 
     Sweep k needs only the k-th forward difference at 0, which
     _differences takes from one anti-diagonal with k subtractions, each
@@ -306,7 +301,10 @@ def _master_sum_adaptive(
     forward differences vanish, so the plain call is exact and goes
     first.  The head then doubles, within _HEAD_CAP, while each attempt
     at least halves the error.  A best error above _EDGE_ERR raises
-    ConvergenceError.
+    ConvergenceError.  The error returned adds the kept sum's final
+    rounding, 4 ulps of max(1, |M|) for both parts together (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4),
+    after the search, so it moves no head, block or raise.
     """
     # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
     # _HEAD_CAP anyway.
@@ -330,11 +328,12 @@ def _master_sum_adaptive(
             best = (value, err, n)
         if err > 0.5 * last:
             break
-    if best[1] > _EDGE_ERR:
+    value, err, n = best
+    if err > _EDGE_ERR:
         raise ConvergenceError(
-            f"master sum at y = {y}, s = {s} stalled at error {best[1]:.2g}"
+            f"master sum at y = {y}, s = {s} stalled at error {err:.2g}"
         )
-    return best
+    return value, err + 4.0 * EPS * max(1.0, abs(value)), n
 
 
 def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
@@ -373,14 +372,13 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     x = 1 the master sum takes a head of 24 B terms and its tail, both
     in blocks of B = 1/(2 min(x, 1 - x)) terms, and below that range the
     head would pass `_HEAD_CAP`, so the sum raises ConvergenceError.
+    err_estimate is the master sums' own, edge band and interior alike.
     """
     if not spec.s < 1.0:
         raise ConvergenceError(
             f"series converges only for s < 1, got s = {spec.s}"
         )
     value, err, terms = _series_sum(spec)
-    if min(spec.x, 1.0 - spec.x) < _EDGE_BAND:
-        err = max(err, _EDGE_ERR)
     return EvalResult(
         value=value, err_estimate=err, terms_used=terms, method_tag="osc-euler"
     )

@@ -1,5 +1,7 @@
-"""Shared result container and error types."""
+"""Shared result container, error types and EPS, one binary64 ulp of 1."""
 from __future__ import annotations
+
+EPS = 2.0**-52
 
 
 class DomainError(ValueError):

@@ -74,26 +74,56 @@ def mp_weighted_sum(x: float, s: float, weight: str, trig: str) -> float:
     With sigma = 1 - s and z = e^(2 pi i x) the unit-weight sum is the
     polylog Li_sigma(z); a ln(n) factor is minus the order-derivative.
     """
+    total = _mp_master(x, s, weight)
+    return float(mp.im(total) if trig == "sine" else mp.re(total))
+
+
+def mp_trig_series(x: float, trig: str, weight: str, parity: str = "all_n",
+                   s: float = 0.0, scale: str = "n_power") -> float:
+    """A TrigSeriesSpec's series through mpmath: (-1)^(n+1) = -e^(i pi n)
+    makes the alternating series -M((x + 1)/2), and the odd terms are
+    M(x/2) - 2^(s-1) M(x), each phase taken exactly at 40 digits."""
+    t = mp.mpf(x)
+    if parity == "all_n":
+        total = _mp_master(t, s, weight)
+    elif parity == "alternating":
+        total = -_mp_master((t + 1) / 2, s, weight)
+    else:
+        total = _mp_master(t / 2, s, weight) - mp.mpf(2) ** (s - 1) * _mp_master(t, s, weight)
+    if scale == "two_pi_n_power":
+        total *= (2 * mp.pi) ** (s - 1)
+    return float(mp.im(total) if trig == "sine" else mp.re(total))
+
+
+def _mp_master(x, s: float, weight: str):
+    """M(x, s, w) = sum w(n) e^(2 pi i n x) n^(s-1), x a float or an mpf."""
     unit = _mp_polylog(x, s)
     if weight == "unit":
-        total = unit
-    else:
-        logn = _mp_log_weighted_polylog(x, s)
-        if weight == "log_n":
-            total = logn
-        elif weight == "log_2pi_n":
-            total = mp.log(2 * mp.pi) * unit + logn
-        else:
-            total = (mp.euler + mp.log(2 * mp.pi)) * unit + logn
-    part = mp.im(total) if trig == "sine" else mp.re(total)
-    return float(part)
+        return unit
+    logn = _mp_log_weighted_polylog(x, s)
+    if weight == "log_n":
+        return logn
+    if weight == "log_2pi_n":
+        return mp.log(2 * mp.pi) * unit + logn
+    return (mp.euler + mp.log(2 * mp.pi)) * unit + logn
 
 
 @functools.lru_cache(maxsize=None)
 def _mp_polylog(x: float, s: float):
     """Li_sigma(e^(2 pi i x)), sigma = 1 - s; cached like the log weight."""
     sigma = mp.mpf(1) - mp.mpf(s)
-    return mp.polylog(sigma, mp.exp(2j * mp.pi * mp.mpf(x)))
+    return _mp_li(sigma, mp.exp(2j * mp.pi * mp.mpf(x)))
+
+
+def _mp_li(sigma, z):
+    """Li_sigma(z).  Next to z = -1, where mpmath's polylog is slowest
+    (about 100 ms), through Li(z) = 2^(1 - sigma) Li(z^2) - Li(-z),
+    whose arguments lie next to 1 (about 20 ms).  Not within 1e-8 of
+    z = -1: there they reach 1, where Li diverges for sigma <= 1, and
+    their large parts would cancel."""
+    if -1.0 + 1e-8 < mp.re(z) < -0.9:
+        return 2 ** (1 - sigma) * mp.polylog(sigma, z * z) - mp.polylog(sigma, -z)
+    return mp.polylog(sigma, z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,7 +139,14 @@ def _mp_log_weighted_polylog(x: float, s: float):
     # switches expansions and loses digits.
     with mp.workdps(60):
         h = mp.mpf(10) ** -12
-        return -(mp.polylog(sigma + h, z) - mp.polylog(sigma - h, z)) / (2 * h)
+        return -(_mp_li(sigma + h, z) - _mp_li(sigma - h, z)) / (2 * h)
+
+
+def mp_integral_gamma(n: int, u: float) -> float:
+    """integral_1^u gamma_n(x) dx = (-1)^(n+1)/(n+1) [zeta^(n+1)(0, u) -
+    zeta^(n+1)(0, 1)], from mpmath's s-derivatives of zeta."""
+    diff = mp.zeta(0, u, derivative=n + 1) - mp.zeta(0, 1, derivative=n + 1)
+    return float((-1) ** (n + 1) * diff / (n + 1))
 
 
 def quad_integral_gamma0(u: float) -> float:
@@ -293,6 +330,7 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
     follow the engine's, line for line.  Returns value, error estimate
     and terms used, which tests compare with the engine's under `==`."""
     from zetalim import hurwitz
+    from zetalim.result import EPS
 
     n_cut = hurwitz._EM_CUTOFF
     order = hurwitz._EM_ORDER
@@ -342,5 +380,5 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
 
     value = math.fsum(terms)
     cancelled = sum(map(abs, terms)) - abs(value)
-    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * hurwitz._EPS * cancelled
+    err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * EPS * cancelled
     return value, err, n_cut + order + 2

@@ -10,13 +10,28 @@ import random
 
 import pytest
 
-from oracles import mp_gamma1_reflection_diff, mp_stieltjes0, mp_stieltjes1, mp_zeta
-from zetalim import HurwitzQuery, hurwitz_zeta, quadrature_zeta2_integral
+from oracles import (
+    mp_gamma1_reflection_diff,
+    mp_integral_gamma,
+    mp_stieltjes0,
+    mp_stieltjes1,
+    mp_trig_series,
+    mp_zeta,
+)
+from zetalim import (
+    HurwitzQuery,
+    TrigSeriesSpec,
+    hurwitz_zeta,
+    quadrature_zeta2_integral,
+    regularized_limit,
+    trig_dirichlet_sum,
+)
 from zetalim.result import ConvergenceError
 from zetalim.stieltjes import (
     StieltjesQuery,
     gamma1_finite_difference,
     gamma1_reflection_diff,
+    integral_gamma,
     stieltjes_gamma,
 )
 
@@ -133,3 +148,79 @@ def test_quadrature_zeta2_integral_error_estimate_is_honest():
     # Euler-Maclaurin terms cancel, so the claim is mostly their rounding.
     res = quadrature_zeta2_integral()
     assert abs(res.value) <= res.err_estimate + 4 * ULP, (res.value, res.err_estimate)
+
+
+# n in {0, 1} alternately, u log-uniform over [0.05, 20].
+_rng_int = random.Random(1801)
+INTEGRAL_POINTS = [(k % 2, 10.0 ** _rng_int.uniform(math.log10(0.05), math.log10(20.0)))
+                   for k in range(120)]
+
+
+@pytest.mark.parametrize("n, u", INTEGRAL_POINTS)
+def test_integral_gamma_error_estimate_is_honest(n, u):
+    res = integral_gamma(n, u)
+    ref = mp_integral_gamma(n, u)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
+def _edge_or_interior_x(rng):
+    # Two thirds of the points within [8e-4, 0.01] of 0 or 1, where the
+    # master sums run in blocks, so that every phase a parity sums stays
+    # at least 4e-4 from an integer; the rest uniform over [0.01, 0.99].
+    if rng.random() < 2.0 / 3.0:
+        d = 10.0 ** rng.uniform(math.log10(8e-4), -2.0)
+        return d if rng.random() < 0.5 else 1.0 - d
+    return rng.uniform(0.01, 0.99)
+
+
+_LOG_WEIGHTS = ("log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
+_PARITIES = ("all_n", "alternating", "odd_only")
+
+# Parities in turn; unit weight but for two points in nine, which take
+# a log weight (its oracle costs about 5 times a unit one); s in
+# [-1.5, 0.95].
+_rng_series = random.Random(1802)
+SERIES_POINTS = [
+    (_edge_or_interior_x(_rng_series), _rng_series.choice(("sine", "cosine")),
+     _LOG_WEIGHTS[k % 3] if k % 9 in (0, 4) else "unit", _PARITIES[k % 3],
+     _rng_series.uniform(-1.5, 0.95))
+    for k in range(90)
+] + [
+    # Edge series where the master sums' estimate without their final
+    # rounding, 4 ulps of max(1, |M|), missed this bound by up to 1.21x.
+    (0.9967066758043867, "sine", "gamma_plus_log_2pi_n", "all_n", -1.0924026079437947),
+    (0.9994826021190722, "sine", "gamma_plus_log_2pi_n", "all_n", -0.8825225935672315),
+    (0.9994392229816098, "sine", "gamma_plus_log_2pi_n", "all_n", -0.5808610847677322),
+]
+
+
+@pytest.mark.parametrize("x, trig, weight, parity, s", SERIES_POINTS)
+def test_trig_dirichlet_sum_error_estimate_is_honest(x, trig, weight, parity, s):
+    res = trig_dirichlet_sum(TrigSeriesSpec(x, trig, weight, parity, s))
+    ref = mp_trig_series(x, trig, weight, parity, s)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
+# Limits at both targets and scales, parities in turn, a third of them
+# with a log weight.  The log weights at s* = 1 and n_power scale have
+# 138 more points in test_regsum.test_limit_error_estimate_is_honest.
+_rng_limit = random.Random(1803)
+LIMIT_POINTS = [
+    (_edge_or_interior_x(_rng_limit), _rng_limit.choice(("sine", "cosine")),
+     _LOG_WEIGHTS[k % 3] if k % 6 in (0, 1) else "unit", _PARITIES[k % 3],
+     ("n_power", "two_pi_n_power")[k % 2], float(k % 4 < 2))
+    for k in range(36)
+]
+
+
+@pytest.mark.parametrize("x, trig, weight, parity, scale, s_target", LIMIT_POINTS)
+def test_regularized_limit_error_estimate_is_honest(x, trig, weight, parity, scale, s_target):
+    res = regularized_limit(x, trig, weight, parity, scale, s_target)
+    ref = mp_trig_series(x, trig, weight, parity, s_target, scale)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )

@@ -310,6 +310,24 @@ def test_complex_limit_pair_is_evaluated_once_per_point(monkeypatch):
     assert len(calls) == 24
 
 
+def test_verify_all_makes_363_master_sums(monkeypatch):
+    # Deterministic cost guard: 319 adaptive sums, 289 of which stop at
+    # the 64-term head, 16 at 128 and 14 at 256, none of them blocked.
+    from zetalim import regsum
+
+    blocks = []
+    master = regsum._master_sum
+
+    def counting(y, s, weight, n_direct, block=1):
+        blocks.append(block)
+        return master(y, s, weight, n_direct, block)
+
+    monkeypatch.setattr(regsum, "_master_sum", counting)
+    verify_all()
+    assert len(blocks) == 363
+    assert set(blocks) == {1}
+
+
 def test_complex_sides_report_moduli_and_complex_residual():
     lhs, rhs = 3.0 + 4.0j, 4.0 + 3.0j
     case = IdentityCase(
