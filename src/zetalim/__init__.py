@@ -20,7 +20,7 @@ _SOURCE = {
         "extrapolate": ("neville_zero",),
         "hurwitz": ("HurwitzQuery", "hurwitz_hasse", "hurwitz_zeta", "pole_residue_check"),
         "identities": (
-            "Domain", "IdentityCase", "VerificationReport", "default_x_grid",
+            "IdentityCase", "VerificationReport", "default_x_grid",
             "quadrature_zeta2_integral", "registry", "uniform_x", "verify", "verify_all",
         ),
         "regsum": ("TrigSeriesSpec", "regularized_limit", "trig_dirichlet_sum"),

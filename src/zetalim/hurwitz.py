@@ -23,6 +23,7 @@ _EM_CUTOFF = 6
 _EM_ORDER = 12
 # Ladder steps sampled on each side of the pole.
 _POLE_STEPS = 5
+_HASSE_MAX_TERMS = 200
 
 # B_{2k} / (2k)! for k = 1 .. 12
 _EM_COEF = tuple(
@@ -42,10 +43,10 @@ class HurwitzQuery:
     def __init__(self, s: float, x: float, m: int = 0) -> None:
         if not (math.isfinite(s) and math.isfinite(x)):
             raise DomainError(
-                f"hurwitz_zeta requires finite s and x, got s = {s}, x = {x}"
+                f"zeta(s, x) requires finite s and x, got s = {s}, x = {x}"
             )
         if not x > 0.0:
-            raise DomainError(f"hurwitz_zeta requires x > 0, got {x}")
+            raise DomainError(f"zeta(s, x) requires x > 0, got {x}")
         if m not in (0, 1, 2):
             raise DomainError(f"derivative order must be 0, 1 or 2, got {m}")
         self.s = s
@@ -196,7 +197,7 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     )
 
 
-def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
+def hurwitz_hasse(s: float, x: float) -> EvalResult:
     """Globally convergent binomial double-series route for zeta(s, x).
 
     (s-1) zeta(s, x) = sum_{n>=0} 1/(n+1) sum_{k=0}^{n} C(n,k) (-1)^k
@@ -223,13 +224,12 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     the one a 1e-30 stop returns and equals 50-digit mpmath zeta rounded
     to binary64, with 37-74 outer terms; a 1e-30 stop takes 71-175.
     Stops at 1e-21 and 1e-22 moved none of those floats, 1e-20 moved 4.
+    An error estimate above 1e-8 after at most _HASSE_MAX_TERMS + 1 =
+    201 outer terms raises ConvergenceError.
     """
+    HurwitzQuery(s, x)  # checks s and x
     import mpmath as mp
 
-    if not (math.isfinite(s) and math.isfinite(x)):
-        raise DomainError(f"hurwitz_hasse requires finite s and x, got s = {s}, x = {x}")
-    if not x > 0.0:
-        raise DomainError(f"hurwitz_hasse requires x > 0, got {x}")
     if abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_hasse is undefined at s = 1")
     with mp.workdps(80):
@@ -247,7 +247,7 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
         acc = 0
         last = mp.inf
         outer_used = small_run = 0
-        for n in range(max_terms + 1):
+        for n in range(_HASSE_MAX_TERMS + 1):
             fn = int(mp.ldexp((n + x_eff) ** a, -e))
             diag = list(accumulate(diag, sub, initial=fn))
             q = ((diag[-1] if n % 2 == 0 else -diag[-1]) << 64) // (n + 1)
@@ -272,7 +272,7 @@ def hurwitz_hasse(s: float, x: float, max_terms: int = 200) -> EvalResult:
     )
 
 
-def _pole_limit(x: float, part: str) -> tuple[float, float]:
+def _pole_limit(x: float, part: str) -> EvalResult:
     """Limit at h = 0 of one part of zeta(1 +- h, x), h = LADDER[k], k = 0..4.
 
     zeta(1 + h, x) = 1/h + sum_n (-1)^n gamma_n(x) h^n / n!, so with the
@@ -284,8 +284,9 @@ def _pole_limit(x: float, part: str) -> tuple[float, float]:
         "gamma1"   (1 - h O(h))/h^2  = gamma_1(x) + gamma_3(x) h^2/6 + ...
 
     Neville extrapolates the part asked for in h^2, over the same ten
-    samples for every part.  Returns the limit and an error estimate:
-    the tableau's last correction plus rounding.  A sample carries a few
+    samples for every part.  Returns the limit, tagged part + "-fd", with
+    terms_used the 2 _POLE_STEPS = 10 samples and err_estimate the
+    tableau's last correction plus rounding.  A sample carries a few
     ulps of (|zeta(1+h, x)| + |zeta(1-h, x)|)/2, which E(h) keeps, h O(h)
     scales by h and the gamma1 quotient by 1/h; the tableau's weights
     add about 1.6, so the estimate adds 4 ulps of the largest.
@@ -302,7 +303,7 @@ def _pole_limit(x: float, part: str) -> tuple[float, float]:
         vals.append(val)
         noise = max(noise, gain * 0.5 * (abs(up) + abs(down)))
     value, corrections = neville_zero(nodes, vals)
-    return value, corrections[-1] + 4.0 * EPS * noise
+    return EvalResult(value, corrections[-1] + 4.0 * EPS * noise, 2 * _POLE_STEPS, part + "-fd")
 
 
 def pole_residue_check(x: float) -> float:
@@ -311,4 +312,4 @@ def pole_residue_check(x: float) -> float:
     The "residue" part of `_pole_limit`'s ten samples zeta(1 +- h, x),
     extrapolated in h^2; the exact residue is 1 for every x > 0.
     """
-    return _pole_limit(x, "residue")[0]
+    return _pole_limit(x, "residue").value

@@ -1,10 +1,10 @@
 """Identity catalogue and verification reports.
 
-Every case binds a left and a right evaluator over a small grid plus
-an absolute tolerance.  A row writes its identity's closed form itself;
-regsum supplies only the series.  verify() walks the grid without
-early abort: an evaluator exception becomes a failing point with the
-reason noted.
+Every case binds a left and a right evaluator, the named axes whose
+product is its grid, and an absolute tolerance.  A row writes its
+identity's closed form itself; regsum supplies only the series.
+verify() walks the grid's points without early abort: an evaluator
+exception becomes a failing point with the reason noted.
 A point's residual is |lhs - rhs|; where the two sides are complex
 numbers the report lists each side's modulus, |lhs| and |rhs|, next to
 the complex residual.
@@ -98,26 +98,14 @@ def default_x_grid(grid_density: int) -> Tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Grid of one case: the product of its named axes.
-
-    Each axis is a (label, values) pair, where values is a tuple of
-    fixed coordinates or a function of the grid density (uniform_x,
-    default_x_grid).  points() runs over every combination, the first
-    axis outermost; no axes give one point with no coordinates.
-    """
-
-    axes: Tuple[Axis, ...] = ()
-
-    def points(self, grid_density: int) -> Tuple[Tuple[Tuple[str, float], ...], ...]:
-        labels = [label for label, _ in self.axes]
-        grids = [v(grid_density) if callable(v) else v for _, v in self.axes]
-        return tuple(tuple(zip(labels, combo)) for combo in itertools.product(*grids))
-
-
-@dataclass(frozen=True)
 class IdentityCase:
     """One identity lhs(pt) = rhs(pt) over a grid, to an absolute tol.
+
+    The grid is the product of the named axes.  Each axis is a (label,
+    values) pair, where values is a tuple of fixed coordinates or a
+    function of the grid density (uniform_x, default_x_grid).  points()
+    runs over every combination, the first axis outermost; no axes give
+    one point with no coordinates.
 
     Each side returns a float or a complex number.  The residual is
     |lhs - rhs| either way; a complex side is listed in the report by
@@ -127,13 +115,18 @@ class IdentityCase:
     id: str
     lhs: Evaluator
     rhs: Evaluator
-    domain: Domain
+    axes: Tuple[Axis, ...]
     tol: float
     notes: str
 
     def __post_init__(self) -> None:
         if not 1e-12 <= self.tol <= 1e-5:
             raise DomainError(f"tol must lie in [1e-12, 1e-5], got {self.tol}")
+
+    def points(self, grid_density: int) -> Tuple[Tuple[Tuple[str, float], ...], ...]:
+        labels = [label for label, _ in self.axes]
+        grids = [v(grid_density) if callable(v) else v for _, v in self.axes]
+        return tuple(tuple(zip(labels, combo)) for combo in itertools.product(*grids))
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,7 @@ def _halfarg_rhs(s: float, m: int) -> float:
 # quadrature of the second s-derivative of zeta at s = 0 over u in (0, 1)
 
 
-def _integral_zeta2(lo: float, hi: float) -> Tuple[float, float, int]:
+def _integral_zeta2(lo: float, hi: float) -> EvalResult:
     """Integral of d2/ds2 zeta(s,u) at s=0 over [lo, hi] within [0, 1].
 
     The shift zeta(s, u) = u^(-s) + zeta(s, u+1) gives
@@ -236,7 +229,8 @@ def _integral_zeta2(lo: float, hi: float) -> Tuple[float, float, int]:
     integrated exactly through its antiderivative u (ln^2 u - 2 ln u + 2),
     which is 0 at u = 0; the smooth rest by 16-point Gauss-Legendre over
     [lo+1, hi+1].  The half-width comes from hi - lo, because the shifted
-    endpoints have lost the low digits of a short interval.
+    endpoints have lost the low digits of a short interval.  Tagged
+    "shift-gl16"; terms_used counts the 16 nodes.
     """
     if not 0.0 <= lo < hi <= 1.0:
         raise DomainError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
@@ -257,14 +251,13 @@ def _integral_zeta2(lo: float, hi: float) -> Tuple[float, float, int]:
         err_parts.append(half * w * r.err_estimate)
     value = math.fsum(pieces)
     err = math.fsum(err_parts) + 1e-16 * math.fsum(abs(p) for p in pieces)
-    return value, err, len(_GL16)
+    return EvalResult(value, err, len(_GL16), "shift-gl16")
 
 
 def quadrature_zeta2_integral() -> EvalResult:
     """Integral over (0, 1) of the second s-derivative of zeta(s, u) at
     s = 0; the exact value is 0."""
-    value, err, evals = _integral_zeta2(0.0, 1.0)
-    return EvalResult(value=value, err_estimate=err, terms_used=evals, method_tag="shift-gl16")
+    return _integral_zeta2(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +266,14 @@ def quadrature_zeta2_integral() -> EvalResult:
 
 def registry() -> Tuple[IdentityCase, ...]:
     """The fixed verification catalogue, in stable order."""
-    x_default = Domain((("x", default_x_grid),))
-    u_default = Domain((("u", default_x_grid),))
+    x_default = (("x", default_x_grid),)
+    u_default = (("u", default_x_grid),)
     cases = (
         IdentityCase(
             id="EQ2.3",
             lhs=lambda pt: pole_residue_check(pt["x"]),
             rhs=lambda pt: 1.0,
-            domain=Domain((("x", (0.5, 1.0, 3.7)),)),
+            axes=(("x", (0.5, 1.0, 3.7)),),
             tol=1e-9,
             notes="Residue at the s = 1 pole: extrapolated (s-1)*zeta(s,x) equals 1 for every x.",
         ),
@@ -288,7 +281,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.9",
             lhs=lambda pt: _zeta(pt["s"], 1.0 + pt["x"]) - _zeta(pt["s"], pt["x"]),
             rhs=lambda pt: -pt["x"] ** -pt["s"],
-            domain=Domain((("s", S_ORACLE), ("x", X_ORACLE))),
+            axes=(("s", S_ORACLE), ("x", X_ORACLE)),
             tol=1e-9,
             notes="Forward shift: zeta(s,1+x) - zeta(s,x) = -x^(-s).",
         ),
@@ -296,7 +289,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.10",
             lhs=lambda pt: _gamma1(1.0 + pt["x"]) - _gamma1(pt["x"]),
             rhs=lambda pt: -math.log(pt["x"]) / pt["x"],
-            domain=Domain((("x", tuple(k / 5.0 for k in range(1, 16))),)),
+            axes=(("x", tuple(k / 5.0 for k in range(1, 16))),),
             tol=1e-9,
             notes="Recurrence gamma1(1+x) - gamma1(x) = -ln(x)/x.",
         ),
@@ -307,9 +300,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 - stieltjes_gamma(StieltjesQuery(0, 1.0 + pt["x"])).value
             ),
             rhs=lambda pt: 1.0 / pt["x"],
-            domain=Domain(
-                (("x", tuple(k / 10.0 for k in range(1, 10)) + (1.5, 2.5, 5.0, 7.5, 10.0)),)
-            ),
+            axes=(("x", tuple(k / 10.0 for k in range(1, 10)) + (1.5, 2.5, 5.0, 7.5, 10.0)),),
             tol=1e-9,
             notes="Recurrence gamma0(x) - gamma0(1+x) = 1/x, the digamma shift in disguise.",
         ),
@@ -317,7 +308,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.18",
             lhs=lambda pt: _zeta(0.0, pt["x"], 1),
             rhs=lambda pt: log_gamma(pt["x"]) - 0.5 * LN_2PI,
-            domain=x_default,
+            axes=x_default,
             tol=1e-9,
             notes="s-derivative of zeta at s = 0 equals ln Gamma(x) - ln(2 pi)/2.",
         ),
@@ -325,7 +316,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.20",
             lhs=lambda pt: integral_gamma(1, pt["u"]).value,
             rhs=lambda pt: 0.0,
-            domain=Domain((("u", (2.0,)),)),
+            axes=(("u", (2.0,)),),
             tol=1e-9,
             notes="integral_gamma(1, 2) vanishes: the antiderivative route gives exactly 0.",
         ),
@@ -333,15 +324,15 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ3.21",
             lhs=lambda pt: math.fsum(0.5 * w * _gamma1(1.5 + 0.5 * t) for t, w in _GL24),
             rhs=lambda pt: integral_gamma(1, 2.0).value,
-            domain=Domain((("u", (2.0,)),)),
+            axes=(("u", (2.0,)),),
             tol=1e-8,
             notes="Gauss-Legendre quadrature of gamma1 over [1,2] matches the closed-form integral.",
         ),
         IdentityCase(
             id="EQ3.2",
-            lhs=lambda pt: _pole_limit(pt["x"], "gamma0")[0],
+            lhs=lambda pt: _pole_limit(pt["x"], "gamma0").value,
             rhs=lambda pt: stieltjes_gamma(StieltjesQuery(0, pt["x"])).value,
-            domain=x_default,
+            axes=x_default,
             tol=1e-9,
             notes="Constant Laurent coefficient of zeta(s,x) at s = 1 equals -psi(x); the left side extrapolates the pole-free even part [zeta(1+h,x) + zeta(1-h,x)]/2 to h = 0.",
         ),
@@ -349,7 +340,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.4",
             lhs=lambda pt: _zeta(pt["s"], pt["x"]) + _zeta(pt["s"], 1.0 - pt["x"]),
             rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "cosine"),
-            domain=Domain((("s", S_FOURIER), ("x", uniform_x))),
+            axes=(("s", S_FOURIER), ("x", uniform_x)),
             tol=1e-8,
             notes="Even Fourier closure: zeta(s,x) + zeta(s,1-x) = 4 Gamma(1-s) sin(pi s/2) * sum cos(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
@@ -357,7 +348,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.5",
             lhs=lambda pt: _zeta(pt["s"], pt["x"]) - _zeta(pt["s"], 1.0 - pt["x"]),
             rhs=lambda pt: _fourier_side(pt["s"], pt["x"], "sine"),
-            domain=Domain((("s", S_FOURIER), ("x", uniform_x))),
+            axes=(("s", S_FOURIER), ("x", uniform_x)),
             tol=1e-8,
             notes="Odd Fourier closure: zeta(s,x) - zeta(s,1-x) = 4 Gamma(1-s) cos(pi s/2) * sum sin(2 n pi x)(2 pi n)^(s-1), at fixed s < 1.",
         ),
@@ -365,7 +356,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.1",
             lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit").value,
             rhs=lambda pt: 0.5 * cot_pi(pt["x"]),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Regularized sine sum equals cot(pi x)/2.",
         ),
@@ -373,7 +364,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.14",
             lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit").value,
             rhs=lambda pt: -0.5,
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Regularized cosine sum equals -1/2 for every x in (0,1).",
         ),
@@ -384,7 +375,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 regularized_limit(pt["x"], "sine", "unit").value,
             ),
             rhs=lambda pt: complex(-0.5, 0.5 * cot_pi(pt["x"])),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Complex pairing of the two unit-weight limits equals e^(2 pi i x)/(1 - e^(2 pi i x)); the residual is the complex modulus of the difference while the lhs/rhs columns list each side's modulus.",
         ),
@@ -395,7 +386,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 2.0 * math.pi * regularized_limit(pt["x"], "sine", "log_n").value
                 + math.pi * (EULER_GAMMA + LN_2PI) * cot_pi(pt["x"])
             ),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Headline identity: gamma1(1-x) - gamma1(x) = 2 pi * (regularized log-weighted sine sum) + pi (gamma + ln 2 pi) cot(pi x). Symmetric under x -> 1-x, both sides flipping sign.",
         ),
@@ -405,7 +396,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             rhs=lambda pt: 2.0 * math.pi * regularized_limit(
                 pt["x"], "sine", "gamma_plus_log_2pi_n"
             ).value,
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Combined-weight form: gamma1(1-x) - gamma1(x) = 2 pi * regularized sum of [gamma + ln(2 pi n)] sin(2 n pi x) n^(s-1), folding the cot term into the weight.",
         ),
@@ -416,7 +407,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 _zeta2_pair(pt["u"])
                 + (EULER_GAMMA + LN_2PI) * math.log(2.0 * math.sin(math.pi * pt["u"]))
             ),
-            domain=u_default,
+            axes=u_default,
             tol=1e-6,
             notes="Cosine log sum: sum (ln n / n) cos(2 n pi u) = [zeta''(0,u) + zeta''(0,1-u)]/2 + (gamma + ln 2 pi) ln(2 sin pi u). The leading sign is plus; the value at u = 1/2 is gamma ln 2 - (ln 2)^2/2, pinning it.",
         ),
@@ -424,7 +415,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.12.1",
             lhs=lambda pt: _series_at_zero(pt["u"], "cosine", "gamma_plus_log_2pi_n"),
             rhs=lambda pt: _zeta2_pair(pt["u"]),
-            domain=u_default,
+            axes=u_default,
             tol=1e-6,
             notes="Combined-weight cosine sum: sum [gamma + ln(2 pi n)]/n cos(2 n pi u) = [zeta''(0,u) + zeta''(0,1-u)]/2; the log-sine term of the plain form is absorbed by the weight.",
         ),
@@ -432,7 +423,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.13",
             lhs=lambda pt: quadrature_zeta2_integral().value,
             rhs=lambda pt: 0.0,
-            domain=Domain(),
+            axes=(),
             tol=1e-6,
             notes="Integral of zeta''(0,u) over (0,1) vanishes.",
         ),
@@ -444,7 +435,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             rhs=lambda pt: (
                 digamma(pt["x"]) + 0.5 * math.pi * cot_pi(pt["x"]) + EULER_GAMMA + LN_2PI
             ),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Doubled regularized log-cosine sum equals psi(x) + (pi/2) cot(pi x) + gamma + ln 2 pi.",
         ),
@@ -452,7 +443,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.19",
             lhs=lambda pt: digamma(pt["x"]),
             rhs=lambda pt: _psi_via_series(pt["x"]),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="psi(x) recovered from the regularized ln(2 pi n) cosine sum. Only the limit form holds: the same display without the s-limit (summing at the boundary exponent directly) is a known non-identity and is never asserted here.",
         ),
@@ -462,7 +453,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             rhs=lambda pt: -2.0 * EULER_GAMMA + 4.0 * regularized_limit(
                 pt["x"], "cosine", "log_2pi_n", scale="two_pi_n_power"
             ).value,
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Symmetrized form: psi(x) + psi(1-x) = -2 gamma + 4 * regularized ln(2 pi n) cosine sum.",
         ),
@@ -472,7 +463,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             rhs=lambda pt: (
                 log_gamma(pt["x"]) - log_gamma(1.0 - pt["x"]) + 2.0 * EULER_GAMMA * (pt["x"] - 0.5)
             ),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Antisymmetric log-gamma Fourier expansion: (2/pi) sum ln(2 pi n) sin(2 n pi x)/n = ln Gamma(x) - ln Gamma(1-x) + 2 gamma (x - 1/2).",
         ),
@@ -485,7 +476,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 + 0.5 * math.log(math.sin(math.pi * pt["u"]))
                 + (pt["u"] - 0.5) * (EULER_GAMMA + LN_2PI)
             ),
-            domain=u_default,
+            axes=u_default,
             tol=1e-6,
             notes="sum ln(n) sin(2 n pi u)/(pi n) = ln Gamma(u) - ln(pi)/2 + ln(sin pi u)/2 + (u - 1/2)(gamma + ln 2 pi).",
         ),
@@ -497,7 +488,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 0.5 / math.tan(0.5 * _pi_min(pt["x"])) if pt["x"] > 0.5
                 else 0.5 * math.tan(0.5 * _pi_min(pt["x"]))
             ),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Alternating sine sum: regularized sum of (-1)^(n+1) sin(n pi x) n^(s-1) equals tan(pi x/2)/2.",
         ),
@@ -505,7 +496,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.22",
             lhs=lambda pt: regularized_limit(pt["x"], "cosine", "unit", "alternating").value,
             rhs=lambda pt: 0.5,
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Alternating cosine sum: regularized sum of (-1)^(n+1) cos(n pi x) n^(s-1) equals 1/2 for every x.",
         ),
@@ -513,7 +504,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="EQ4.23",
             lhs=lambda pt: regularized_limit(pt["x"], "sine", "unit", "odd_only").value,
             rhs=lambda pt: 0.5 / math.sin(_pi_min(pt["x"])),
-            domain=x_default,
+            axes=x_default,
             tol=1e-6,
             notes="Odd-index sine sum: regularized sum over odd n of sin(n pi x) n^(s-1) equals 1/(2 sin pi x). The 1/2 prefactor is forced by the half-sum decomposition odd = (all + alternating)/2 and by the x = 1/2 value, where the series is the alternating (2k+1)^(-s) family with limit 1/2.",
         ),
@@ -523,7 +514,7 @@ def registry() -> Tuple[IdentityCase, ...]:
                 0.5, "cosine", "log_n", "all_n", "two_pi_n_power", 1.0
             ).value,
             rhs=lambda pt: 0.5 * math.log(0.5 * math.pi),
-            domain=Domain(),
+            axes=(),
             tol=1e-7,
             notes="Regularized sum of (-1)^n ln(n) (2 pi n)^(s-1) equals ln(pi/2)/2.",
         ),
@@ -531,7 +522,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="PSIREFL",
             lhs=lambda pt: _psi_via_series(1.0 - pt["x"]) - _psi_via_series(pt["x"]),
             rhs=lambda pt: math.pi * cot_pi(pt["x"]),
-            domain=x_default,
+            axes=x_default,
             tol=1e-7,
             notes="Difference of the series-based psi formula at 1-x and at x recovers the reflection value pi cot(pi x).",
         ),
@@ -539,7 +530,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             id="HALFARG",
             lhs=lambda pt: _zeta(pt["s"], 0.5, pt["m"]),
             rhs=lambda pt: _halfarg_rhs(pt["s"], pt["m"]),
-            domain=Domain((("s", S_ORACLE), ("m", (0, 1, 2)))),
+            axes=(("s", S_ORACLE), ("m", (0, 1, 2))),
             tol=1e-9,
             notes="Half argument: zeta(s,1/2) = (2^s - 1) zeta(s), checked together with its first and second s-derivatives.",
         ),
@@ -550,7 +541,7 @@ def registry() -> Tuple[IdentityCase, ...]:
 def _run_case(case: IdentityCase, grid_density: int, tol_scale: float) -> CaseResult:
     tol = case.tol / tol_scale
     records = []
-    for coords in case.domain.points(grid_density):
+    for coords in case.points(grid_density):
         pt = dict(coords)
         lhs = rhs = residual = None
         note = ""

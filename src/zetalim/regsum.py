@@ -336,8 +336,8 @@ def _master_sum_adaptive(
     return value, err + 4.0 * EPS * max(1.0, abs(value)), n
 
 
-def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
-    """Value, error and head terms of `spec`'s series, summed at spec.s."""
+def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
+    """`spec`'s series Euler-summed at spec.s, tagged method_tag."""
     if spec.parity == "all_n":
         parts = [(1.0, spec.x)]
     elif spec.parity == "alternating":
@@ -362,7 +362,7 @@ def _series_sum(spec: TrigSeriesSpec) -> Tuple[float, float, int]:
         fac = _TWO_PI ** (spec.s - 1.0)
         value *= fac
         err *= fac
-    return value, err, terms
+    return EvalResult(value, err, terms, method_tag)
 
 
 def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
@@ -378,10 +378,7 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
         raise ConvergenceError(
             f"series converges only for s < 1, got s = {spec.s}"
         )
-    value, err, terms = _series_sum(spec)
-    return EvalResult(
-        value=value, err_estimate=err, terms_used=terms, method_tag="osc-euler"
-    )
+    return _series_sum(spec, "osc-euler")
 
 
 def regularized_limit(
@@ -406,14 +403,9 @@ def regularized_limit(
     if s_target not in (0.0, 1.0):
         raise DomainError(f"limit target must be 0 or 1, got {s_target}")
     if not ladder:
-        value, err, terms = _series_sum(
-            TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
-                           s=s_target, scale=scale)
-        )
-        return EvalResult(
-            value=value, err_estimate=err, terms_used=terms,
-            method_tag="euler-at-target",
-        )
+        spec = TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
+                              s=s_target, scale=scale)
+        return _series_sum(spec, "euler-at-target")
     vals = []
     point_err = 0.0
     terms = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .hurwitz import _POLE_STEPS, HurwitzQuery, _pole_limit, hurwitz_zeta
+from .hurwitz import HurwitzQuery, _pole_limit, hurwitz_zeta
 from .result import EPS, ConvergenceError, DomainError, EvalResult
 from .special import HARMONIC, bernoulli, digamma
 
@@ -127,13 +127,7 @@ def gamma1_finite_difference(x: float) -> EvalResult:
     Dividing by h^2 magnifies rounding by up to 1/h^2 = 4096, and
     err_estimate includes it.
     """
-    if not x > 0.0:
-        raise DomainError(f"gamma1_finite_difference requires x > 0, got {x}")
-    value, err = _pole_limit(x, "gamma1")
-    return EvalResult(
-        value=value, err_estimate=err, terms_used=2 * _POLE_STEPS,
-        method_tag="gamma1-fd",
-    )
+    return _pole_limit(x, "gamma1")
 
 
 def gamma1_reflection_diff(x: float) -> EvalResult:
@@ -184,8 +178,6 @@ def integral_gamma(n: int, u: float) -> EvalResult:
     """
     if n not in (0, 1):
         raise DomainError(f"integral_gamma index must be 0 or 1, got {n}")
-    if not u > 0.0:
-        raise DomainError(f"integral_gamma requires u > 0, got {u}")
     sign = -1.0 if n == 0 else 1.0
     at_u = hurwitz_zeta(HurwitzQuery(0.0, u, n + 1))
     at_1 = hurwitz_zeta(HurwitzQuery(0.0, 1.0, n + 1))

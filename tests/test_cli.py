@@ -161,6 +161,14 @@ def test_verify_bad_tol_scale_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", ["abc", "1/0"])
+def test_zeta_non_number_is_usage_error(capsys, x):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--s", "2", "--x", x])
+    assert exc.value.code == 2
+    assert "not a number" in capsys.readouterr().err
+
+
 def test_zeta_pole_is_runtime_error(capsys):
     code, _, err = run(capsys, "zeta", "--s", "1", "--x", "0.5")
     assert code == 1
@@ -212,20 +220,26 @@ def test_module_entry_point_smoke():
 
 def test_verify_json_matches_golden(tmp_path, capsys):
     """`zetalim verify --format json` is byte-identical to the committed
-    report.  A change that moves digits on purpose regenerates it with
+    report at the default grid, at `--grid 3` and at `--grid 5`.  A
+    change that moves digits on purpose regenerates them with
 
         PYTHONPATH=src python -m zetalim.cli verify --format json --out tests/golden/verify.json
+        PYTHONPATH=src python -m zetalim.cli verify --format json --grid 3 --out tests/golden/verify-grid3.json
+        PYTHONPATH=src python -m zetalim.cli verify --format json --grid 5 --out tests/golden/verify-grid5.json
 
     and says which cases moved and why.
 
-    The report runs in scalar Python arithmetic and loads no numpy, so
-    its bytes do not depend on which SIMD loops numpy would dispatch to.
+    These reports run in scalar Python arithmetic and load no numpy, so
+    their bytes do not depend on which SIMD loops numpy would dispatch
+    to.  Grids 99 and 120 sum their edge points in numpy blocks.
     """
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--format", "json", "--out", str(out)]) == 0
-    capsys.readouterr()
-    golden = Path(__file__).resolve().parent / "golden" / "verify.json"
-    assert out.read_bytes() == golden.read_bytes()
+    for name, grid in (("verify.json", []), ("verify-grid3.json", ["--grid", "3"]),
+                       ("verify-grid5.json", ["--grid", "5"])):
+        out = tmp_path / name
+        assert main(["verify", "--format", "json", *grid, "--out", str(out)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).resolve().parent / "golden" / name
+        assert out.read_bytes() == golden.read_bytes(), name
 
 
 _AVX512_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"

@@ -11,7 +11,7 @@ import pytest
 
 from zetalim import identities
 from zetalim.cli import _render_eval, _render_report
-from zetalim.identities import Domain, IdentityCase, verify, verify_all
+from zetalim.identities import IdentityCase, verify, verify_all
 from zetalim.result import EvalResult
 
 RESULT = EvalResult(
@@ -56,7 +56,7 @@ CASES = (
         id="T.raise",
         lhs=_raises_at_half,
         rhs=lambda pt: 1.0 / 3.0 + pt["x"] + 1e-10 * pt["x"],
-        domain=Domain(axes=(("x", (0.25, 0.5, 0.75)),)),
+        axes=(("x", (0.25, 0.5, 0.75)),),
         tol=1e-9,
         notes="one point raises with quotes, a backslash and a control character",
     ),
@@ -64,7 +64,7 @@ CASES = (
         id="T.complex",
         lhs=lambda pt: complex(3.0, 4.0),
         rhs=lambda pt: complex(1.5, 2.0),
-        domain=Domain(),
+        axes=(),
         tol=1e-9,
         notes="complex sides listed by modulus, no axes",
     ),
@@ -72,7 +72,7 @@ CASES = (
         id="T.inf",
         lhs=lambda pt: math.inf,
         rhs=lambda pt: math.inf * pt["u"],
-        domain=Domain(axes=(("u", (0.5,)),)),
+        axes=(("u", (0.5,)),),
         tol=1e-9,
         notes="non-finite residual",
     ),
@@ -80,7 +80,7 @@ CASES = (
         id="T.m",
         lhs=lambda pt: pt["s"] ** (pt["m"] + 1),
         rhs=lambda pt: pt["s"] ** (pt["m"] + 1) + 1e-11 * pt["m"],
-        domain=Domain(axes=(("s", (0.5, -1.5)), ("m", (0, 1, 2)))),
+        axes=(("s", (0.5, -1.5)), ("m", (0, 1, 2))),
         tol=1e-11,
         notes="integer m coordinate",
     ),
@@ -223,7 +223,7 @@ NO_RESIDUAL_TEXT = (
 def test_single_case_report_bytes():
     exact = IdentityCase(
         id="T.exact", lhs=lambda pt: pt["x"], rhs=lambda pt: pt["x"],
-        domain=Domain(axes=(("x", (0.25, 0.75)),)), tol=1e-9, notes="exact",
+        axes=(("x", (0.25, 0.75)),), tol=1e-9, notes="exact",
     )
     assert _render_report(verify(exact, grid_density=3), "text") == PASSING_TEXT
     none = verify(CASES[2], grid_density=3)

@@ -142,9 +142,10 @@ def test_query_compares_and_hashes_by_its_fields():
     assert {q: 1}[HurwitzQuery(0.5, 0.3)] == 1
 
 
-def test_hasse_reports_nonconvergence_when_starved():
+def test_hasse_reports_nonconvergence_when_starved(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_HASSE_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError):
-        hurwitz_hasse(0.5, 0.3, max_terms=5)
+        hurwitz_hasse(0.5, 0.3)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from zetalim import (
-    Domain,
     DomainError,
     IdentityCase,
     default_x_grid,
@@ -43,21 +42,26 @@ def test_registry_shape():
 
 def test_registry_specific_cases():
     assert _by_id("EQ4.1").tol == 1e-6
-    assert _by_id("EQ3.20").domain.axes == (("u", (2.0,)),)
-    assert _by_id("HALFARG").domain.axes == (("s", identities.S_ORACLE), ("m", (0, 1, 2)))
-    assert _by_id("EQ4.13").domain.axes == ()
+    assert _by_id("EQ3.20").axes == (("u", (2.0,)),)
+    assert _by_id("HALFARG").axes == (("s", identities.S_ORACLE), ("m", (0, 1, 2)))
+    assert _by_id("EQ4.13").axes == ()
+
+
+def _grid(*axes):
+    return IdentityCase(id="GRID", lhs=lambda pt: 0.0, rhs=lambda pt: 0.0, axes=axes,
+                        tol=1e-9, notes="grid only")
 
 
 def test_domain_points_are_the_product_of_named_axes():
-    sm = Domain((("s", (-1.0, 0.5)), ("m", (0, 1, 2))))
+    sm = _grid(("s", (-1.0, 0.5)), ("m", (0, 1, 2)))
     assert sm.points(3) == (
         (("s", -1.0), ("m", 0)), (("s", -1.0), ("m", 1)), (("s", -1.0), ("m", 2)),
         (("s", 0.5), ("m", 0)), (("s", 0.5), ("m", 1)), (("s", 0.5), ("m", 2)),
     )
     assert all(type(dict(coords)["m"]) is int for coords in sm.points(3))
     assert sm.points(5) == sm.points(3)
-    assert Domain().points(3) == Domain().points(9) == ((),)
-    sx = Domain((("s", (2.0,)), ("x", uniform_x)))
+    assert _grid().points(3) == _grid().points(9) == ((),)
+    sx = _grid(("s", (2.0,)), ("x", uniform_x))
     for density in (3, 5, 9):
         assert sx.points(density) == tuple((("s", 2.0), ("x", x)) for x in uniform_x(density))
 
@@ -79,18 +83,18 @@ _POINT_COUNTS = {
 
 @pytest.mark.parametrize("column, density", [(0, 3), (1, 5), (2, 9)])
 def test_registry_point_counts(column, density):
-    got = {c.id: len(c.domain.points(density)) for c in registry()}
+    got = {c.id: len(c.points(density)) for c in registry()}
     assert got == {cid: counts[column] for cid, counts in _POINT_COUNTS.items()}
 
 
 @pytest.mark.parametrize("density", [3, 5, 9])
 def test_grids_avoid_singular_points(density):
     for c in registry():
-        for coords in c.domain.points(density):
+        for coords in c.points(density):
             for label, value in coords:
                 if label in ("x", "u"):
                     assert 0.0 < value, (c.id, coords)
-                    if callable(dict(c.domain.axes)[label]):
+                    if callable(dict(c.axes)[label]):
                         assert 0.0 < value < 1.0
                 if label == "s":
                     assert abs(value - 1.0) > 1e-3, (c.id, coords)
@@ -197,7 +201,7 @@ def test_point_errors_are_captured_not_raised():
         id="SYNTH",
         lhs=boom,
         rhs=lambda pt: 0.0,
-        domain=Domain((("x", default_x_grid),)),
+        axes=(("x", default_x_grid),),
         tol=1e-6,
         notes="runner error-capture check",
     )
@@ -214,7 +218,7 @@ def test_case_validation():
             id="BAD",
             lhs=lambda pt: 0.0,
             rhs=lambda pt: 0.0,
-            domain=Domain((("x", default_x_grid),)),
+            axes=(("x", default_x_grid),),
             tol=1e-4,
             notes="tolerance outside the allowed band",
         )
@@ -240,7 +244,13 @@ def test_quadrature_panels_are_additive():
     left = _integral_zeta2(0.0, 0.5)
     right = _integral_zeta2(0.5, 1.0)
     full = _integral_zeta2(0.0, 1.0)
-    assert left[0] + right[0] == pytest.approx(full[0], abs=1e-12)
+    assert left.value + right.value == pytest.approx(full.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.6, 0.4), (0.5, 1.5), (-0.1, 0.5)])
+def test_quadrature_rejects_intervals_outside_zero_one(lo, hi):
+    with pytest.raises(DomainError):
+        _integral_zeta2(lo, hi)
 
 
 def test_quadrature_uses_one_sixteen_node_rule():
@@ -266,7 +276,7 @@ def test_quadrature_partial_intervals_match_closed_form(lo, hi):
 
     with mp.workdps(40):
         want = float(big_g(hi) - big_g(lo))
-    assert _integral_zeta2(lo, hi)[0] == pytest.approx(want, abs=1e-13)
+    assert _integral_zeta2(lo, hi).value == pytest.approx(want, abs=1e-13)
 
 
 _NEAR_ONE = (0.95, 0.989, 0.9988)
@@ -334,7 +344,7 @@ def test_complex_sides_report_moduli_and_complex_residual():
         id="SYNTH-C",
         lhs=lambda pt: lhs,
         rhs=lambda pt: rhs if pt["x"] < 0.5 else lhs,
-        domain=Domain((("x", default_x_grid),)),
+        axes=(("x", default_x_grid),),
         tol=1e-6,
         notes="equal moduli, different complex values below x = 1/2",
     )

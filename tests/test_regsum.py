@@ -307,6 +307,44 @@ def test_limit_domain_guard():
         regularized_limit(1e-4, "sine", "log_n")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: regularized_limit(1e-10, "sine", "unit"),
+        lambda: regularized_limit(1.0 - 1e-12, "cosine", "unit"),
+        lambda: trig_dirichlet_sum(TrigSeriesSpec(1e-12, "sine", "unit", s=0.5)),
+    ],
+    ids=["limit-next-to-0", "limit-next-to-1", "series-next-to-0"],
+)
+def test_phase_next_to_one_fails_on_the_first_master_sum(monkeypatch, call):
+    # Without the phase guard these still raise, but only after the
+    # adaptive head search has stalled at an error of 4.5e3 to 4.5e7.
+    from zetalim import regsum
+
+    calls = []
+    original = regsum._master_sum
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(regsum, "_master_sum", counting)
+    with pytest.raises(ConvergenceError, match="too close to 1"):
+        call()
+    assert len(calls) == 1
+
+
+def test_ladder_raises_when_its_corrections_grow(monkeypatch):
+    from zetalim import regsum
+
+    def growing(hs, vs):
+        return vs[-1], [1e-9 * 4.0**k for k in range(len(vs) - 1)]
+
+    monkeypatch.setattr(regsum, "neville_zero", growing)
+    with pytest.raises(ConvergenceError, match="extrapolation unstable"):
+        regularized_limit(0.3, "sine", "unit", ladder=True)
+
+
 def test_deninger_series():
     assert _lhs("EQ4.12", u=0.5) == pytest.approx(ETA_PRIME_AT_1, abs=1e-9)
     a = _lhs("EQ4.12", u=0.3)
