@@ -29,6 +29,8 @@ _HASSE_MAX_TERMS = 200
 _EM_COEF = tuple(
     bernoulli(2 * k) / math.factorial(2 * k) for k in range(1, _EM_ORDER + 1)
 )
+# (c_k, 2k, 2k-3, 2k-2) for k = 2 .. 12: P_k(s) = P_{k-1}(s) (s+2k-3) (s+2k-2).
+_EM_PAIRS = tuple((_EM_COEF[k - 1], 2 * k, 2 * k - 3, 2 * k - 2) for k in range(2, _EM_ORDER + 1))
 
 
 class HurwitzQuery:
@@ -128,18 +130,22 @@ def _bernoulli_polynomial(n: int, x: float) -> EvalResult:
 
 
 def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
+    """`hurwitz_zeta`'s sum, unchecked, bit for bit tests/oracles.py's
+    `product_rule_euler_maclaurin`: equal value, err_estimate and terms_used
+    under `==`, or the same exception.  It skips only work that loop did not
+    read (P', P'' at m = 0; P'' at m = 1) or redid per pair (ln^2 a, 2 ln a)."""
     n_cut = _EM_CUTOFF
+    ms = -s
     if m == 0:
-        terms = [(n + x) ** (-s) for n in range(n_cut)]
+        terms = [(n + x) ** ms for n in range(n_cut)]
     elif m == 1:
-        terms = [-math.log(n + x) * (n + x) ** (-s) for n in range(n_cut)]
+        terms = [-math.log(n + x) * (n + x) ** ms for n in range(n_cut)]
     else:
-        terms = [lg * lg * (n + x) ** (-s)
-                 for n in range(n_cut) for lg in [math.log(n + x)]]
+        terms = [lg * lg * (n + x) ** ms for n in range(n_cut) for lg in [math.log(n + x)]]
 
     a = n_cut + x
     lga = math.log(a)
-    pw = a ** (-s)  # a^{-s}
+    pw = a ** ms  # a^{-s}
 
     # Pole piece a^{1-s}/(s-1) and boundary piece a^{-s}/2.
     sm1 = s - 1.0
@@ -156,31 +162,31 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
             terms += (pa * lga * lga, 2.0 * pa * lga / sm1, 2.0 * pa / sm1**2,
                       0.5 * lga * lga * pw)
 
-    # Bernoulli corrections c_k * P_k(s) * a^{-s-2k+1} with the rising
-    # product P_k(s) = s (s+1) ... (s+2k-2).  For m >= 1 its
-    # s-derivatives are propagated by the product rule; m = 0 reads
-    # only P_k(s) and skips them.
-    p, dp, ddp = 1.0, 0.0, 0.0
-    j = 0
+    # Bernoulli corrections c_k * P_k(s) * a^{-s-2k+1}, the rising product
+    # P_k(s) = s (s+1) ... (s+2k-2) and its s-derivatives taken by the
+    # product rule one factor at a time; P_1 = s + 0.0 (= 1.0 (s + 0)), P_1' = 1.
+    c1, e1, p = _EM_COEF[0], a ** (ms - 2 + 1), s + 0.0
     if m == 0:
-        for k, c in enumerate(_EM_COEF, 1):
-            while j <= 2 * k - 2:
-                p = p * (s + j)
-                j += 1
-            terms.append(c * p * a ** (-s - 2 * k + 1))
+        terms.append(c1 * p * e1)
+        for c, k2, j, jj in _EM_PAIRS:
+            p = p * (s + j) * (s + jj)
+            terms.append(c * p * a ** (ms - k2 + 1))
+    elif m == 1:
+        dp = 1.0
+        terms.append(c1 * (dp - lga * p) * e1)
+        for c, k2, j, jj in _EM_PAIRS:
+            f, g = s + j, s + jj
+            dp, p = dp * f + p, p * f
+            dp, p = dp * g + p, p * g
+            terms.append(c * (dp - lga * p) * a ** (ms - k2 + 1))
     else:
-        for k, c in enumerate(_EM_COEF, 1):
-            while j <= 2 * k - 2:
-                f = s + j
-                ddp = ddp * f + 2.0 * dp
-                dp = dp * f + p
-                p = p * f
-                j += 1
-            e = a ** (-s - 2 * k + 1)
-            if m == 1:
-                terms.append(c * (dp - lga * p) * e)
-            else:
-                terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
+        ddp, dp, lga2, lgsq = 0.0, 1.0, 2.0 * lga, lga * lga
+        terms.append(c1 * (ddp - lga2 * dp + lgsq * p) * e1)
+        for c, k2, j, jj in _EM_PAIRS:
+            f, g = s + j, s + jj
+            ddp, dp, p = ddp * f + 2.0 * dp, dp * f + p, p * f
+            ddp, dp, p = ddp * g + 2.0 * dp, dp * g + p, p * g
+            terms.append(c * (ddp - lga2 * dp + lgsq * p) * a ** (ms - k2 + 1))
 
     value = math.fsum(terms)
     # Rounding of the terms, per unit of sum |terms| that cancels in the
@@ -189,12 +195,7 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     # |s|/2 eps.
     cancelled = sum(map(abs, terms)) - abs(value)
     err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * EPS * cancelled
-    return EvalResult(
-        value=value,
-        err_estimate=err,
-        terms_used=n_cut + _EM_ORDER + 2,
-        method_tag="em",
-    )
+    return EvalResult(value, err, n_cut + _EM_ORDER + 2, "em")
 
 
 def hurwitz_hasse(s: float, x: float) -> EvalResult:

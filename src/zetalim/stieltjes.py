@@ -25,8 +25,9 @@ from .special import HARMONIC, bernoulli, digamma
 _G1_CUTOFF = 10
 _G1_ORDER = 8
 
-# B_{2k} / (2k) for k = 1 .. 8
-_TAIL_COEF = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, _G1_ORDER + 1))
+# (c_k, H_{2k-1}) = (B_{2k} / (2k), HARMONIC[2k-2]) for k = 1 .. 8
+_TAIL_TABLE = tuple((bernoulli(2 * k) / (2 * k), HARMONIC[2 * k - 2])
+                    for k in range(1, _G1_ORDER + 1))
 
 
 class StieltjesQuery:
@@ -57,10 +58,6 @@ class StieltjesQuery:
         return hash((self.n, self.x))
 
 
-def _g(t: float) -> float:
-    return math.log(t) / t
-
-
 def _tail_closure(a: float) -> tuple[float, float]:
     """Closed tail past the cutoff: value and truncation estimate.
 
@@ -69,13 +66,13 @@ def _tail_closure(a: float) -> tuple[float, float]:
     correction's own factor ln A - H_{2K-1} does (A = 27.6 for K = 8).
     """
     lga = math.log(a)
-    pieces = [-0.5 * lga * lga, -0.5 * _g(a)]
+    pieces = [-0.5 * lga * lga, -0.5 * (lga / a)]
     inv2 = 1.0 / (a * a)
     p = 1.0
-    for k, c in enumerate(_TAIL_COEF, 1):
+    for c, h in _TAIL_TABLE:
         p *= inv2
-        pieces.append(c * (lga - HARMONIC[2 * k - 2]) * p)
-    trunc = abs(_TAIL_COEF[-1]) * (abs(lga) + HARMONIC[2 * _G1_ORDER - 2]) * p
+        pieces.append(c * (lga - h) * p)
+    trunc = abs(c) * (abs(lga) + h) * p
     return math.fsum(pieces), trunc
 
 
@@ -101,14 +98,14 @@ def stieltjes_gamma(q: StieltjesQuery) -> EvalResult:
             method_tag="digamma",
         )
     x = q.x
-    head = [_g(n + x) for n in range(_G1_CUTOFF + 1)]
+    head = [math.log(t) / t for n in range(_G1_CUTOFF + 1) for t in [n + x]]
     tail, trunc = _tail_closure(_G1_CUTOFF + x)
     value = math.fsum(head) + tail
     if not math.isfinite(value):
         raise ConvergenceError(f"gamma_1 leaves binary64 at x = {x}")
     # The tail closure (about -ln^2(10 + x)/2) cancels against the head,
     # so rounding scales with both.
-    err = trunc + EPS * (1.0 + math.fsum(abs(t) for t in head) + abs(tail))
+    err = trunc + EPS * (1.0 + math.fsum(map(abs, head)) + abs(tail))
     return EvalResult(
         value=value,
         err_estimate=err,
@@ -146,7 +143,7 @@ def gamma1_reflection_diff(x: float) -> EvalResult:
     head = []
     size = 0.0
     for n in range(_G1_CUTOFF + 1):
-        hi, lo = _g(n + 1.0 - x), _g(n + x)
+        hi, lo = math.log(t := n + 1.0 - x) / t, math.log(u := n + x) / u
         head.append(hi - lo)
         size += abs(hi) + abs(lo)
     tail_hi, trunc_hi = _tail_closure(_G1_CUTOFF + 1.0 - x)

@@ -4,8 +4,9 @@ Everything here is computed by mpmath (or plain quadrature) through
 representations that share no code with the package: the package sums
 real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
-finite differences.  The exceptions are `full_table_master_sum` and
-`product_rule_euler_maclaurin`, engines as they were before rewrites
+finite differences.  The exceptions are `full_table_master_sum`,
+`product_rule_euler_maclaurin`, `loop_stieltjes_gamma1` and
+`loop_gamma1_reflection_diff`, engines as they were before rewrites
 that had to keep their output bit for bit; they are kept to check
 exactly that.
 """
@@ -382,3 +383,74 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
     cancelled = sum(map(abs, terms)) - abs(value)
     err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * EPS * cancelled
     return value, err, n_cut + order + 2
+
+
+def _loop_tail_closure(a: float):
+    """`stieltjes._tail_closure` as it was before it iterated a
+    (c_k, H_{2k-1}) table: the harmonic number indexed at every k."""
+    from zetalim import stieltjes
+    from zetalim.special import HARMONIC, bernoulli
+
+    order = stieltjes._G1_ORDER
+    coef = [bernoulli(2 * k) / (2 * k) for k in range(1, order + 1)]
+    lga = math.log(a)
+    pieces = [-0.5 * lga * lga, -0.5 * (math.log(a) / a)]
+    inv2 = 1.0 / (a * a)
+    p = 1.0
+    for k, c in enumerate(coef, 1):
+        p *= inv2
+        pieces.append(c * (lga - HARMONIC[2 * k - 2]) * p)
+    trunc = abs(coef[-1]) * (abs(lga) + HARMONIC[2 * order - 2]) * p
+    return math.fsum(pieces), trunc
+
+
+def loop_stieltjes_gamma1(x: float):
+    """`stieltjes_gamma(StieltjesQuery(1, x))` as it was before its head
+    inlined ln(t)/t and its tail iterated a (c_k, H_{2k-1}) table.
+    Returns value, error estimate and terms used, or raises the same
+    ConvergenceError; tests compare the two with `==`."""
+    from zetalim import stieltjes
+    from zetalim.result import EPS, ConvergenceError
+
+    head = [math.log(n + x) / (n + x) for n in range(stieltjes._G1_CUTOFF + 1)]
+    tail, trunc = _loop_tail_closure(stieltjes._G1_CUTOFF + x)
+    value = math.fsum(head) + tail
+    if not math.isfinite(value):
+        raise ConvergenceError(f"gamma_1 leaves binary64 at x = {x}")
+    err = trunc + EPS * (1.0 + math.fsum(abs(t) for t in head) + abs(tail))
+    return value, err, stieltjes._G1_CUTOFF + 1 + stieltjes._G1_ORDER
+
+
+def loop_gamma1_reflection_diff(x: float):
+    """`stieltjes.gamma1_reflection_diff` as it was before the same
+    rewrite, for 0 < x < 1; compared like `loop_stieltjes_gamma1`."""
+    from zetalim import stieltjes
+    from zetalim.result import EPS, ConvergenceError
+
+    head = []
+    size = 0.0
+    for n in range(stieltjes._G1_CUTOFF + 1):
+        hi, lo = math.log(n + 1.0 - x) / (n + 1.0 - x), math.log(n + x) / (n + x)
+        head.append(hi - lo)
+        size += abs(hi) + abs(lo)
+    tail_hi, trunc_hi = _loop_tail_closure(stieltjes._G1_CUTOFF + 1.0 - x)
+    tail_lo, trunc_lo = _loop_tail_closure(stieltjes._G1_CUTOFF + x)
+    value = math.fsum(head + [tail_hi, -tail_lo])
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"gamma_1 reflection difference leaves binary64 at x = {x}"
+        )
+    size += abs(tail_hi) + abs(tail_lo)
+    err = trunc_hi + trunc_lo + EPS * (1.0 + size)
+    return value, err, stieltjes._G1_CUTOFF + 1 + stieltjes._G1_ORDER
+
+
+def outcome(f, *args):
+    """What `f(*args)` gives, for the `==` tests of an engine against its
+    loop above: (value, err_estimate, terms_used) from an EvalResult or a
+    loop's tuple, or the type and text of the exception raised."""
+    try:
+        r = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return r if isinstance(r, tuple) else (r.value, r.err_estimate, r.terms_used)

@@ -129,6 +129,17 @@ HURWITZ_POINTS += [
     for m in (0, 1, 2)
 ]
 
+# Where the first Bernoulli correction's parts cancel inside the term:
+# d/ds [s a^(-s-1)] = (1 - s ln a) a^(-s-1) is 0 at s = 1/ln(6 + x), and
+# d^2/ds^2 = ln a (s ln a - 2) a^(-s-1) is 0 at s = 2/ln(6 + x); 40
+# seeded x log-uniform over [0.01, 50] for each (m = 2 skips s within
+# 1e-6 of the pole).
+_rng_cancel = random.Random(2003)
+for _m in (1, 2):
+    _xs = [math.exp(_rng_cancel.uniform(math.log(0.01), math.log(50.0))) for _ in range(40)]
+    HURWITZ_POINTS += [(_m / math.log(6.0 + _x), _x, _m) for _x in _xs
+                       if abs(_m / math.log(6.0 + _x) - 1.0) >= 1e-6]
+
 
 @pytest.mark.parametrize("s, x, m", HURWITZ_POINTS)
 def test_hurwitz_zeta_error_estimate_is_honest(s, x, m):

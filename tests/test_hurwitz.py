@@ -5,7 +5,7 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import ZETA2_AT_HALF, mp_zeta, product_rule_euler_maclaurin
+from oracles import ZETA2_AT_HALF, mp_zeta, outcome, product_rule_euler_maclaurin
 from zetalim import (
     DomainError,
     EvalResult,
@@ -305,13 +305,27 @@ def test_em_matches_the_product_rule_loop_bit_for_bit(seed):
     # corrections in comprehensions; no output may move a bit, at any m.
     rng = random.Random(seed)
     log_x = (math.log(1e-3), math.log(60.0))
-    points = [(float(s), 0.5) for s in range(-30, 13) if s != 1]
+    points = [(float(s), x) for s in range(-30, 13) if s != 1 for x in (0.5, 0.05, 20.0)]
+    points += [(s, x) for s in (-0.0, 1.0 - 1e-7, 1.0 + 1e-7) for x in (0.05, 0.5, 20.0)]
     points += [(rng.uniform(-30.0, 12.0), math.exp(rng.uniform(*log_x))) for _ in range(1000)]
     for s, x in points:
         for m in (0, 1, 2):
             r = hurwitz._euler_maclaurin(s, x, m)
             got = (r.value, r.err_estimate, r.terms_used)
             assert got == product_rule_euler_maclaurin(s, x, m), (s, x, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize(
+    "s, x",
+    [(-1e4, 0.5), (-400.0, 0.5), (1e4, 0.5),
+     (-185.93208121661354, 15.219553722904008), (-207.89101520727104, 0.05403002853975402)],
+)
+def test_em_overflows_like_the_product_rule_loop(s, x, m):
+    # The points of the two overflow tests above: the engine and the
+    # loop raise the same exception, or return the same numbers.
+    got = outcome(hurwitz._euler_maclaurin, s, x, m)
+    assert got == outcome(product_rule_euler_maclaurin, s, x, m)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

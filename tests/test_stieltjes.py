@@ -1,9 +1,17 @@
 """Generalized Stieltjes constants gamma_0 and gamma_1 and their integrals."""
 import math
+import random
 
 import pytest
 
-from oracles import GAMMA1_AT_1, mp_gamma1, quad_integral_gamma0
+from oracles import (
+    GAMMA1_AT_1,
+    loop_gamma1_reflection_diff,
+    loop_stieltjes_gamma1,
+    mp_gamma1,
+    outcome,
+    quad_integral_gamma0,
+)
 from zetalim import (
     ConvergenceError,
     DomainError,
@@ -166,3 +174,35 @@ def test_values_leaving_binary64_raise(f, x):
     # names x instead of returning +-inf.
     with pytest.raises(ConvergenceError, match=repr(x)):
         f(x)
+
+
+def test_gamma1_matches_the_loop_route_bit_for_bit():
+    # No value, error estimate, term count or ConvergenceError may differ
+    # from the loop kept in oracles.py.
+    # Seeded x log-uniform over [1e-12, 1e6], the band [17, 18.2] where
+    # the last tail correction changes sign, and below about 3.9e-306,
+    # where ln(x)/x overflows and both sides raise.
+    rng = random.Random(2001)
+    xs = [10.0 ** rng.uniform(-12.0, 6.0) for _ in range(3000)]
+    xs += [17.0 + 0.0005 * k for k in range(2401)]
+    xs += [10.0 ** rng.uniform(-323.5, math.log10(4e-306)) for _ in range(200)]
+    xs += [4e-306, 3.9e-306, 1e-310, 5e-324]
+    for x in xs:
+        got = outcome(lambda x: stieltjes_gamma(StieltjesQuery(1, x)), x)
+        assert got == outcome(loop_stieltjes_gamma1, x), x
+    assert outcome(loop_stieltjes_gamma1, 1e-310)[0] is ConvergenceError
+
+
+def test_reflection_diff_matches_the_loop_route_bit_for_bit():
+    # Seeded x uniform over (0, 1), x within 1e-9 of 0 and of 1, and
+    # x below 4e-306, where both sides raise.
+    rng = random.Random(2002)
+    xs = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(2000)]
+    xs += [10.0 ** rng.uniform(-300.0, -9.0) for _ in range(500)]
+    xs += [1.0 - 10.0 ** rng.uniform(-16.0, -9.0) for _ in range(500)]
+    xs += [10.0 ** rng.uniform(-323.5, math.log10(4e-306)) for _ in range(200)]
+    xs += [4e-306, 1e-310, 5e-324]
+    for x in xs:
+        got = outcome(gamma1_reflection_diff, x)
+        assert got == outcome(loop_gamma1_reflection_diff, x), x
+    assert outcome(loop_gamma1_reflection_diff, 1e-310)[0] is ConvergenceError
