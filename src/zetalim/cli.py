@@ -15,11 +15,10 @@ import functools
 import io
 import math
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .hurwitz import HurwitzQuery, hurwitz_hasse, hurwitz_zeta
-from .result import ConvergenceError, DomainError, EvalResult, PoleError
+from .result import EvalResult
 from .stieltjes import StieltjesQuery, stieltjes_gamma
 
 if TYPE_CHECKING:
@@ -43,12 +42,14 @@ class _UsageError(Exception):
 
 
 def _coord(text: str) -> float:
-    """Numeric flag value; fractions like 1/4 are accepted so grid
+    """Numeric flag value; ratios like 1/4 are accepted so grid
     points stay exact instead of drifting through decimal strings."""
     try:
         return float(text)
     except ValueError:
         pass
+    from fractions import Fraction
+
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -273,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PoleError, ConvergenceError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .hurwitz import HurwitzQuery, _pole_limit, hurwitz_zeta, pole_residue_check
 from .regsum import TrigSeriesSpec, regularized_limit, trig_dirichlet_sum
@@ -97,7 +96,6 @@ def default_x_grid(grid_density: int) -> Tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-@dataclass(frozen=True)
 class IdentityCase:
     """One identity lhs(pt) = rhs(pt) over a grid, to an absolute tol.
 
@@ -112,16 +110,18 @@ class IdentityCase:
     its modulus, so its columns can agree while the residual does not.
     """
 
-    id: str
-    lhs: Evaluator
-    rhs: Evaluator
-    axes: Tuple[Axis, ...]
-    tol: float
-    notes: str
+    __slots__ = ("id", "lhs", "rhs", "axes", "tol", "notes")
 
-    def __post_init__(self) -> None:
-        if not 1e-12 <= self.tol <= 1e-5:
-            raise DomainError(f"tol must lie in [1e-12, 1e-5], got {self.tol}")
+    def __init__(self, id: str, lhs: Evaluator, rhs: Evaluator, axes: Tuple[Axis, ...],
+                 tol: float, notes: str) -> None:
+        if not 1e-12 <= tol <= 1e-5:
+            raise DomainError(f"tol must lie in [1e-12, 1e-5], got {tol}")
+        self.id = id
+        self.lhs = lhs
+        self.rhs = rhs
+        self.axes = axes
+        self.tol = tol
+        self.notes = notes
 
     def points(self, grid_density: int) -> Tuple[Tuple[Tuple[str, float], ...], ...]:
         labels = [label for label, _ in self.axes]
@@ -129,8 +129,8 @@ class IdentityCase:
         return tuple(tuple(zip(labels, combo)) for combo in itertools.product(*grids))
 
 
-@dataclass(frozen=True)
-class PointRecord:
+# Report records are named tuples: they iterate and compare as tuples.
+class PointRecord(NamedTuple):
     coords: Tuple[Tuple[str, float], ...]
     lhs: Optional[float]
     rhs: Optional[float]
@@ -139,8 +139,7 @@ class PointRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     points: Tuple[PointRecord, ...]
     max_residual: Optional[float]
@@ -148,8 +147,7 @@ class CaseResult:
     tol: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregated outcome; wall_time is informational and is not part
     of any serialized form, so repeated runs emit identical bytes."""
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import sub
 from typing import Tuple
@@ -61,32 +60,33 @@ _OFFSET_ROUNDING = 4.0 * EPS
 _RATIO_ROUNDING = 8.0 * EPS
 
 
-@dataclass(frozen=True)
 class TrigSeriesSpec:
     """One weighted trigonometric Dirichlet series at fixed real s."""
 
-    x: float
-    trig: str
-    weight: str
-    parity: str = "all_n"
-    s: float = 0.0
-    scale: str = "n_power"
+    __slots__ = ("x", "trig", "weight", "parity", "s", "scale")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.x < 1.0:
-            raise DomainError(f"x must lie in (0, 1), got {self.x}")
-        if not math.isfinite(self.s):
-            raise DomainError(f"s must be finite, got {self.s}")
-        if self.trig not in TRIG_KINDS:
-            raise DomainError(f"trig must be one of {TRIG_KINDS}")
-        if self.weight not in WEIGHT_KINDS:
-            raise DomainError(f"weight must be one of {WEIGHT_KINDS}")
-        if self.parity not in PARITY_KINDS:
-            raise DomainError(f"parity must be one of {PARITY_KINDS}")
-        if self.scale not in SCALE_KINDS:
-            raise DomainError(f"scale must be one of {SCALE_KINDS}")
-        if self.parity == "odd_only" and self.weight != "unit":
+    def __init__(self, x: float, trig: str, weight: str, parity: str = "all_n",
+                 s: float = 0.0, scale: str = "n_power") -> None:
+        if not 0.0 < x < 1.0:
+            raise DomainError(f"x must lie in (0, 1), got {x}")
+        if not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s}")
+        for name, kind, kinds in (("trig", trig, TRIG_KINDS), ("weight", weight, WEIGHT_KINDS),
+                                  ("parity", parity, PARITY_KINDS), ("scale", scale, SCALE_KINDS)):
+            if kind not in kinds:
+                raise DomainError(f"{name} must be one of {kinds}")
+        if parity == "odd_only" and weight != "unit":
             raise DomainError("odd_only parity is defined for unit weight only")
+        self.x = x
+        self.trig = trig
+        self.weight = weight
+        self.parity = parity
+        self.s = s
+        self.scale = scale
+
+    def __repr__(self) -> str:
+        return (f"TrigSeriesSpec(x={self.x!r}, trig={self.trig!r}, weight={self.weight!r}, "
+                f"parity={self.parity!r}, s={self.s!r}, scale={self.scale!r})")
 
 
 # w(n) of each log weight: at a float n with log=math.log, or over a

@@ -27,8 +27,7 @@ class EvalResult:
     terms_used: number of series terms / nodes consumed (>= 1).
     method_tag: short label of the algorithm.
 
-    A plain slots class: building one is about a quarter of the cost
-    of a frozen dataclass, and no caller compares or hashes results.
+    A plain slots class: no caller compares or hashes results.
     """
 
     __slots__ = ("value", "err_estimate", "terms_used", "method_tag")

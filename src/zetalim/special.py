@@ -7,13 +7,18 @@ through B_14 the error stays below 1e-14 max(1, |value|) on (0, inf),
 well inside the 1e-12 target: an absolute bound where |value| <= 1 and
 a relative one beyond (measured against mpmath on 5000 seeded x,
 log-uniform over [1e-300, 1e3] and [1e3, 1e300]).
+
+B_0 .. B_32 are integers over one common denominator L = 2 3 5 ... 31:
+by von Staudt-Clausen the denominator of B_2k is the product of the
+primes p with p - 1 dividing 2k, all at most 31 for 2k <= 32, so each
+division in the defining recurrence is exact.  An int/int true division
+rounds correctly, so each float B_k, and each HARMONIC entry summed over
+lcm(1 .. 16) = 720720, is the double nearest the exact rational.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
-from typing import Tuple
 
 from .result import ConvergenceError, DomainError
 
@@ -22,43 +27,40 @@ EULER_GAMMA = 0.5772156649015329
 
 _SHIFT_THRESHOLD = 8.0
 
+BERNOULLI_L = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
 
-def _bernoulli_fractions(count: int) -> Tuple[Fraction, ...]:
-    # Defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
-    # solved exactly: the sum is taken in integers over the lcm L of the
-    # denominators so far, and B_m = -sum / ((m + 1) L) is reduced once.
-    vals = [Fraction(1)]
-    lcm = 1
+
+def _bernoulli_numerators(count: int) -> tuple[int, ...]:
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, in the integers L B_j:
+    # the sum over j < m is -(m + 1) L B_m, so // is exact.
+    num = [BERNOULLI_L]
     for m in range(1, count):
-        acc = sum(
-            math.comb(m + 1, j) * b.numerator * (lcm // b.denominator)
-            for j, b in enumerate(vals)
-        )
-        vals.append(Fraction(-acc, (m + 1) * lcm))
-        lcm = math.lcm(lcm, vals[-1].denominator)
-    return tuple(vals)
+        num.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(num)) // (m + 1))
+    return tuple(num)
 
 
-# Exact-rational Bernoulli numbers B_0 .. B_32.
-_TABLE = _bernoulli_fractions(33)
+# L B_0, ..., L B_32.
+BERNOULLI_NUM = _bernoulli_numerators(33)
 
 # Float copies of B_2, B_4, ..., B_14 used by the asymptotic series.
-_B2J = tuple(float(_TABLE[2 * j]) for j in range(1, 8))
+_B2J = tuple(BERNOULLI_NUM[2 * j] / BERNOULLI_L for j in range(1, 8))
 
 # Harmonic numbers H_1 .. H_16 (used by Stieltjes tail closures).
-HARMONIC = tuple(float(h) for h in accumulate(Fraction(1, i) for i in range(1, 17)))
+HARMONIC = tuple(h / 720720 for h in accumulate(720720 // i for i in range(1, 17)))
 
 
 def bernoulli(k: int) -> float:
     """Bernoulli number B_k from the precomputed table (0 <= k <= 32)."""
-    if not 0 <= k < len(_TABLE):
+    if not 0 <= k < len(BERNOULLI_NUM):
         raise DomainError(f"Bernoulli index {k} outside table")
-    return float(_TABLE[k])
+    return BERNOULLI_NUM[k] / BERNOULLI_L
 
 
-def bernoulli_table() -> Tuple[Fraction, ...]:
-    """Exact-rational Bernoulli numbers B_0 .. B_32."""
-    return _TABLE
+def bernoulli_table() -> tuple:
+    """Exact-rational Bernoulli numbers B_0 .. B_32, as Fractions."""
+    from fractions import Fraction
+
+    return tuple(Fraction(n, BERNOULLI_L) for n in BERNOULLI_NUM)
 
 
 def cot_pi(x: float) -> float:

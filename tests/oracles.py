@@ -380,7 +380,7 @@ def product_rule_euler_maclaurin(s: float, x: float, m: int):
             terms.append(c * (ddp - 2.0 * lga * dp + lga * lga * p) * e)
 
     value = math.fsum(terms)
-    cancelled = sum(map(abs, terms)) - abs(value)
+    cancelled = max(0.0, sum(map(abs, terms)) - abs(value))
     err = abs(terms[-1]) + 1e-18 + (2.0 + 0.5 * abs(s)) * EPS * cancelled
     return value, err, n_cut + order + 2
 

@@ -129,6 +129,14 @@ HURWITZ_POINTS += [
     for m in (0, 1, 2)
 ]
 
+# Next to the pole, where one term dominates and nothing cancels.
+HURWITZ_POINTS += [
+    (1.0 + d, x, m)
+    for d in (-1e-6, -1e-7, 1e-7, 1e-6)
+    for x in (0.05, 0.5, 20.0)
+    for m in (0, 1, 2)
+]
+
 # Where the first Bernoulli correction's parts cancel inside the term:
 # d/ds [s a^(-s-1)] = (1 - s ln a) a^(-s-1) is 0 at s = 1/ln(6 + x), and
 # d^2/ds^2 = ln a (s ln a - 2) a^(-s-1) is 0 at s = 2/ln(6 + x); 40

@@ -122,6 +122,17 @@ def test_pole_raises_in_both_routes():
         hurwitz_hasse(1.0, 0.7)
 
 
+def test_em_next_to_the_pole_returns_a_dominant_term():
+    # At s - 1 = 1.9e-7 the pole piece's -a^(1-s)/(s-1)^2 dominates the
+    # m = 1 sum, and the plain sum of |terms| rounds below fsum's |value|.
+    # The rounding term must then be 0: EvalResult refuses a negative
+    # one, and hurwitz_zeta would raise ConvergenceError.
+    s, x = 1.000000189341476, 2.1147074799201824
+    res = hurwitz_zeta(HurwitzQuery(s, x, 1))
+    assert res.method_tag == "em" and res.err_estimate >= 0.0
+    assert res.value == pytest.approx(mp_zeta(s, x, 1), rel=4 * 2.0**-52)
+
+
 def test_query_validation():
     with pytest.raises(DomainError):
         HurwitzQuery(2.0, 0.0)
@@ -307,6 +318,7 @@ def test_em_matches_the_product_rule_loop_bit_for_bit(seed):
     log_x = (math.log(1e-3), math.log(60.0))
     points = [(float(s), x) for s in range(-30, 13) if s != 1 for x in (0.5, 0.05, 20.0)]
     points += [(s, x) for s in (-0.0, 1.0 - 1e-7, 1.0 + 1e-7) for x in (0.05, 0.5, 20.0)]
+    points.append((1.000000189341476, 2.1147074799201824))  # nothing cancels at m = 1
     points += [(rng.uniform(-30.0, 12.0), math.exp(rng.uniform(*log_x))) for _ in range(1000)]
     for s, x in points:
         for m in (0, 1, 2):

@@ -6,6 +6,7 @@ import pytest
 from zetalim import (
     DomainError,
     IdentityCase,
+    VerificationReport,
     default_x_grid,
     quadrature_zeta2_integral,
     registry,
@@ -14,7 +15,7 @@ from zetalim import (
     verify_all,
 )
 from zetalim import identities
-from zetalim.identities import _integral_zeta2
+from zetalim.identities import CaseResult, PointRecord, _integral_zeta2
 from zetalim.result import EvalResult
 
 
@@ -222,6 +223,19 @@ def test_case_validation():
             tol=1e-4,
             notes="tolerance outside the allowed band",
         )
+
+
+def test_report_records_are_tuples_in_field_order():
+    # Records may be built by position, as the benchmark's self-tests do.
+    point = PointRecord((("x", 0.5),), 1.0, 1.0, 0.0, True)
+    assert point == ((("x", 0.5),), 1.0, 1.0, 0.0, True, "")
+    assert repr(point) == (
+        "PointRecord(coords=(('x', 0.5),), lhs=1.0, rhs=1.0, residual=0.0, passed=True, note='')"
+    )
+    assert CaseResult._fields == ("case_id", "points", "max_residual", "passed", "tol")
+    assert VerificationReport._fields == (
+        "cases", "cases_run", "cases_passed", "max_residual", "wall_time"
+    )
 
 
 def test_runner_argument_validation():

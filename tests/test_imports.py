@@ -101,6 +101,35 @@ def test_verify_and_interior_regsum_load_no_numpy(code, loaded):
     assert _loaded_after(code) == loaded
 
 
+# The stdlib machinery the package does without: dataclasses loads
+# inspect, fractions loads decimal.
+_MACHINERY = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import zetalim.cli",
+        "from zetalim.cli import main\nmain(['zeta', '--s', '2', '--x', '0.25', '--deriv', '1'])",
+        "from zetalim.cli import main\nmain(['stieltjes', '--n', '1', '--x', '0.25'])",
+        "from zetalim.cli import main\nmain(['verify', '--format', 'json'])",
+        "import zetalim\nzetalim.verify_all()",
+        "import zetalim\nzetalim.registry()",
+        "from zetalim.cli import main\n"
+        "main(['regsum', '--x', '0.25', '--trig', 'sin', '--weight', 'logn'])",
+    ],
+    ids=["import-cli", "cli-zeta", "cli-stieltjes", "cli-verify", "verify_all", "registry",
+         "cli-regsum-interior"],
+)
+def test_package_loads_no_dataclasses_or_fractions(code):
+    assert _loaded_after(code, _MACHINERY) == set()
+
+
+def test_ratio_coordinate_parses_through_fractions_on_call():
+    code = "from zetalim.cli import _coord\nassert _coord('1/4') == 0.25"
+    assert "fractions" in _loaded_after(code, _MACHINERY)
+
+
 def test_edge_band_limit_loads_numpy():
     # Next to x = 0 the master sum is summed in blocks, through numpy.
     code = "import zetalim\nzetalim.regularized_limit(0.03, 'sine', 'log_n')"

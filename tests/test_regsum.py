@@ -64,6 +64,18 @@ def test_spec_validation():
         TrigSeriesSpec(0.3, "sine", "log_n", parity="odd_only")
 
 
+def test_spec_defaults_repr_and_messages():
+    spec = TrigSeriesSpec(0.3, "sine", "unit")
+    assert repr(spec) == (
+        "TrigSeriesSpec(x=0.3, trig='sine', weight='unit', parity='all_n', s=0.0, "
+        "scale='n_power')"
+    )
+    with pytest.raises(DomainError, match=r"^weight must be one of \('unit', 'log_n', "):
+        TrigSeriesSpec(0.3, "sine", "sqrt")
+    with pytest.raises(DomainError, match=r"^scale must be one of \('n_power', "):
+        TrigSeriesSpec(0.3, "sine", "unit", scale="pi_n")
+
+
 @pytest.mark.parametrize("s", [-1.0, 0.25, 0.5])
 @pytest.mark.parametrize("x", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("trig", ["sine", "cosine"])

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
@@ -15,6 +17,7 @@ from zetalim import (
     log_gamma,
     neville_zero,
 )
+from zetalim.special import HARMONIC
 
 XS = (0.1, 0.25, 0.5, 1.0, 1.5, 3.7, 8.0, 12.5)
 
@@ -39,9 +42,18 @@ def test_bernoulli_table_covers_order_16():
     assert float(table[32]) == pytest.approx(float(mp.bernoulli(32)), rel=1e-15)
 
 
-def test_bernoulli_table_is_exact():
-    from fractions import Fraction
+def test_bernoulli_floats_are_the_exact_values_rounded():
+    # No tolerance: each B_k is the double nearest the exact rational.
+    for k in range(33):
+        assert bernoulli(k) == float(Fraction(*mp.bernfrac(k))), k
 
+
+def test_harmonic_floats_are_the_exact_sums_rounded():
+    exact = accumulate(Fraction(1, i) for i in range(1, 17))
+    assert HARMONIC == tuple(float(h) for h in exact)
+
+
+def test_bernoulli_table_is_exact():
     table = bernoulli_table()
     for k in range(33):
         assert type(table[k]) is Fraction
