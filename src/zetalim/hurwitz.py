@@ -33,10 +33,7 @@ _EM_PAIRS = tuple((_EM_COEF[k - 1], 2 * k, 2 * k - 3, 2 * k - 2) for k in range(
 
 
 class HurwitzQuery:
-    """Evaluation request: d^m/ds^m zeta(s, x) at real s, x > 0.
-
-    A plain slots class, compared and hashed by (s, x, m).
-    """
+    """Evaluation request: d^m/ds^m zeta(s, x) at real s, x > 0."""
 
     __slots__ = ("s", "x", "m")
 
@@ -55,14 +52,6 @@ class HurwitzQuery:
 
     def __repr__(self) -> str:
         return f"HurwitzQuery(s={self.s!r}, x={self.x!r}, m={self.m!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.x, self.m) == (other.s, other.x, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.x, self.m))
 
 
 def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
@@ -216,8 +205,10 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     the one a 1e-30 stop returns and equals 50-digit mpmath zeta rounded
     to binary64, with 37-74 outer terms; a 1e-30 stop takes 71-175.
     Stops at 1e-21 and 1e-22 moved none of those floats, 1e-20 moved 4.
-    An error estimate above 1e-8 after at most _HASSE_MAX_TERMS + 1 =
-    201 outer terms raises ConvergenceError.
+    An error estimate above 1e-8 max(1, |zeta(s, x)|) after at most
+    _HASSE_MAX_TERMS + 1 = 201 outer terms raises ConvergenceError: the
+    check is relative where |zeta| > 1, since the estimate carries
+    1e-16 |zeta| of rounding (zeta(50, 0.5) rounds to 2^50).
     """
     HurwitzQuery(s, x)  # checks s and x
     import mpmath as mp
@@ -249,15 +240,15 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
             small_run = small_run + 1 if last * 10**23 < sm1 + abs(pre + acc) else 0
             if small_run >= 3:
                 break
-        value = prefix + mp.ldexp(acc, e - 64) / (ss - 1)
-        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 1e-16 * abs(float(value))
-    if err > 1e-8:
+        value = float(prefix + mp.ldexp(acc, e - 64) / (ss - 1))
+        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 1e-16 * abs(value)
+    if err > 1e-8 * max(1.0, abs(value)):
         raise ConvergenceError(
             f"binomial series stalled at {outer_used} outer terms "
             f"(err_estimate {err:.2e})"
         )
     return EvalResult(
-        value=float(value),
+        value=value,
         err_estimate=err,
         terms_used=shift + outer_used,
         method_tag="hasse",
@@ -281,7 +272,10 @@ def _pole_limit(x: float, part: str) -> EvalResult:
     tableau's last correction plus rounding.  A sample carries a few
     ulps of (|zeta(1+h, x)| + |zeta(1-h, x)|)/2, which E(h) keeps, h O(h)
     scales by h and the gamma1 quotient by 1/h; the tableau's weights
-    add about 1.6, so the estimate adds 4 ulps of the largest.
+    add about 1.6, so the estimate adds 4 ulps of the largest.  A limit
+    without a significant digit, err_estimate >= max(1, |value|), raises
+    ConvergenceError, as `hurwitz_zeta` does: above about x = 3e31 for
+    the residue, 2.5e39 for gamma0 and 2e46 for gamma1.
     """
     nodes, vals = [], []
     noise = 0.0
@@ -295,13 +289,19 @@ def _pole_limit(x: float, part: str) -> EvalResult:
         vals.append(val)
         noise = max(noise, gain * 0.5 * (abs(up) + abs(down)))
     value, corrections = neville_zero(nodes, vals)
-    return EvalResult(value, corrections[-1] + 4.0 * EPS * noise, 2 * _POLE_STEPS, part + "-fd")
+    err = corrections[-1] + 4.0 * EPS * noise
+    if not (math.isfinite(value) and err < max(1.0, abs(value))):
+        raise ConvergenceError(
+            f"pole ladder keeps no significant digit of {part} at x = {x}"
+        )
+    return EvalResult(value, err, 2 * _POLE_STEPS, part + "-fd")
 
 
 def pole_residue_check(x: float) -> float:
     """Residue of zeta(s, x) at s = 1: the limit of h O(h) as h -> 0.
 
     The "residue" part of `_pole_limit`'s ten samples zeta(1 +- h, x),
-    extrapolated in h^2; the exact residue is 1 for every x > 0.
+    extrapolated in h^2; the exact residue is 1 for every x > 0.  Raises
+    ConvergenceError where the ladder keeps no significant digit.
     """
     return _pole_limit(x, "residue").value

@@ -219,43 +219,25 @@ def _halfarg_rhs(s: float, m: int) -> float:
 # quadrature of the second s-derivative of zeta at s = 0 over u in (0, 1)
 
 
-def _integral_zeta2(lo: float, hi: float) -> EvalResult:
-    """Integral of d2/ds2 zeta(s,u) at s=0 over [lo, hi] within [0, 1].
+def quadrature_zeta2_integral() -> EvalResult:
+    """Integral over (0, 1) of the second s-derivative of zeta(s, u) at
+    s = 0; the exact value is 0.
 
     The shift zeta(s, u) = u^(-s) + zeta(s, u+1) gives
-    zeta''(0, u) = ln(u)^2 + zeta''(0, u+1).  The singular ln(u)^2 is
-    integrated exactly through its antiderivative u (ln^2 u - 2 ln u + 2),
-    which is 0 at u = 0; the smooth rest by 16-point Gauss-Legendre over
-    [lo+1, hi+1].  The half-width comes from hi - lo, because the shifted
-    endpoints have lost the low digits of a short interval.  Tagged
-    "shift-gl16"; terms_used counts the 16 nodes.
+    zeta''(0, u) = ln(u)^2 + zeta''(0, u+1).  The singular ln(u)^2
+    integrates to exactly 2 over (0, 1); the smooth rest is 16-point
+    Gauss-Legendre over (1, 2), nodes 1.5 + 0.5 t and weights 0.5 w.
+    Tagged "shift-gl16"; terms_used counts the 16 nodes.
     """
-    if not 0.0 <= lo < hi <= 1.0:
-        raise DomainError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-
-    def log2_antiderivative(u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        ln_u = math.log(u)
-        return u * (ln_u * ln_u - 2.0 * ln_u + 2.0)
-
-    pieces = [log2_antiderivative(hi), -log2_antiderivative(lo)]
+    pieces = [2.0]
     err_parts = []
-    half = 0.5 * (hi - lo)
-    mid = 1.0 + 0.5 * (lo + hi)
     for t, w in _GL16:
-        r = hurwitz_zeta(HurwitzQuery(0.0, mid + half * t, 2))
-        pieces.append(half * w * r.value)
-        err_parts.append(half * w * r.err_estimate)
+        r = hurwitz_zeta(HurwitzQuery(0.0, 1.5 + 0.5 * t, 2))
+        pieces.append(0.5 * w * r.value)
+        err_parts.append(0.5 * w * r.err_estimate)
     value = math.fsum(pieces)
     err = math.fsum(err_parts) + 1e-16 * math.fsum(abs(p) for p in pieces)
     return EvalResult(value, err, len(_GL16), "shift-gl16")
-
-
-def quadrature_zeta2_integral() -> EvalResult:
-    """Integral over (0, 1) of the second s-derivative of zeta(s, u) at
-    s = 0; the exact value is 0."""
-    return _integral_zeta2(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,11 @@ def digamma(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0, error below 1e-14 max(1, |ln Gamma(x)|)."""
+    """ln Gamma(x) for real x > 0, error below 1e-14 max(1, |ln Gamma(x)|).
+
+    Above about x = 2.55e305, and at x = inf, ln Gamma(x) leaves
+    binary64 and this raises ConvergenceError.
+    """
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     shift = 0.0
@@ -120,4 +124,7 @@ def log_gamma(x: float) -> float:
         tail += b / ((2 * j) * (2 * j - 1)) * p
         p *= inv2
     stirl = (t - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi)
-    return stirl + tail - shift
+    value = stirl + tail - shift
+    if not math.isfinite(value):
+        raise ConvergenceError(f"log_gamma leaves binary64 at x = {x}")
+    return value

@@ -31,10 +31,7 @@ _TAIL_TABLE = tuple((bernoulli(2 * k) / (2 * k), HARMONIC[2 * k - 2])
 
 
 class StieltjesQuery:
-    """Evaluation request: gamma_n(x) for n in {0, 1} at finite x > 0.
-
-    A plain slots class, compared and hashed by (n, x).
-    """
+    """Evaluation request: gamma_n(x) for n in {0, 1} at finite x > 0."""
 
     __slots__ = ("n", "x")
 
@@ -48,14 +45,6 @@ class StieltjesQuery:
 
     def __repr__(self) -> str:
         return f"StieltjesQuery(n={self.n!r}, x={self.x!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.x) == (other.n, other.x)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x))
 
 
 def _tail_closure(a: float) -> tuple[float, float]:
@@ -122,7 +111,8 @@ def gamma1_finite_difference(x: float) -> EvalResult:
     extrapolated in h^2 over ten zeta samples.  Independent of the
     series route above.
     Dividing by h^2 magnifies rounding by up to 1/h^2 = 4096, and
-    err_estimate includes it.
+    err_estimate includes it; a limit without a significant digit (x
+    above about 2e46) raises ConvergenceError.
     """
     return _pole_limit(x, "gamma1")
 

@@ -3,13 +3,16 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from zetalim.cli import main
+from zetalim import registry
+from zetalim.cli import _CSV_HEADER, main
 
 CSV_HEADER = "id,x,s,u,m,lhs,rhs,residual,pass,note"
 
@@ -339,3 +342,31 @@ def test_verify_text_matches_golden(capsys):
         assert verdict == ("pass" if case["pass"] else "FAIL"), case_id
         assert float(residual) == case["max_residual"], case_id
         assert count == f"({len(case['points'])}", case_id
+
+
+def _readme_examples():
+    # Every `zetalim ...  # <number>` line in README.md.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    pattern = re.compile(r"^zetalim (.+?)\s+#\s*(-?\d[\d.]*(?:e[+-]\d+)?)(?=\s|$)", re.M)
+    return pattern.findall(readme)
+
+
+def test_readme_has_numbered_examples():
+    assert len(_readme_examples()) >= 6
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_readme_example_prints_the_number_shown(capsys, command, shown):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    value = float(next(line.split()[1] for line in out.splitlines()
+                       if line.startswith("value ")))
+    mantissa, _, exponent = shown.partition("e")
+    digits = len(mantissa.partition(".")[2])
+    half_unit = 0.5 * 10.0 ** (int(exponent or 0) - digits)
+    assert abs(value - float(shown)) <= half_unit, out
+
+
+def test_csv_header_has_every_registry_axis():
+    labels = {label for case in registry() for label, _ in case.axes}
+    assert labels <= set(_CSV_HEADER)

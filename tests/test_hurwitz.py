@@ -144,19 +144,32 @@ def test_query_validation():
         hurwitz_hasse(2.0, -0.5)
 
 
-def test_query_compares_and_hashes_by_its_fields():
+def test_query_holds_its_fields_and_reprs_them():
     q = HurwitzQuery(s=0.5, x=0.3)
     assert (q.s, q.x, q.m) == (0.5, 0.3, 0)
     assert repr(q) == "HurwitzQuery(s=0.5, x=0.3, m=0)"
-    assert q == HurwitzQuery(0.5, 0.3, 0) and q != HurwitzQuery(0.5, 0.3, 1)
-    assert q != (0.5, 0.3, 0)
-    assert {q: 1}[HurwitzQuery(0.5, 0.3)] == 1
 
 
 def test_hasse_reports_nonconvergence_when_starved(monkeypatch):
     monkeypatch.setattr(hurwitz, "_HASSE_MAX_TERMS", 5)
     with pytest.raises(ConvergenceError):
         hurwitz_hasse(0.5, 0.3)
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [(50.0, 0.5), (30.0, 0.5), (1.0 + 1e-9, 1.0), (1.0 - 1e-9, 1.0),
+     (2.0, 1e-5), (3.0, 1e-3), (1.5, 1e-6), (0.5, 1e-17)],
+)
+def test_hasse_returns_large_values_correctly_rounded(s, x):
+    # The estimate carries 1e-16 |zeta| of rounding, so the stall check
+    # is relative: an absolute 1e-8 refused every |zeta| above about 1e8.
+    # zeta(50, 0.5) rounds to 2^50 = 1125899906842624.
+    r = hurwitz_hasse(s, x)
+    with mp.workdps(40):
+        ref = mp.zeta(s, x)
+        assert r.value == float(ref)
+        assert abs(r.value - ref) <= r.err_estimate
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])
@@ -187,6 +200,32 @@ def test_pole_quantities_share_one_ten_sample_ladder(monkeypatch, quantity):
     quantity(0.3)
     steps = [0.25 * 2.0**-k for k in range(5)]
     assert sorted(seen) == sorted([1.0 + h for h in steps] + [1.0 - h for h in steps])
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        pole_residue_check,
+        lambda x: hurwitz._pole_limit(x, "gamma0"),
+        gamma1_finite_difference,
+    ],
+    ids=["residue", "gamma0", "gamma1"],
+)
+def test_pole_ladder_without_a_significant_digit_raises(quantity):
+    # Unchecked, x = 1e300 gave a residue of 6.9e68 (the exact one is 1) and
+    # gamma_1 = -1.1e70 +- 1.1e70.
+    with pytest.raises(ConvergenceError, match="no significant digit"):
+        quantity(1e300)
+
+
+@pytest.mark.parametrize("part", ["residue", "gamma0", "gamma1"])
+def test_pole_ladder_at_large_x_stays_within_its_estimate(part):
+    x = 1e20
+    with mp.workdps(30):
+        want = {"residue": mp.mpf(1), "gamma0": -mp.digamma(x),
+                "gamma1": mp.stieltjes(1, x)}[part]
+        r = hurwitz._pole_limit(x, part)
+        assert abs(r.value - want) <= r.err_estimate
 
 
 def test_result_invariants():

@@ -15,7 +15,7 @@ from zetalim import (
     verify_all,
 )
 from zetalim import identities
-from zetalim.identities import CaseResult, PointRecord, _integral_zeta2
+from zetalim.identities import CaseResult, PointRecord
 from zetalim.result import EvalResult
 
 
@@ -254,19 +254,6 @@ def test_quadrature_vanishes():
     assert r.terms_used >= 1
 
 
-def test_quadrature_panels_are_additive():
-    left = _integral_zeta2(0.0, 0.5)
-    right = _integral_zeta2(0.5, 1.0)
-    full = _integral_zeta2(0.0, 1.0)
-    assert left.value + right.value == pytest.approx(full.value, abs=1e-12)
-
-
-@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.6, 0.4), (0.5, 1.5), (-0.1, 0.5)])
-def test_quadrature_rejects_intervals_outside_zero_one(lo, hi):
-    with pytest.raises(DomainError):
-        _integral_zeta2(lo, hi)
-
-
 def test_quadrature_uses_one_sixteen_node_rule():
     assert quadrature_zeta2_integral().terms_used == 16
 
@@ -277,20 +264,6 @@ def test_gauss_legendre_literals_equal_leggauss(n, table):
     np = pytest.importorskip("numpy")
     nodes, weights = np.polynomial.legendre.leggauss(n)
     assert getattr(identities, table) == tuple(zip(nodes.tolist(), weights.tolist()))
-
-@pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.2, 0.9), (0.5, 1.0), (1e-3, 1e-2)])
-def test_quadrature_partial_intervals_match_closed_form(lo, hi):
-    # The integral of zeta''(0, u) over [lo, hi] is G(hi) - G(lo) with
-    # G(u) = zeta''(-1, u) + 2 zeta'(-1, u) + 2 zeta(-1, u), and G(0) = G(1).
-    import mpmath as mp
-
-    def big_g(u):
-        u = mp.mpf(u) if u > 0.0 else mp.mpf(1)
-        return mp.zeta(-1, u, 2) + 2 * mp.zeta(-1, u, 1) + 2 * mp.zeta(-1, u)
-
-    with mp.workdps(40):
-        want = float(big_g(hi) - big_g(lo))
-    assert _integral_zeta2(lo, hi).value == pytest.approx(want, abs=1e-13)
 
 
 _NEAR_ONE = (0.95, 0.989, 0.9988)

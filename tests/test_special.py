@@ -10,6 +10,7 @@ import pytest
 
 from zetalim import (
     EULER_GAMMA,
+    ConvergenceError,
     DomainError,
     bernoulli,
     bernoulli_table,
@@ -114,6 +115,19 @@ def test_log_gamma_matches_mpmath():
 
 def test_log_gamma_at_half():
     assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
+
+
+@pytest.mark.parametrize("x", [1e306, math.inf])
+def test_log_gamma_leaving_binary64_raises(x):
+    # Stirling's (x - 1/2) ln x - x is inf at 1e306 and inf - inf at inf.
+    with pytest.raises(ConvergenceError, match="leaves binary64"):
+        log_gamma(x)
+
+
+def test_log_gamma_stays_finite_just_below_the_binary64_edge():
+    with mp.workdps(30):
+        want = float(mp.loggamma(mp.mpf(2.5e305)))
+    assert log_gamma(2.5e305) == pytest.approx(want, rel=1e-14)
 
 
 def test_special_reject_nonpositive():

@@ -118,12 +118,10 @@ def test_query_validation():
         integral_gamma(0, -2.0)
 
 
-def test_query_compares_and_hashes_by_its_fields():
+def test_query_holds_its_fields_and_reprs_them():
     q = StieltjesQuery(n=1, x=2.5)
+    assert (q.n, q.x) == (1, 2.5)
     assert repr(q) == "StieltjesQuery(n=1, x=2.5)"
-    assert q == StieltjesQuery(1, 2.5) and q != StieltjesQuery(0, 2.5)
-    assert q != (1, 2.5)
-    assert {q: 1}[StieltjesQuery(1, 2.5)] == 1
 
 
 @pytest.mark.parametrize("x", [1e-6, 0.3, 0.999, 17.6, 1e6])
