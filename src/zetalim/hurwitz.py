@@ -208,7 +208,8 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     An error estimate above 1e-8 max(1, |zeta(s, x)|) after at most
     _HASSE_MAX_TERMS + 1 = 201 outer terms raises ConvergenceError: the
     check is relative where |zeta| > 1, since the estimate carries
-    1e-16 |zeta| of rounding (zeta(50, 0.5) rounds to 2^50).
+    1e-16 |zeta| of rounding (zeta(50, 0.5) rounds to 2^50).  A value
+    outside binary64, as zeta(50, 1e-7) ~ 1e350, raises it too.
     """
     HurwitzQuery(s, x)  # checks s and x
     import mpmath as mp
@@ -242,7 +243,11 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
                 break
         value = float(prefix + mp.ldexp(acc, e - 64) / (ss - 1))
         err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 1e-16 * abs(value)
-    if err > 1e-8 * max(1.0, abs(value)):
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"hurwitz_hasse value leaves binary64 at s = {s}, x = {x}"
+        )
+    if not err <= 1e-8 * max(1.0, abs(value)):
         raise ConvergenceError(
             f"binomial series stalled at {outer_used} outer terms "
             f"(err_estimate {err:.2e})"

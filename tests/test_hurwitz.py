@@ -172,6 +172,14 @@ def test_hasse_returns_large_values_correctly_rounded(s, x):
         assert abs(r.value - ref) <= r.err_estimate
 
 
+@pytest.mark.parametrize("s, x", [(50.0, 1e-7), (400.0, 0.1)])
+def test_hasse_value_outside_binary64_is_a_convergence_error(s, x):
+    # zeta(50, 1e-7) is about 1e350: float() of it is inf, which the
+    # relative stall check alone would let through.
+    with pytest.raises(ConvergenceError, match="leaves binary64"):
+        hurwitz_hasse(s, x)
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])
 def test_pole_residue_is_one(x):
     assert pole_residue_check(x) == pytest.approx(1.0, abs=1e-9)
