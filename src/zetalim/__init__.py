@@ -3,11 +3,13 @@ trigonometric series, with a verification catalogue over the
 identities that connect them.
 
 The namespace is lazy (PEP 562): a public name imports its submodule
-on first use, so `import zetalim` loads no third-party module.  The
-package loads `regsum` and `identities` as one unit.  numpy comes in
-only with a blocked master sum, at a phase y within about 0.077 of an
-integer (a series next to x = 0 or 1); mpmath only with a call of
-`hurwitz_hasse`.
+on first use, so `import zetalim` loads no third-party module.  A
+series name (`regularized_limit`, `trig_dirichlet_sum`,
+`TrigSeriesSpec`) loads `regsum` with `extrapolate`, `result` and
+`special` only; the `regsum` submodule asked of the package loads
+`identities` with it.  numpy comes in only with a blocked master sum,
+at a phase y within about 0.077 of an integer (a series next to x = 0
+or 1); mpmath only with a call of `hurwitz_hasse`.
 """
 from importlib import import_module as _import_module
 
@@ -41,10 +43,14 @@ def __getattr__(name: str):
     module = _SOURCE.get(name, name if name in _SUBMODULES else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # identities imports regsum: loading it for either keeps the two one
-    # unit.  import_module, because `from . import` would come back
-    # through this function.
-    if module == "regsum":
+    # Only the `regsum` submodule itself brings identities with it:
+    # bench/tracer.py's zetalim_hooks() loads every layer it wraps with
+    # `from zetalim import regsum`.  That reaches this function only while
+    # the package has no `regsum` attribute, before any series name has
+    # loaded the submodule, so a bench worker builds its tracer before its
+    # first zetalim call.  import_module, because `from . import` would
+    # come back through this function.
+    if name == "regsum":
         _import_module(".identities", __name__)
     owner = _import_module(f".{module}", __name__)
     if name == module:

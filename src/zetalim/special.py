@@ -106,7 +106,7 @@ def digamma(x: float) -> float:
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for real x > 0, error below 1e-14 max(1, |ln Gamma(x)|).
 
-    Above about x = 2.55e305, and at x = inf, ln Gamma(x) leaves
+    Above about x = 2.56e305, and at x = inf, ln Gamma(x) leaves
     binary64 and this raises ConvergenceError.
     """
     if not x > 0.0:
@@ -124,6 +124,11 @@ def log_gamma(x: float) -> float:
         tail += b / ((2 * j) * (2 * j - 1)) * p
         p *= inv2
     stirl = (t - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi)
+    if not math.isfinite(stirl):
+        # (t - 1/2) ln t overflows before - t brings it back, from about
+        # t = 2.5563e305; this order stays finite up to the edge.
+        log_t = math.log(t)
+        stirl = t * (log_t - 1.0) - 0.5 * log_t + 0.5 * math.log(2.0 * math.pi)
     value = stirl + tail - shift
     if not math.isfinite(value):
         raise ConvergenceError(f"log_gamma leaves binary64 at x = {x}")

@@ -5,10 +5,10 @@ representations that share no code with the package: the package sums
 real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
 finite differences.  The exceptions are `full_table_master_sum`,
-`product_rule_euler_maclaurin`, `loop_stieltjes_gamma1` and
-`loop_gamma1_reflection_diff`, engines as they were before rewrites
-that had to keep their output bit for bit; they are kept to check
-exactly that.
+`product_rule_euler_maclaurin`, `loop_stieltjes_gamma1`,
+`loop_gamma1_reflection_diff` and `one_order_log_gamma`, engines as they
+were before rewrites that had to keep their output bit for bit; they
+are kept to check exactly that.
 """
 from __future__ import annotations
 
@@ -443,6 +443,28 @@ def loop_gamma1_reflection_diff(x: float):
     size += abs(tail_hi) + abs(tail_lo)
     err = trunc_hi + trunc_lo + EPS * (1.0 + size)
     return value, err, stieltjes._G1_CUTOFF + 1 + stieltjes._G1_ORDER
+
+
+def one_order_log_gamma(x: float) -> float:
+    """`special.log_gamma` for x > 0 as it was with Stirling's form in one
+    order only, (t - 1/2) ln t - t + ln(2 pi)/2; it returns inf where
+    that overflows, from about x = 2.5563e305."""
+    from zetalim import special
+
+    shift = 0.0
+    t = x
+    while t < special._SHIFT_THRESHOLD:
+        shift += math.log(t)
+        t += 1.0
+    inv = 1.0 / t
+    inv2 = inv * inv
+    tail = 0.0
+    p = inv
+    for j, b in enumerate(special._B2J, start=1):
+        tail += b / ((2 * j) * (2 * j - 1)) * p
+        p *= inv2
+    stirl = (t - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi)
+    return stirl + tail - shift
 
 
 def outcome(f, *args):

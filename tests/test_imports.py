@@ -15,7 +15,7 @@ import zetalim
 
 _SRC = str(Path(zetalim.__file__).resolve().parents[1])
 _PROBED = ("numpy", "mpmath", "zetalim.identities", "zetalim.regsum")
-# The package loads these two as one unit.
+# The `regsum` submodule asked of the package loads these two as one unit.
 _UNIT = {"zetalim.identities", "zetalim.regsum"}
 
 
@@ -66,7 +66,6 @@ def test_hasse_loads_mpmath_but_not_numpy():
     "code",
     [
         "from zetalim import regsum",
-        "import zetalim\nzetalim.regularized_limit",
         "from zetalim import verify",
     ],
 )
@@ -74,6 +73,27 @@ def test_regsum_and_identities_load_as_one_unit(code):
     # bench/tracer.py loads the layers with `from zetalim import regsum`
     # and wraps only the modules loaded by then.
     assert _loaded_after(code) == _UNIT
+
+
+_ENGINE = {"zetalim", "zetalim.regsum", "zetalim.extrapolate", "zetalim.result",
+           "zetalim.special"}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import zetalim\nzetalim.regularized_limit",
+        "import zetalim\nzetalim.regularized_limit(0.25, 'sine', 'unit')",
+        "from zetalim import trig_dirichlet_sum",
+        "from zetalim import TrigSeriesSpec",
+    ],
+    ids=["regularized_limit", "regularized_limit-call", "trig_dirichlet_sum", "TrigSeriesSpec"],
+)
+def test_series_names_load_only_the_series_engine(code):
+    # A cold regularized limit compiles no catalogue layer.
+    loaded = "[m for m in sys.modules if m.split('.')[0] == 'zetalim']"
+    probe = f"{code}\nimport json, sys\nprint(json.dumps({loaded}))"
+    assert set(json.loads(_run(["-c", probe]).splitlines()[-1])) == _ENGINE
 
 
 def test_regsum_loads_no_catalogue_layer():
@@ -133,7 +153,7 @@ def test_ratio_coordinate_parses_through_fractions_on_call():
 def test_edge_band_limit_loads_numpy():
     # Next to x = 0 the master sum is summed in blocks, through numpy.
     code = "import zetalim\nzetalim.regularized_limit(0.03, 'sine', 'log_n')"
-    assert _loaded_after(code) == {"numpy"} | _UNIT
+    assert _loaded_after(code) == {"numpy", "zetalim.regsum"}
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -19,6 +20,8 @@ from zetalim import (
     neville_zero,
 )
 from zetalim.special import HARMONIC
+
+from oracles import one_order_log_gamma
 
 XS = (0.1, 0.25, 0.5, 1.0, 1.5, 3.7, 8.0, 12.5)
 
@@ -117,11 +120,37 @@ def test_log_gamma_at_half():
     assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
 
 
-@pytest.mark.parametrize("x", [1e306, math.inf])
+@pytest.mark.parametrize("x", [2.5601e305, 1e306, math.inf])
 def test_log_gamma_leaving_binary64_raises(x):
-    # Stirling's (x - 1/2) ln x - x is inf at 1e306 and inf - inf at inf.
+    # ln Gamma(x) exceeds the largest double from x = 2.55998332785e305;
+    # Stirling's form is inf above that and inf - inf at inf.
     with pytest.raises(ConvergenceError, match="leaves binary64"):
         log_gamma(x)
+
+
+def test_log_gamma_is_finite_where_one_stirling_order_overflows():
+    # From 2.556348163871691e305 to the edge, (t - 1/2) ln t overflows
+    # while ln Gamma(x) is finite: the other order of Stirling's form
+    # holds it, at the band's first and last doubles too.
+    rng = random.Random(2323)
+    xs = [rng.uniform(2.5564e305, 2.5599e305) for _ in range(40)]
+    xs += [2.556348163871691e305, 2.5565e305, 2.5599833278516383e305]
+    with mp.workdps(30):
+        for x in xs:
+            assert math.isinf(one_order_log_gamma(x)), x
+            want = float(mp.loggamma(mp.mpf(x)))
+            assert log_gamma(x) == pytest.approx(want, rel=1e-14), x
+
+
+def test_log_gamma_keeps_its_bits_below_the_overflow_band():
+    # The second order of Stirling's form is taken only where the first
+    # overflows: every other x returns what it returned before, bit for bit.
+    rng = random.Random(2324)
+    xs = [10.0 ** rng.uniform(-300.0, 305.4) for _ in range(2000)]
+    xs += [rng.uniform(2.5e305, 2.5563e305) for _ in range(200)]
+    xs.append(2.5563481638716906e305)
+    for x in xs:
+        assert log_gamma(x) == one_order_log_gamma(x), x
 
 
 def test_log_gamma_stays_finite_just_below_the_binary64_edge():
