@@ -10,6 +10,15 @@ numbers the report lists each side's modulus, |lhs| and |rhs|, next to
 the complex residual.
 verify_all() runs the whole catalogue and assembles a single report
 ordered by case id.
+
+Each registry() call builds one catalogue with one memo, a dict that
+all its cases share.  While a case's points run, the memo keeps every
+adaptive master sum regsum makes and every Hurwitz zeta value _zeta
+takes, keyed by their exact float arguments and stored only on success,
+so a quantity that several cases share is summed once per catalogue and
+each report keeps its bits.  The memo lives as long as its catalogue:
+verify_all() and each `zetalim verify` build a new one, and an engine
+called outside a case's points never sees it.
 """
 from __future__ import annotations
 
@@ -20,6 +29,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .hurwitz import HurwitzQuery, _pole_limit, hurwitz_zeta, pole_residue_check
 from .regsum import TrigSeriesSpec, regularized_limit, trig_dirichlet_sum
+# After the line above has bound the package's `regsum` attribute, so this
+# does not reach zetalim.__getattr__.
+from . import regsum
 from .result import DomainError, EvalResult
 from .special import EULER_GAMMA, cot_pi, digamma, log_gamma
 from .stieltjes import (
@@ -108,9 +120,14 @@ class IdentityCase:
     Each side returns a float or a complex number.  The residual is
     |lhs - rhs| either way; a complex side is listed in the report by
     its modulus, so its columns can agree while the residual does not.
+
+    memo is None for a case built here; registry() points every case it
+    returns at its catalogue's memo, which holds the master sums and
+    Hurwitz zeta values their points have taken (see the module
+    docstring).
     """
 
-    __slots__ = ("id", "lhs", "rhs", "axes", "tol", "notes")
+    __slots__ = ("id", "lhs", "rhs", "axes", "tol", "notes", "memo")
 
     def __init__(self, id: str, lhs: Evaluator, rhs: Evaluator, axes: Tuple[Axis, ...],
                  tol: float, notes: str) -> None:
@@ -122,6 +139,7 @@ class IdentityCase:
         self.axes = axes
         self.tol = tol
         self.notes = notes
+        self.memo = None
 
     def points(self, grid_density: int) -> Tuple[Tuple[Tuple[str, float], ...], ...]:
         labels = [label for label, _ in self.axes]
@@ -161,11 +179,22 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # evaluators shared by several registry() rows or with steps of their own.
 # Every evaluator looks library functions up by this module's global names
-# at call time, so rebinding a name (a tracer, a monkeypatch) reaches it.
+# at call time, so rebinding a name (a tracer, a monkeypatch) reaches it;
+# but a memoized master sum or _zeta value is not recomputed, so rebinding
+# an engine affects only catalogues built afterwards.
 
 
 def _zeta(s: float, x: float, m: int = 0) -> float:
-    return hurwitz_zeta(HurwitzQuery(s, x, m)).value
+    # The memo's master sums are keyed by (y, s, weight name): an int m
+    # keeps these keys apart.
+    memo = regsum._memo
+    if memo is None:
+        return hurwitz_zeta(HurwitzQuery(s, x, m)).value
+    key = (s, x, m)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = hurwitz_zeta(HurwitzQuery(s, x, m)).value
+    return value
 
 
 def _gamma1(x: float) -> float:
@@ -245,7 +274,13 @@ def quadrature_zeta2_integral() -> EvalResult:
 
 
 def registry() -> Tuple[IdentityCase, ...]:
-    """The fixed verification catalogue, in stable order."""
+    """The fixed verification catalogue, in stable order.
+
+    Each call makes a new memo and points every case it returns at it,
+    so a master sum or Hurwitz zeta value one case has taken serves the
+    others (see the module docstring); the memo lives as long as the
+    returned cases.
+    """
     x_default = (("x", default_x_grid),)
     u_default = (("u", default_x_grid),)
     cases = (
@@ -515,32 +550,39 @@ def registry() -> Tuple[IdentityCase, ...]:
             notes="Half argument: zeta(s,1/2) = (2^s - 1) zeta(s), checked together with its first and second s-derivatives.",
         ),
     )
+    memo = {}
+    for case in cases:
+        case.memo = memo
     return cases
 
 
 def _run_case(case: IdentityCase, grid_density: int, tol_scale: float) -> CaseResult:
     tol = case.tol / tol_scale
     records = []
-    for coords in case.points(grid_density):
-        pt = dict(coords)
-        lhs = rhs = residual = None
-        note = ""
-        try:
-            lhs = case.lhs(pt)
-            rhs = case.rhs(pt)
-            residual = abs(lhs - rhs)
-            if isinstance(lhs, complex) or isinstance(rhs, complex):
-                lhs, rhs = abs(lhs), abs(rhs)
-        except (ArithmeticError, ValueError) as exc:
-            note = f"{type(exc).__name__}: {exc}"
-        passed = False
-        if not note:
-            if math.isfinite(residual):
-                passed = residual <= tol
-            else:
-                residual = None
-                note = "non-finite residual"
-        records.append(PointRecord(tuple(coords), lhs, rhs, residual, passed, note))
+    regsum._memo = case.memo
+    try:
+        for coords in case.points(grid_density):
+            pt = dict(coords)
+            lhs = rhs = residual = None
+            note = ""
+            try:
+                lhs = case.lhs(pt)
+                rhs = case.rhs(pt)
+                residual = abs(lhs - rhs)
+                if isinstance(lhs, complex) or isinstance(rhs, complex):
+                    lhs, rhs = abs(lhs), abs(rhs)
+            except (ArithmeticError, ValueError) as exc:
+                note = f"{type(exc).__name__}: {exc}"
+            passed = False
+            if not note:
+                if math.isfinite(residual):
+                    passed = residual <= tol
+                else:
+                    residual = None
+                    note = "non-finite residual"
+            records.append(PointRecord(tuple(coords), lhs, rhs, residual, passed, note))
+    finally:
+        regsum._memo = None
     finite = [r.residual for r in records if r.residual is not None]
     return CaseResult(
         case_id=case.id,

@@ -58,6 +58,11 @@ _OFFSET_ROUNDING = 4.0 * EPS
 # Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
 # 3 ulps, measured against mpmath.
 _RATIO_ROUNDING = 8.0 * EPS
+# The identity catalogue's memo: None, or while one of its cases runs,
+# that catalogue's dict, where _series_sum keeps each adaptive master
+# sum under its exact (y, s, weight).  It sits below the public names
+# because the sine and cosine of a series share one complex sum.
+_memo = None
 
 
 class TrigSeriesSpec:
@@ -352,8 +357,16 @@ def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
     total = 0.0 + 0.0j
     err = 0.0
     terms = 0
+    memo = _memo
     for coef, y in parts:
-        val, part_err, n_used = _master_sum_adaptive(y, spec.s, spec.weight)
+        if memo is None:
+            val, part_err, n_used = _master_sum_adaptive(y, spec.s, spec.weight)
+        else:
+            key = (y, spec.s, spec.weight)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = _master_sum_adaptive(y, spec.s, spec.weight)
+            val, part_err, n_used = hit
         total += coef * val
         err += abs(coef) * part_err
         terms += n_used

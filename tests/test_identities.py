@@ -307,9 +307,10 @@ def test_complex_limit_pair_is_evaluated_once_per_point(monkeypatch):
     assert len(calls) == 24
 
 
-def test_verify_all_makes_363_master_sums(monkeypatch):
-    # Deterministic cost guard: 319 adaptive sums, 289 of which stop at
-    # the 64-term head, 16 at 128 and 14 at 256, none of them blocked.
+def test_verify_all_makes_174_master_sums(monkeypatch):
+    # Deterministic cost guard: one catalogue sums each distinct master
+    # sum once, 150 adaptive sums, 133 of which stop at the 64-term head,
+    # 10 at 128 and 7 at 256, none of them blocked.
     from zetalim import regsum
 
     blocks = []
@@ -321,8 +322,125 @@ def test_verify_all_makes_363_master_sums(monkeypatch):
 
     monkeypatch.setattr(regsum, "_master_sum", counting)
     verify_all()
-    assert len(blocks) == 363
+    assert len(blocks) == 174
     assert set(blocks) == {1}
+
+
+def _record_engine_calls(monkeypatch):
+    """A list that gains (name, args) for each master sum and each
+    Hurwitz zeta call, under every name that binds hurwitz_zeta."""
+    import sys
+
+    from zetalim import hurwitz, regsum
+
+    calls = []
+    master = regsum._master_sum
+    zeta = hurwitz.hurwitz_zeta
+
+    def counting_master(*args):
+        calls.append(("master", args))
+        return master(*args)
+
+    def counting_zeta(q):
+        calls.append(("zeta", (q.s, q.x, q.m)))
+        return zeta(q)
+
+    monkeypatch.setattr(regsum, "_master_sum", counting_master)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("zetalim.") and getattr(mod, "hurwitz_zeta", None) is zeta:
+            monkeypatch.setattr(mod, "hurwitz_zeta", counting_zeta)
+    return calls
+
+
+def test_verify_all_makes_328_hurwitz_zeta_calls(monkeypatch):
+    # Deterministic cost guard: 256 at m = 0, 24 at m = 1 and 48 at m = 2.
+    # The memo serves _zeta's repeats; quadrature, stieltjes and the pole
+    # routes call hurwitz_zeta themselves.
+    calls = _record_engine_calls(monkeypatch)
+    verify_all()
+    orders = [args[2] for name, args in calls if name == "zeta"]
+    assert (orders.count(0), orders.count(1), orders.count(2)) == (256, 24, 48)
+
+
+def test_second_verify_all_makes_the_same_engine_calls(monkeypatch):
+    # Each verify_all() builds its own catalogue and memo: nothing
+    # summed by the first run serves the second.
+    calls = _record_engine_calls(monkeypatch)
+    first = verify_all()
+    n = len(calls)
+    second = verify_all()
+    assert n > 0
+    assert calls[n:] == calls[:n]
+    assert second.cases == first.cases
+
+
+def test_repeated_cli_verify_makes_equal_engine_calls(monkeypatch, capsys):
+    from zetalim import cli
+
+    calls = _record_engine_calls(monkeypatch)
+    assert cli.main(["verify", "--id", "EQ4.12", "--grid", "5"]) == 0
+    out = capsys.readouterr().out
+    n = len(calls)
+    assert cli.main(["verify", "--id", "EQ4.12", "--grid", "5"]) == 0
+    assert capsys.readouterr().out == out
+    assert n > 0
+    assert calls[n:] == calls[:n]
+
+
+def test_memo_lives_only_while_a_case_runs(monkeypatch):
+    from zetalim import regsum
+    from zetalim.regsum import regularized_limit
+
+    def fails(exc):
+        def evaluator(pt):
+            raise exc("synthetic failure for the memo scope")
+        return evaluator
+
+    case = _by_id("EQ4.1")
+    assert case.memo == {}
+    verify(case)
+    assert case.memo
+    assert regsum._memo is None
+    captured = registry()[0]
+    captured.lhs = fails(ValueError)
+    assert not _single(captured).passed
+    assert regsum._memo is None
+    escaping = registry()[0]
+    escaping.lhs = fails(RuntimeError)
+    with pytest.raises(RuntimeError):
+        verify(escaping)
+    assert regsum._memo is None
+
+    calls = _record_engine_calls(monkeypatch)
+    for k in range(1, 4):
+        regularized_limit(0.3, "sine", "unit")
+        assert len(calls) == k
+
+
+def test_catalogue_cases_share_one_memo_and_user_cases_have_none():
+    case = IdentityCase(
+        id="USER", lhs=lambda pt: 0.0, rhs=lambda pt: 0.0, axes=(), tol=1e-6, notes="",
+    )
+    assert case.memo is None
+    catalogue = registry()
+    assert all(c.memo is catalogue[0].memo for c in catalogue)
+    assert registry()[0].memo is not catalogue[0].memo
+
+
+def test_cases_verify_alike_on_a_fresh_and_a_full_memo():
+    # The memo keys are the exact arguments: a case served entirely from
+    # quantities its siblings stored reports what it reports alone, and
+    # what it reports with no memo at all.
+    shared = registry()
+    for case in shared:
+        verify(case)
+    for k, case in enumerate(shared):
+        alone = registry()[k]
+        bare = registry()[k]
+        bare.memo = None
+        want = verify(alone).cases
+        assert verify(case).cases == want, case.id
+        assert verify(bare).cases == want, case.id
 
 
 def test_complex_sides_report_moduli_and_complex_residual():
