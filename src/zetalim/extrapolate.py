@@ -1,13 +1,12 @@
-"""Neville polynomial extrapolation to zero, and the one offset ladder
-every extrapolation in the package samples."""
+"""Neville polynomial extrapolation to zero, and the offset ladder the
+Hurwitz pole limits sample."""
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-# h_k = 0.25 2^-k, k = 0..8.  The pole of zeta(s, x) is sampled at
-# s = 1 +- h_k for k = 0..4 and extrapolated in h^2; the regularized
-# limits' cross-check samples s* - h_k, all nine.
-LADDER = tuple(0.25 * 2.0**-k for k in range(9))
+# h_k = 0.25 2^-k, k = 0..4: the pole of zeta(s, x) is sampled at
+# s = 1 +- h_k and extrapolated in h^2.
+LADDER = tuple(0.25 * 2.0**-k for k in range(5))
 
 
 def neville_zero(

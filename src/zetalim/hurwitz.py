@@ -20,8 +20,6 @@ from .special import BERNOULLI_L, BERNOULLI_NUM, bernoulli
 _POLE_RADIUS = 1e-8
 _EM_CUTOFF = 6
 _EM_ORDER = 12
-# Ladder steps sampled on each side of the pole.
-_POLE_STEPS = 5
 _HASSE_MAX_TERMS = 200
 
 # B_{2k} / (2k)! for k = 1 .. 12
@@ -273,8 +271,8 @@ def _pole_limit(x: float, part: str) -> EvalResult:
 
     Neville extrapolates the part asked for in h^2, over the same ten
     samples for every part.  Returns the limit, tagged part + "-fd", with
-    terms_used the 2 _POLE_STEPS = 10 samples and err_estimate the
-    tableau's last correction plus rounding.  A sample carries a few
+    terms_used the 10 samples, two per LADDER offset, and err_estimate
+    the tableau's last correction plus rounding.  A sample carries a few
     ulps of (|zeta(1+h, x)| + |zeta(1-h, x)|)/2, which E(h) keeps, h O(h)
     scales by h and the gamma1 quotient by 1/h; the tableau's weights
     add about 1.6, so the estimate adds 4 ulps of the largest.  A limit
@@ -284,7 +282,7 @@ def _pole_limit(x: float, part: str) -> EvalResult:
     """
     nodes, vals = [], []
     noise = 0.0
-    for h in LADDER[:_POLE_STEPS]:
+    for h in LADDER:
         up = hurwitz_zeta(HurwitzQuery(1.0 + h, x)).value
         down = hurwitz_zeta(HurwitzQuery(1.0 - h, x)).value
         even, odd = 0.5 * (up + down), 0.5 * h * (up - down)
@@ -299,7 +297,7 @@ def _pole_limit(x: float, part: str) -> EvalResult:
         raise ConvergenceError(
             f"pole ladder keeps no significant digit of {part} at x = {x}"
         )
-    return EvalResult(value, err, 2 * _POLE_STEPS, part + "-fd")
+    return EvalResult(value, err, 2 * len(LADDER), part + "-fd")
 
 
 def pole_residue_check(x: float) -> float:

@@ -20,10 +20,7 @@ so does its rounding, so there head and tail are cut into blocks of
 about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
-series evaluated once at s = s*.  Neville extrapolation over the
-samples at s* - h_k, h_k = 0.25 2^{-k} (extrapolate.LADDER), every s
-strictly inside the s < 1 convergence half-line, stays as the
-independent cross-check route, selected by ladder=True.
+series evaluated once at s = s*.
 """
 from __future__ import annotations
 
@@ -34,7 +31,6 @@ from itertools import accumulate, islice
 from operator import sub
 from typing import Tuple
 
-from .extrapolate import LADDER, neville_zero
 from .result import EPS, ConvergenceError, DomainError, EvalResult
 from .special import EULER_GAMMA
 
@@ -401,41 +397,17 @@ def regularized_limit(
     parity: str = "all_n",
     scale: str = "n_power",
     s_target: float = 1.0,
-    ladder: bool = False,
 ) -> EvalResult:
     """Limit s -> s_target of the series, over trig_dirichlet_sum's range.
 
-    By default the Euler-summed series is evaluated once at s = s_target
-    (method tag "euler-at-target"): the transform's value is analytic in
-    s, so it equals the limit.  ladder=True selects the independent
-    cross-check route instead, Neville extrapolation over the samples
-    at s_target - h, h = LADDER[k], k = 0..8 (method tag "neville-osc").
-    A master sum that cannot reach 1e-8 raises ConvergenceError.
+    The Euler-summed series evaluated once at s = s_target (method tag
+    "euler-at-target"): the transform's value is analytic in s, so it
+    equals the limit.  A master sum that cannot reach 1e-8 raises
+    ConvergenceError.
     """
     s_target = float(s_target)
     if s_target not in (0.0, 1.0):
         raise DomainError(f"limit target must be 0 or 1, got {s_target}")
-    if not ladder:
-        spec = TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
-                              s=s_target, scale=scale)
-        return _series_sum(spec, "euler-at-target")
-    vals = []
-    point_err = 0.0
-    terms = 0
-    for h in LADDER:
-        r = trig_dirichlet_sum(
-            TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
-                           s=s_target - h, scale=scale)
-        )
-        vals.append(r.value)
-        point_err = max(point_err, r.err_estimate)
-        terms += r.terms_used
-    value, corrections = neville_zero(LADDER, vals)
-    if corrections[-1] > 1e-10 and corrections[-1] > 8.0 * min(corrections):
-        raise ConvergenceError(
-            f"extrapolation unstable: corrections {corrections[-3:]}"
-        )
-    err = max(corrections[-1], point_err)
-    return EvalResult(
-        value=value, err_estimate=err, terms_used=terms, method_tag="neville-osc"
-    )
+    spec = TrigSeriesSpec(x=x, trig=trig, weight=weight, parity=parity,
+                          s=s_target, scale=scale)
+    return _series_sum(spec, "euler-at-target")

@@ -417,6 +417,46 @@ def test_memo_lives_only_while_a_case_runs(monkeypatch):
         assert len(calls) == k
 
 
+def test_memo_keeps_only_successful_results(monkeypatch):
+    # A Hurwitz zeta value (EQ3.9, through _zeta) and a master sum (EQ4.1,
+    # through regsum._series_sum) each fail on their first call.  The
+    # failed arguments leave no entry, so a second verify sums them again.
+    from zetalim import regsum
+    from zetalim.result import ConvergenceError
+
+    failed = []
+
+    def failing_once(original, key):
+        armed = True
+
+        def engine(*args):
+            nonlocal armed
+            if armed:
+                armed = False
+                failed.append(key(*args))
+                raise ConvergenceError("synthetic failure for the memo")
+            return original(*args)
+
+        return engine
+
+    monkeypatch.setattr(identities, "hurwitz_zeta",
+                        failing_once(identities.hurwitz_zeta, lambda q: (q.s, q.x, q.m)))
+    monkeypatch.setattr(regsum, "_master_sum_adaptive",
+                        failing_once(regsum._master_sum_adaptive, lambda *args: args))
+    catalogue = {c.id: c for c in registry()}
+    cases = (catalogue["EQ3.9"], catalogue["EQ4.1"])
+    memo = cases[0].memo
+    for case in cases:
+        bad = [p for p in _single(case).points if not p.passed]
+        assert len(bad) == 1, case.id
+        assert bad[0].note.startswith("ConvergenceError: synthetic"), case.id
+    assert len(failed) == 2
+    assert not [key for key in failed if key in memo]
+    for case in cases:
+        assert _single(case).passed, case.id
+    assert all(key in memo for key in failed)
+
+
 def test_catalogue_cases_share_one_memo_and_user_cases_have_none():
     case = IdentityCase(
         id="USER", lhs=lambda pt: 0.0, rhs=lambda pt: 0.0, axes=(), tol=1e-6, notes="",

@@ -75,8 +75,7 @@ def test_regsum_and_identities_load_as_one_unit(code):
     assert _loaded_after(code) == _UNIT
 
 
-_ENGINE = {"zetalim", "zetalim.regsum", "zetalim.extrapolate", "zetalim.result",
-           "zetalim.special"}
+_ENGINE = {"zetalim", "zetalim.regsum", "zetalim.result", "zetalim.special"}
 
 
 @pytest.mark.parametrize(
@@ -98,8 +97,10 @@ def test_series_names_load_only_the_series_engine(code):
 
 def test_regsum_loads_no_catalogue_layer():
     # A direct submodule import, not the package's unit: the series
-    # engine stands below hurwitz, stieltjes and the identity catalogue.
-    layers = ("zetalim.hurwitz", "zetalim.stieltjes", "zetalim.identities")
+    # engine stands below hurwitz, stieltjes and the identity catalogue,
+    # and needs no extrapolation.
+    layers = ("zetalim.extrapolate", "zetalim.hurwitz", "zetalim.stieltjes",
+              "zetalim.identities")
     assert _loaded_after("import zetalim.regsum", layers) == set()
 
 
