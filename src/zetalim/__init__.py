@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _SOURCE = {
     name: module
     for module, names in {
-        "extrapolate": ("neville_zero",),
         "hurwitz": ("HurwitzQuery", "hurwitz_hasse", "hurwitz_zeta", "pole_residue_check"),
         "identities": (
             "IdentityCase", "VerificationReport", "default_x_grid",
@@ -27,7 +26,7 @@ _SOURCE = {
         ),
         "regsum": ("TrigSeriesSpec", "regularized_limit", "trig_dirichlet_sum"),
         "result": ("ConvergenceError", "DomainError", "EvalResult", "PoleError"),
-        "special": ("EULER_GAMMA", "bernoulli", "bernoulli_table", "digamma", "log_gamma"),
+        "special": ("EULER_GAMMA", "bernoulli", "digamma", "log_gamma"),
         "stieltjes": (
             "StieltjesQuery", "gamma1_finite_difference", "gamma1_reflection_diff",
             "integral_gamma", "stieltjes_gamma",

@@ -13,7 +13,6 @@ import math
 from itertools import accumulate
 from operator import sub
 
-from .extrapolate import LADDER, neville_zero
 from .result import EPS, ConvergenceError, DomainError, EvalResult, PoleError
 from .special import BERNOULLI_L, BERNOULLI_NUM, bernoulli
 
@@ -21,6 +20,9 @@ _POLE_RADIUS = 1e-8
 _EM_CUTOFF = 6
 _EM_ORDER = 12
 _HASSE_MAX_TERMS = 200
+# h_k = 0.25 2^-k, k = 0..4: the pole of zeta(s, x) is sampled at
+# s = 1 +- h_k and extrapolated in h^2.
+_LADDER = tuple(0.25 * 2.0**-k for k in range(5))
 
 # B_{2k} / (2k)! for k = 1 .. 12
 _EM_COEF = tuple(
@@ -258,8 +260,22 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     )
 
 
+def _neville(hs: list[float], vs: list[float]) -> tuple[float, float]:
+    """Neville's tableau through (h_i, v_i), h_i distinct, at h = 0: the top
+    estimate and its last correction |p_n - p_(n-1)|, the error estimate."""
+    n = len(hs)
+    p = list(vs)
+    last = 0.0
+    for k in range(1, n):
+        prev = p[-1]
+        for i in range(n - 1, k - 1, -1):
+            p[i] = (hs[i - k] * p[i] - hs[i] * p[i - 1]) / (hs[i - k] - hs[i])
+        last = abs(p[-1] - prev)
+    return p[-1], last
+
+
 def _pole_limit(x: float, part: str) -> EvalResult:
-    """Limit at h = 0 of one part of zeta(1 +- h, x), h = LADDER[k], k = 0..4.
+    """Limit at h = 0 of one part of zeta(1 +- h, x), h = _LADDER[k], k = 0..4.
 
     zeta(1 + h, x) = 1/h + sum_n (-1)^n gamma_n(x) h^n / n!, so with the
     even part E(h) = [zeta(1+h, x) + zeta(1-h, x)]/2 and the odd part
@@ -271,7 +287,7 @@ def _pole_limit(x: float, part: str) -> EvalResult:
 
     Neville extrapolates the part asked for in h^2, over the same ten
     samples for every part.  Returns the limit, tagged part + "-fd", with
-    terms_used the 10 samples, two per LADDER offset, and err_estimate
+    terms_used the 10 samples, two per _LADDER offset, and err_estimate
     the tableau's last correction plus rounding.  A sample carries a few
     ulps of (|zeta(1+h, x)| + |zeta(1-h, x)|)/2, which E(h) keeps, h O(h)
     scales by h and the gamma1 quotient by 1/h; the tableau's weights
@@ -282,7 +298,7 @@ def _pole_limit(x: float, part: str) -> EvalResult:
     """
     nodes, vals = [], []
     noise = 0.0
-    for h in LADDER:
+    for h in _LADDER:
         up = hurwitz_zeta(HurwitzQuery(1.0 + h, x)).value
         down = hurwitz_zeta(HurwitzQuery(1.0 - h, x)).value
         even, odd = 0.5 * (up + down), 0.5 * h * (up - down)
@@ -291,13 +307,13 @@ def _pole_limit(x: float, part: str) -> EvalResult:
         nodes.append(h * h)
         vals.append(val)
         noise = max(noise, gain * 0.5 * (abs(up) + abs(down)))
-    value, corrections = neville_zero(nodes, vals)
-    err = corrections[-1] + 4.0 * EPS * noise
+    value, correction = _neville(nodes, vals)
+    err = correction + 4.0 * EPS * noise
     if not (math.isfinite(value) and err < max(1.0, abs(value))):
         raise ConvergenceError(
             f"pole ladder keeps no significant digit of {part} at x = {x}"
         )
-    return EvalResult(value, err, 2 * len(LADDER), part + "-fd")
+    return EvalResult(value, err, 2 * len(_LADDER), part + "-fd")
 
 
 def pole_residue_check(x: float) -> float:

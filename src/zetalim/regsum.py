@@ -377,10 +377,15 @@ def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
 def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     """Evaluate the series of `spec` inside its convergence region s < 1.
 
-    Working range: min(x, 1 - x) >= about 3.7e-4.  Next to x = 0 and
-    x = 1 the master sum takes a head of 24 B terms and its tail, both
-    in blocks of B = 1/(2 min(x, 1 - x)) terms, and below that range the
-    head would pass `_HEAD_CAP`, so the sum raises ConvergenceError.
+    Next to an integer phase y the master sum takes a head of 24 B terms
+    and its tail, both in blocks of B = round(1/(2 d)) terms, d the
+    distance of y from the nearest integer.  Working range: d > 1/2731
+    (3.66e-4) at each phase the parity sums, so for x in (0, 1)
+    min(x, 1 - x) > 3.66e-4 (all_n), 1 - x > 7.32e-4 (alternating, phase
+    (x - 1)/2 there) and x > 7.32e-4 with 1 - x > 3.66e-4 (odd_only,
+    phases x/2 and x).  Past it the blocked head would pass `_HEAD_CAP`;
+    the plain sum alone then raises ConvergenceError (unit weight, s = -1,
+    0, 0.5 and 0.9), unless its terms decay fast enough (s = -3).
     err_estimate is the master sums' own, edge band and interior alike.
     """
     if not spec.s < 1.0:

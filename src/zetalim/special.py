@@ -56,24 +56,6 @@ def bernoulli(k: int) -> float:
     return BERNOULLI_NUM[k] / BERNOULLI_L
 
 
-def bernoulli_table() -> tuple:
-    """Exact-rational Bernoulli numbers B_0 .. B_32, as Fractions."""
-    from fractions import Fraction
-
-    return tuple(Fraction(n, BERNOULLI_L) for n in BERNOULLI_NUM)
-
-
-def cot_pi(x: float) -> float:
-    """cot(pi x), taken as -cot(pi (1 - x)) for x > 1/2.
-
-    1 - x is exact there, while pi x next to pi carries a rounding error
-    that cot magnifies (4e-13 absolute in pi cot(pi x) at x = 0.989).
-    """
-    t = math.pi * (1.0 - x if x > 0.5 else x)
-    c = math.cos(t) / math.sin(t)
-    return -c if x > 0.5 else c
-
-
 def digamma(x: float) -> float:
     """Digamma psi(x) for real x > 0, error below 1e-14 max(1, |psi(x)|).
 

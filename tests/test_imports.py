@@ -28,6 +28,13 @@ def _run(args):
     return proc.stdout
 
 
+def _zetalim_loaded_after(code: str) -> set:
+    """Every zetalim module present in sys.modules after running `code`."""
+    loaded = "[m for m in sys.modules if m.split('.')[0] == 'zetalim']"
+    probe = f"{code}\nimport json, sys\nprint(json.dumps({loaded}))"
+    return set(json.loads(_run(["-c", probe]).splitlines()[-1]))
+
+
 def _loaded_after(code: str, probed=_PROBED) -> set:
     """The `probed` modules present in sys.modules after running `code`."""
     report = f"print(json.dumps([m for m in {probed!r} if m in sys.modules]))"
@@ -90,17 +97,32 @@ _ENGINE = {"zetalim", "zetalim.regsum", "zetalim.result", "zetalim.special"}
 )
 def test_series_names_load_only_the_series_engine(code):
     # A cold regularized limit compiles no catalogue layer.
-    loaded = "[m for m in sys.modules if m.split('.')[0] == 'zetalim']"
-    probe = f"{code}\nimport json, sys\nprint(json.dumps({loaded}))"
-    assert set(json.loads(_run(["-c", probe]).splitlines()[-1])) == _ENGINE
+    assert _zetalim_loaded_after(code) == _ENGINE
+
+
+_POINT = {"zetalim", "zetalim.cli", "zetalim.hurwitz", "zetalim.result",
+          "zetalim.special", "zetalim.stieltjes"}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import zetalim.cli",
+        "from zetalim.cli import main\n"
+        "main(['zeta', '--s', '2', '--x', '1', '--deriv', '2'])\n"
+        "main(['stieltjes', '--n', '1', '--x', '0.25'])",
+    ],
+    ids=["import-cli", "cli-zeta-stieltjes"],
+)
+def test_cli_point_commands_load_only_the_point_layers(code):
+    # The pole ladder's tableau lives in hurwitz: no layer of its own.
+    assert _zetalim_loaded_after(code) == _POINT
 
 
 def test_regsum_loads_no_catalogue_layer():
     # A direct submodule import, not the package's unit: the series
-    # engine stands below hurwitz, stieltjes and the identity catalogue,
-    # and needs no extrapolation.
-    layers = ("zetalim.extrapolate", "zetalim.hurwitz", "zetalim.stieltjes",
-              "zetalim.identities")
+    # engine stands below hurwitz, stieltjes and the identity catalogue.
+    layers = ("zetalim.hurwitz", "zetalim.stieltjes", "zetalim.identities")
     assert _loaded_after("import zetalim.regsum", layers) == set()
 
 

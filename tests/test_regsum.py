@@ -208,7 +208,7 @@ def test_scale_is_immaterial_in_the_limit():
 
 
 def test_neville_corrections_shrink_along_the_ladder():
-    from zetalim.extrapolate import neville_zero
+    from zetalim.hurwitz import _neville
 
     hs = [0.25 * 2.0**-k for k in range(9)]
     vs = [
@@ -218,9 +218,37 @@ def test_neville_corrections_shrink_along_the_ladder():
         ).value
         for h in hs
     ]
-    _, corrections = neville_zero(hs, vs)
+    # The tableau's diagonal, bit for bit: its estimate at level j - 1 is
+    # the one from the last j samples alone.
+    diagonal = [_neville(hs[-j:], vs[-j:])[0] for j in range(1, len(hs) + 1)]
+    corrections = [abs(b - a) for a, b in zip(diagonal, diagonal[1:])]
     for k in range(2, len(corrections) - 1):
         assert corrections[k + 1] < corrections[k], corrections
+
+
+@pytest.mark.parametrize(
+    "parity, x, works",
+    [
+        ("all_n", 3.65e-4, False), ("all_n", 3.67e-4, True),
+        ("all_n", 1.0 - 3.65e-4, False), ("all_n", 1.0 - 3.67e-4, True),
+        ("alternating", 1e-6, True),
+        ("alternating", 1.0 - 7.31e-4, False), ("alternating", 1.0 - 7.34e-4, True),
+        ("odd_only", 7.31e-4, False), ("odd_only", 7.34e-4, True),
+        ("odd_only", 1.0 - 3.65e-4, False), ("odd_only", 1.0 - 3.67e-4, True),
+    ],
+)
+def test_series_range_per_parity(parity, x, works):
+    # Each phase the parity sums must lie farther than 1/2731 (3.662e-4)
+    # from an integer: x for all_n, (x - 1)/2 for alternating next to
+    # x = 1 (none next to x = 0), x/2 and x for odd_only.
+    spec = TrigSeriesSpec(x, "sine", "unit", parity=parity, s=0.5)
+    if not works:
+        with pytest.raises(ConvergenceError):
+            trig_dirichlet_sum(spec)
+        return
+    got = trig_dirichlet_sum(spec)
+    want = mp_trig_series(x, "sine", "unit", parity, 0.5)
+    assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("x", [0.2, 0.45])
@@ -261,14 +289,14 @@ def test_partial_sums_stay_consistent():
 def test_vanishing_weighted_tail():
     # (1 - s) sum n^{s-1} sin(2 pi n x) -> 0 as s -> 1: the series has
     # a finite limit there, so the prefactor kills the product.
-    from zetalim.extrapolate import neville_zero
+    from zetalim.hurwitz import _neville
 
     hs = [0.25 * 2.0**-k for k in range(9)]
     vs = [
         h * trig_dirichlet_sum(TrigSeriesSpec(0.3, "sine", "unit", s=1.0 - h)).value
         for h in hs
     ]
-    limit, _ = neville_zero(hs, vs)
+    limit, _ = _neville(hs, vs)
     assert abs(limit) < 1e-7
     lim = regularized_limit(0.3, "sine", "unit")
     assert abs(lim.value - 0.5 * _cot_pi(0.3)) < 1e-7

@@ -1,4 +1,5 @@
-"""Bernoulli numbers, digamma, log-gamma, and the Neville extrapolator."""
+"""Bernoulli numbers, digamma, log-gamma, and the pole ladder's Neville
+tableau."""
 from __future__ import annotations
 
 import math
@@ -14,12 +15,11 @@ from zetalim import (
     ConvergenceError,
     DomainError,
     bernoulli,
-    bernoulli_table,
     digamma,
     log_gamma,
-    neville_zero,
 )
-from zetalim.special import HARMONIC
+from zetalim.hurwitz import _neville
+from zetalim.special import BERNOULLI_L, BERNOULLI_NUM, HARMONIC
 
 from oracles import one_order_log_gamma
 
@@ -40,12 +40,6 @@ def test_bernoulli_against_mpmath():
         assert bernoulli(k) == pytest.approx(float(mp.bernoulli(k)), rel=1e-15, abs=1e-300)
 
 
-def test_bernoulli_table_covers_order_16():
-    table = bernoulli_table()
-    assert len(table) == 33
-    assert float(table[32]) == pytest.approx(float(mp.bernoulli(32)), rel=1e-15)
-
-
 def test_bernoulli_floats_are_the_exact_values_rounded():
     # No tolerance: each B_k is the double nearest the exact rational.
     for k in range(33):
@@ -58,10 +52,9 @@ def test_harmonic_floats_are_the_exact_sums_rounded():
 
 
 def test_bernoulli_table_is_exact():
-    table = bernoulli_table()
+    assert len(BERNOULLI_NUM) == 33
     for k in range(33):
-        assert type(table[k]) is Fraction
-        assert table[k] == Fraction(*mp.bernfrac(k)), k
+        assert Fraction(BERNOULLI_NUM[k], BERNOULLI_L) == Fraction(*mp.bernfrac(k)), k
 
 
 def test_bernoulli_rejects_negative_index():
@@ -173,22 +166,14 @@ def test_neville_recovers_polynomial_exactly():
     poly = lambda h: 3.0 - 2.0 * h + h * h - 5.0 * h**3
     hs = [0.5 * 2.0**-k for k in range(6)]
     vs = [poly(h) for h in hs]
-    value, corrections = neville_zero(hs, vs)
+    value, correction = _neville(hs, vs)
     assert value == pytest.approx(3.0, abs=1e-12)
-    assert corrections[-1] < 1e-12
+    assert correction < 1e-12
 
 
 def test_neville_extrapolates_smooth_function():
     hs = [0.25 * 2.0**-k for k in range(8)]
     vs = [math.cos(h) for h in hs]
-    value, _ = neville_zero(hs, vs)
+    value, _ = _neville(hs, vs)
     assert value == pytest.approx(1.0, abs=1e-13)
 
-
-def test_neville_input_validation():
-    with pytest.raises(ValueError):
-        neville_zero([], [])
-    with pytest.raises(ValueError):
-        neville_zero([0.1, 0.2], [1.0])
-    with pytest.raises(ValueError):
-        neville_zero([0.1, 0.1], [1.0, 2.0])
