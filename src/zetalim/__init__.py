@@ -5,11 +5,12 @@ identities that connect them.
 The namespace is lazy (PEP 562): a public name imports its submodule
 on first use, so `import zetalim` loads no third-party module.  A
 series name (`regularized_limit`, `trig_dirichlet_sum`,
-`TrigSeriesSpec`) loads `regsum` with `result` and `special` only;
-the `regsum` submodule asked of the package loads `identities` with
-it.  numpy comes in only with a blocked master sum, at a phase y
-within about 0.077 of an integer (a series next to x = 0 or 1);
-mpmath only with a call of `hurwitz_hasse`.
+`TrigSeriesSpec`) loads `regsum` with `result` only; the `regsum`
+submodule asked of the package loads `identities` with it.  numpy
+comes in only with a blocked master sum: `trig_dirichlet_sum` at s
+other than 0 with a phase within about 0.077 of an integer (x next to
+0 or 1); no regularized limit loads it.  mpmath comes in only with a
+call of `hurwitz_hasse`.
 """
 from importlib import import_module as _import_module
 

@@ -20,7 +20,8 @@ so does its rounding, so there head and tail are cut into blocks of
 about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
-series evaluated once at s = s*.
+series evaluated once at s = s*.  At those s, within 1/13 of an integer
+phase, M is the polylogarithm's short expansion about z = 1 instead.
 """
 from __future__ import annotations
 
@@ -31,8 +32,7 @@ from itertools import accumulate, islice
 from operator import sub
 from typing import Tuple
 
-from .result import EPS, ConvergenceError, DomainError, EvalResult
-from .special import EULER_GAMMA
+from .result import EPS, EULER_GAMMA, ConvergenceError, DomainError, EvalResult
 
 TRIG_KINDS = ("sine", "cosine")
 WEIGHT_KINDS = ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
@@ -54,6 +54,16 @@ _OFFSET_ROUNDING = 4.0 * EPS
 # Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
 # 3 ulps, measured against mpmath.
 _RATIO_ROUNDING = 8.0 * EPS
+# zeta'(-k)/k!, k = 0..15, and gamma_1: float() of 40-digit mpmath; at
+# s = 0 term k is zeta'(-k)/k! mu^(k+1)/(k+1).
+_DZETA = (
+    -0.9189385332046728, -0.16542114370045094, -0.015224228529196636, 0.0008964293929623836,
+    0.00033265881042785937, -4.77488316832196e-06, -8.194109921549913e-06, -1.4457196034905568e-07,
+    2.0625401750005574e-07, 8.62584137948791e-09, -5.216580229866726e-09, -3.194891494299808e-10,
+    1.3208845929003786e-10, 1.0237620170560034e-11, -3.345531562149655e-12, -3.061307253578634e-13)
+_GAMMA1 = -0.07281584548367673
+_DZETA_S0 = tuple([t / (j + 1) for j, t in enumerate(_DZETA)])
+_S0_CONST = math.pi**2 / 12.0 + _GAMMA1
 # The identity catalogue's memo: None, or while one of its cases runs,
 # that catalogue's dict, where _series_sum keeps each adaptive master
 # sum under its exact (y, s, weight).  It sits below the public names
@@ -289,33 +299,77 @@ def _master_sum(
     return head + tail, err
 
 
+def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
+    """M(y, s, w) at s in {0, 1}, |y| <= 1/13: value, error, terms.
+
+    Li_sigma(e^mu) = Gamma(1 - sigma)(-mu)^(sigma-1) + sum_k zeta(sigma - k)
+    mu^k/k!, mu = 2 pi i y, sigma = 1 - s (Wood, Kent TR 15-92, 1992); ln n
+    is -d/dsigma, L = ln(-mu).  At s = 1 it is (gamma + L)/mu - sum zeta'(-k)
+    mu^k/k!, at s = 0 (gamma + L)^2/2 + pi^2/12 + gamma_1 - sum_{k>=1}
+    zeta'(1 - k) mu^k/k!.  Unit is z/(1 - z) or -ln(1 - z), with 1 - z =
+    -2i sin(pi y) e^(i pi y), and the other weights add w(1) times it.  As
+    |zeta'(-k)/k!| (2 pi)^k <= 1 for 2 <= k <= 144 (ln(k)/pi beyond), terms
+    k >= J >= 2 sum to at most |y|^J/(1 - 2|y|), times |mu| at s = 0.  Each
+    part is formed within 6 eps of its size, the worst (gamma + L)^2/2 at
+    2 (4.2 u) + 2 u, u = eps/2.
+    """
+    y -= round(y)
+    ay, sin_py = abs(y), math.sin(math.pi * y)
+    if 2.0 * abs(sin_py) < 1e-9:
+        raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
+    unit = (complex(-0.5, 0.5 * math.cos(math.pi * y) / sin_py) if s == 1.0 else
+            complex(-math.log(2.0 * abs(sin_py)), math.copysign(0.5 * math.pi, y) - math.pi * y))
+    if weight == "unit":
+        return unit, 6.0 * EPS * abs(unit), 1
+    mu = complex(0.0, _TWO_PI * y)
+    g = complex(EULER_GAMMA + math.log(_TWO_PI * ay), -math.copysign(0.5 * math.pi, y))
+    if s == 1.0:
+        lead, size, p, table = g / mu, abs(g) / abs(mu), 1.0, _DZETA
+    else:
+        lead, size, p, table = 0.5 * g * g + _S0_CONST, 0.5 * abs(g) ** 2 + _S0_CONST, mu, _DZETA_S0
+    tol, rest, terms = 2.0**-56 * abs(p), abs(p) / (1.0 - 2.0 * ay), []
+    for t in table:
+        terms.append(t * p)
+        p, rest = p * mu, rest * ay
+        if rest < tol and len(terms) > 1:
+            break
+    c = _LOG_WEIGHTS[weight](1.0, math.log)
+    size += sum(map(abs, terms)) + c * abs(unit)
+    return lead - sum(reversed(terms)) + c * unit, rest + 6.0 * EPS * size, len(terms)
+
+
 def _master_sum_adaptive(
     y: float, s: float, weight: str
 ) -> Tuple[complex, float, int]:
     """M(y, s, w) to _ENGINE_TARGET: value, error and head terms.
 
     A plain _HEAD_START-term call settles interior y.  When B =
-    round(1/(2 min(y, 1-y))) >= _BLOCK_MIN and a 24 B-term head fits in
-    _HEAD_CAP, a plain call almost never settles, so the first call
-    sums that head and the tail in blocks of B terms.  Constant
-    coefficients (unit weight at s = 1) are the exception: all their
-    forward differences vanish, so the plain call is exact and goes
-    first.  The head then doubles, within _HEAD_CAP, while each attempt
+    round(1/(2 min(y, 1-y))) >= _BLOCK_MIN, a plain call almost never
+    settles: at s in {0, 1} _near_one takes M, and otherwise, when a
+    24 B-term head fits in _HEAD_CAP, the first call sums that head and
+    the tail in blocks of B terms.  Constant coefficients (unit weight
+    at s = 1) are the exception: all their forward differences vanish,
+    so the plain call is exact and goes first.  The head then doubles, within _HEAD_CAP, while each attempt
     at least halves the error.  A best error above _EDGE_ERR raises
-    ConvergenceError.  The error returned adds the kept sum's final
-    rounding, 4 ulps of max(1, |M|) for both parts together (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4),
-    after the search, so it moves no head, block or raise.
+    ConvergenceError.  After the search, so that it moves no head, block
+    or raise, the error adds a plain head's phase rounding, 7.5 eps sum |c|,
+    and the kept sum's final rounding, 4 ulps of max(1, |M|) for both
+    parts together (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 4).
     """
     # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
     # _HEAD_CAP anyway.
     b = round(0.5 / max(abs(y - round(y)), 1.0 / _HEAD_CAP))
+    near = _BLOCK_MIN <= b and s in (0.0, 1.0)
     blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP
     n, block = _HEAD_START, 1
     best = (0j, math.inf, n)
-    if not blocked or (weight == "unit" and s == 1.0):
+    if not (blocked or near) or (weight == "unit" and s == 1.0):
         value, err = _master_sum(y, s, weight, n)
         best = (value, err, n)
+    if near and best[1] > _ENGINE_TARGET:
+        value, err, n = _near_one(y, s, weight)
+        return value, err + 4.0 * EPS * max(1.0, abs(value)), n
     if blocked and best[1] > _ENGINE_TARGET:
         n, block = 24 * b, b
         value, err = _master_sum(y, s, weight, n, block)
@@ -334,6 +388,10 @@ def _master_sum_adaptive(
         raise ConvergenceError(
             f"master sum at y = {y}, s = {s} stalled at error {err:.2g}"
         )
+    if not blocked or n == _HEAD_START:  # a plain head; a blocked one has 24 B 2^k terms
+        # Its angles 2 pi frac(n y) < 2 pi round by u = eps/2 of frac, u of the
+        # product and _TWO_PI's 1.1 eps, of one sign where frac(n y) clusters.
+        err += 7.5 * EPS * _plain_tables(s, weight, n)[2]
     return value, err + 4.0 * EPS * max(1.0, abs(value)), n
 
 
@@ -380,13 +438,12 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     Next to an integer phase y the master sum takes a head of 24 B terms
     and its tail, both in blocks of B = round(1/(2 d)) terms, d the
     distance of y from the nearest integer.  Working range: d > 1/2731
-    (3.66e-4) at each phase the parity sums, so for x in (0, 1)
-    min(x, 1 - x) > 3.66e-4 (all_n), 1 - x > 7.32e-4 (alternating, phase
-    (x - 1)/2 there) and x > 7.32e-4 with 1 - x > 3.66e-4 (odd_only,
-    phases x/2 and x).  Past it the blocked head would pass `_HEAD_CAP`;
-    the plain sum alone then raises ConvergenceError (unit weight, s = -1,
-    0, 0.5 and 0.9), unless its terms decay fast enough (s = -3).
-    err_estimate is the master sums' own, edge band and interior alike.
+    (3.66e-4) at each phase the parity sums (x for all_n, (x - 1)/2 for
+    alternating next to x = 1, x/2 and x for odd_only); past it the plain
+    sum alone raises ConvergenceError (unit weight, s = -1, 0.5 and 0.9)
+    unless its terms decay fast enough (s = -3).  At s = 0 the series
+    about z = 1 reaches the phase guard, |1 - z| >= 1e-9.  err_estimate
+    is the master sums' own, edge band and interior alike.
     """
     if not spec.s < 1.0:
         raise ConvergenceError(
@@ -403,12 +460,13 @@ def regularized_limit(
     scale: str = "n_power",
     s_target: float = 1.0,
 ) -> EvalResult:
-    """Limit s -> s_target of the series, over trig_dirichlet_sum's range.
+    """Limit s -> s_target of the series (method tag "euler-at-target").
 
-    The Euler-summed series evaluated once at s = s_target (method tag
-    "euler-at-target"): the transform's value is analytic in s, so it
-    equals the limit.  A master sum that cannot reach 1e-8 raises
-    ConvergenceError.
+    The Euler-summed series once at s = s_target, whose value is analytic
+    in s; within 1/13 of an integer phase the series about z = 1, which
+    reaches the phase guard |1 - z| >= 1e-9, except for unit weight at
+    s_target = 1, whose plain sum stops 6.71e-5 from an integer.  A master
+    sum that cannot reach 1e-8 raises ConvergenceError.
     """
     s_target = float(s_target)
     if s_target not in (0.0, 1.0):

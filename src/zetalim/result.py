@@ -1,7 +1,9 @@
-"""Shared result container, error types and EPS, one binary64 ulp of 1."""
+"""Result container, error types, EPS (one binary64 ulp of 1) and Euler's gamma."""
 from __future__ import annotations
 
 EPS = 2.0**-52
+# Euler-Mascheroni constant, binary64-correct.
+EULER_GAMMA = 0.5772156649015329
 
 
 class DomainError(ValueError):

@@ -20,10 +20,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .result import ConvergenceError, DomainError
-
-# Euler-Mascheroni constant, binary64-correct.
-EULER_GAMMA = 0.5772156649015329
+from .result import EULER_GAMMA, ConvergenceError, DomainError  # noqa: F401 (re-exported)
 
 _SHIFT_THRESHOLD = 8.0
 

@@ -233,7 +233,56 @@ LIMIT_POINTS = [
      _LOG_WEIGHTS[k % 3] if k % 6 in (0, 1) else "unit", _PARITIES[k % 3],
      ("n_power", "two_pi_n_power")[k % 2], float(k % 4 < 2))
     for k in range(36)
+] + [
+    # An alternating limit whose phase, next to 1/2, puts the plain
+    # head's odd-n angles next to pi, each rounded the same way: off by
+    # 3.35e-14 against a claim of 2.51e-14 before the head's phase
+    # rounding was counted.
+    (2.8736701911716408e-08, "sine", "log_n", "alternating", "two_pi_n_power", 1.0),
 ]
+
+
+def _edge_limit_points():
+    """Limits at a phase d from an integer, d log-spaced over [1e-9,
+    0.077], for every weight, parity and scale at s* in {0, 1}.
+
+    all_n takes x = d and 1 - d in turn, odd_only x = 2d (phases d and
+    2d) and 1 - d; alternating reaches the edge band only next to
+    x = 1, at x = 1 - 2d.  Each (parity, s*) pair has eight x, shared
+    by unit weight at both scales and by two of the six (log weight,
+    scale) pairs in turn, whose mpmath sum is one per x.
+    """
+    scales = ("n_power", "two_pi_n_power")
+    log_pairs = [(w, sc) for w in _LOG_WEIGHTS for sc in scales]
+    points = []
+    for s_target in (0.0, 1.0):
+        for parity in _PARITIES:
+            for j in range(8):
+                d = 1e-9 * (0.077 / 1e-9) ** (j / 7)
+                if parity == "alternating":
+                    x = 1.0 - 2.0 * d
+                elif j % 2:
+                    x = 1.0 - d
+                else:
+                    x = 2.0 * d if parity == "odd_only" else d
+                trig = ("sine", "cosine")[j // 2 % 2]
+                pairs = [("unit", sc) for sc in scales]
+                if parity != "odd_only":
+                    pairs += log_pairs[2 * j % 6: 2 * j % 6 + 2]
+                points += [(x, trig, w, parity, sc, s_target) for w, sc in pairs]
+    return points
+
+
+EDGE_LIMIT_POINTS = _edge_limit_points()
+
+
+@pytest.mark.parametrize("x, trig, weight, parity, scale, s_target", EDGE_LIMIT_POINTS)
+def test_edge_limit_error_estimate_is_honest(x, trig, weight, parity, scale, s_target):
+    res = regularized_limit(x, trig, weight, parity, scale, s_target)
+    ref = mp_trig_series(x, trig, weight, parity, s_target, scale)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
 
 
 @pytest.mark.parametrize("x, trig, weight, parity, scale, s_target", LIMIT_POINTS)

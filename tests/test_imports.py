@@ -82,7 +82,7 @@ def test_regsum_and_identities_load_as_one_unit(code):
     assert _loaded_after(code) == _UNIT
 
 
-_ENGINE = {"zetalim", "zetalim.regsum", "zetalim.result", "zetalim.special"}
+_ENGINE = {"zetalim", "zetalim.regsum", "zetalim.result"}
 
 
 @pytest.mark.parametrize(
@@ -173,9 +173,19 @@ def test_ratio_coordinate_parses_through_fractions_on_call():
     assert "fractions" in _loaded_after(code, _MACHINERY)
 
 
-def test_edge_band_limit_loads_numpy():
-    # Next to x = 0 the master sum is summed in blocks, through numpy.
-    code = "import zetalim\nzetalim.regularized_limit(0.03, 'sine', 'log_n')"
+def test_edge_band_limit_loads_no_numpy():
+    # Next to x = 0 a limit is a short series in zeta'(-k): scalar Python.
+    code = "import zetalim\nzetalim.regularized_limit(0.02, 'sine', 'log_n')"
+    assert _loaded_after(code) == {"zetalim.regsum"}
+    assert _zetalim_loaded_after(code) == _ENGINE
+
+
+def test_edge_band_series_loads_numpy():
+    # At s outside {0, 1} the edge-band master sum runs in blocks, through numpy.
+    code = (
+        "import zetalim\n"
+        "zetalim.trig_dirichlet_sum(zetalim.TrigSeriesSpec(0.02, 'sine', 'unit', s=0.5))"
+    )
     assert _loaded_after(code) == {"numpy", "zetalim.regsum"}
 
 

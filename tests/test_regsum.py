@@ -338,13 +338,17 @@ def test_limit_target_must_be_zero_or_one():
 
 
 def test_limit_domain_guard():
-    # Limits share trig_dirichlet_sum's range: x outside (0, 1) is a
-    # domain error, and a master sum that cannot reach 1e-8 raises.
+    # x outside (0, 1) is a domain error.  Next to x = 0 a log-weight
+    # limit is a short series about z = 1, which returns a value up to
+    # the phase guard, |1 - z| >= 1e-9, and raises past it.
     for x in (0.0, 1.0):
         with pytest.raises(DomainError):
             regularized_limit(x, "sine", "unit")
-    with pytest.raises(ConvergenceError):
-        regularized_limit(1e-4, "sine", "log_n")
+    got = regularized_limit(1e-4, "sine", "log_n")
+    want = mp_trig_series(1e-4, "sine", "log_n", "all_n", 1.0)
+    assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
+    with pytest.raises(ConvergenceError, match="too close to 1"):
+        regularized_limit(1e-10, "sine", "log_n")
 
 
 @pytest.mark.parametrize(
@@ -438,20 +442,16 @@ def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
 @pytest.mark.parametrize("trig", ["sine", "cosine"])
 def test_limit_error_estimate_is_honest(x, parity, weight, trig):
     # At s = 1 the log-weighted tails have forward differences far below
-    # the rounding of ln N; the estimate has to cover that floor.  The
-    # alternating oracle takes the engine's own phase: for x >= 1/2 that
-    # is (x - 1)/2, exact where (x + 1)/2 rounds (by up to 3e-10 in the sum
+    # the rounding of ln N; the estimate has to cover that floor.  Within
+    # 1/13 of an integer phase (x = 0.9995 alternating: phase -2.5e-4)
+    # the limit is the series about z = 1 instead.  The alternating
+    # oracle takes the engine's own phase: for x >= 1/2 that is
+    # (x - 1)/2, exact where (x + 1)/2 rounds (by up to 3e-10 in the sum
     # at x = 0.999).
     if parity == "all_n":
         y, sign = x, 1.0
     else:
         y, sign = (x - 1.0) / 2.0 if x >= 0.5 else (x + 1.0) / 2.0, -1.0
-    if abs(y - round(y)) < 3.7e-4:
-        # Past trig_dirichlet_sum's range (x = 0.9995 alternating, phase
-        # -2.5e-4) the limit raises instead of returning a guess.
-        with pytest.raises(ConvergenceError):
-            regularized_limit(x, trig, weight, parity)
-        return
     got = regularized_limit(x, trig, weight, parity)
     want = sign * mp_weighted_sum(y, 1.0, weight, trig)
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
@@ -467,11 +467,12 @@ def test_limit_error_estimate_is_honest(x, parity, weight, trig):
 )
 def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
     # Against the 40-digit mpmath series at s_target, at the honesty
-    # bound.  The name keeps its 36 test ids stable; there is no ladder
-    # route left to agree with.
+    # bound, over the default grid and next to both edges.  The name
+    # keeps its 36 test ids stable; there is no ladder route left to
+    # agree with.
     from zetalim import default_x_grid
 
-    for x in default_x_grid(9):
+    for x in list(default_x_grid(9)) + [1e-5, 0.011, 0.03, 0.97, 0.989, 1.0 - 1e-5]:
         for trig in ("sine", "cosine"):
             got = regularized_limit(x, trig, weight, parity, scale, s_target)
             ref = mp_trig_series(x, trig, weight, parity, s_target, scale)
@@ -502,9 +503,9 @@ def test_master_sum_error_estimate_is_honest(y, s, weight):
 
 @pytest.mark.parametrize("x", [0.0101, 0.03, 0.97, 0.9899])
 def test_edge_limits_make_one_master_call(monkeypatch, x):
-    # Next to x = 0 and 1 a plain 64-term call never settles a log
-    # weight; the blocked call goes first.  Unit weight at s = 1 has
-    # constant coefficients, which the plain call sums exactly.
+    # Next to x = 0 and 1 a log-weight limit is the series about z = 1
+    # and makes no master sum.  Unit weight at s = 1 has constant
+    # coefficients, which one plain call sums exactly.
     from zetalim import regsum
 
     calls = []
@@ -516,10 +517,52 @@ def test_edge_limits_make_one_master_call(monkeypatch, x):
 
     monkeypatch.setattr(regsum, "_master_sum", recording)
     regularized_limit(x, "sine", "log_n")
-    assert calls == [round(1.0 / (2.0 * min(x, 1.0 - x)))]
-    calls.clear()
+    regularized_limit(x, "sine", "unit", s_target=0.0)
+    assert calls == []
     regularized_limit(x, "sine", "unit")
     assert calls == [1]
+
+
+@pytest.mark.parametrize("x", [2.99e-3, 3.01e-3, 1.0 - 2.99e-3, 1.0 - 3.01e-3])
+@pytest.mark.parametrize("trig", ["sine", "cosine"])
+def test_unit_limit_at_one_keeps_the_plain_sum_where_it_settles(monkeypatch, x, trig):
+    # Unit weight at s* = 1 has constant coefficients, which one plain
+    # call sums exactly, but its estimate grows like 4.5e-17/y^2 and
+    # passes the engine's 5e-12 at a phase 3.0e-3 from an integer; from
+    # there on the series about z = 1 takes the limit, never numpy blocks.
+    from zetalim import regsum
+
+    calls = []
+    near_one = regsum._near_one
+
+    def recording(*args):
+        calls.append(args)
+        return near_one(*args)
+
+    monkeypatch.setattr(regsum, "_near_one", recording)
+    got = regularized_limit(x, trig, "unit")
+    assert len(calls) == (min(x, 1.0 - x) < 3.0e-3)
+    want = mp_trig_series(x, trig, "unit", "all_n", 1.0)
+    assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
+
+
+def test_series_about_one_table_is_40_digit_mpmath():
+    # On a mismatch the message is the regenerated literal.
+    import mpmath as mp
+
+    from zetalim import regsum
+
+    with mp.workdps(40):
+        dzeta = tuple(
+            float(mp.zeta(-k, derivative=1) / mp.factorial(k)) for k in range(16)
+        )
+        gamma1 = float(mp.stieltjes(1))
+    assert regsum._DZETA == dzeta, f"_DZETA = {dzeta!r}"
+    assert regsum._GAMMA1 == gamma1, f"_GAMMA1 = {gamma1!r}"
+    # 16 terms reach the truncation target at the band's edge, |y| = 1/13.
+    y = 1.0 / 13.0
+    assert y**16 / (1.0 - 2.0 * y) < 2.0**-56
+    assert round(0.5 / y) < regsum._BLOCK_MIN <= round(0.5 / math.nextafter(y, 0.0))
 
 
 def test_limits_never_reach_the_head_cap(monkeypatch):
