@@ -20,6 +20,10 @@ _POLE_RADIUS = 1e-8
 _EM_CUTOFF = 6
 _EM_ORDER = 12
 _HASSE_MAX_TERMS = 200
+# hurwitz_hasse raises x by an integer shift to x >= _HASSE_SHIFT + max(0, s - 1),
+# of at most _HASSE_MAX_SHIFT.
+_HASSE_SHIFT = 30.0
+_HASSE_MAX_SHIFT = 400
 # h_k = 0.25 2^-k, k = 0..4: the pole of zeta(s, x) is sampled at
 # s = 1 +- h_k and extrapolated in h^2.
 _LADDER = tuple(0.25 * 2.0**-k for k in range(5))
@@ -183,66 +187,81 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
 
     (s-1) zeta(s, x) = sum_{n>=0} 1/(n+1) sum_{k=0}^{n} C(n,k) (-1)^k
     (k+x)^{1-s}.  The argument is first raised by an exact integer
-    shift until k + x >= 20, which makes the outer terms decay about
-    like n^{-21} so plain truncation converges.  The inner sum is
-    (-1)^n Delta^n f(0), f(k) = (k+x)^{1-s}, and its 2^n cancellation
-    costs no precision: each f(n) is formed once at 80 digits and
-    rounded to an integer in units of 2^e, e fixed 300 bits below f(0)
-    (80 digits are 269 bits).  One anti-diagonal of exact integers,
-    D[j] = Delta^j f(n-j), takes n subtractions per outer term and ends
-    in Delta^n f(0), so each f(n)'s conversion is the only rounding in
-    the difference table.
+    shift until k + x >= 30 + max(0, s - 1), which makes the outer terms
+    decay fast enough for plain truncation; with s >> x they would not
+    before the cap.  At s < 1 the shift stays at 30: a larger one only
+    raises f(0) against zeta: 30 + (1 - s) stalled the series at 16
+    points with integer s in [-87, -33] that a shift to 20 returned.
+    The shift stops at
+    _HASSE_MAX_SHIFT = 400, reached only where s > x + 370; there
+    (x/(x + 400))^s < e^-370, so the outer sum lies far below the
+    value's last bit.  The inner sum is (-1)^n Delta^n f(0), f(k) =
+    (k+x)^{1-s}, and its 2^n cancellation costs no precision: each f(n)
+    is formed once at 80 digits and rounded to an integer in units of
+    2^e, e fixed 300 bits below f(0) (80 digits are 269 bits).  Each
+    prefix term and each f(n) is one mpmath power, on raw libmp tuples;
+    f(0) also sets e.  One anti-diagonal of exact integers, D[j] =
+    Delta^j f(n-j), takes n subtractions per outer term and ends in
+    Delta^n f(0), so each f(n)'s conversion is the only rounding in the
+    difference table.
 
     The outer sum is accumulated in the same integers with 64 guard
     bits, q_n = ((-1)^n D[n] << 64) // (n+1) in units of 2^(e-64), and
     converted to mpf once, after the loop.  It stops after three terms
-    in a row whose share of the value, q_n/(s-1), is below 1e-23
-    (1 + |zeta(s, x)|), tested in integers: 7 digits past the binary64
-    value returned.  Weighing the terms against the value rather than
-    against their own sum matters for s < 0, where that sum cancels a
-    prefix many orders larger than zeta.  On 2000 seeded points (s in
-    [-2, 3] outside 1 +- 0.02, x log-uniform in [0.05, 20]) the float is
-    the one a 1e-30 stop returns and equals 50-digit mpmath zeta rounded
-    to binary64, with 37-74 outer terms; a 1e-30 stop takes 71-175.
-    Stops at 1e-21 and 1e-22 moved none of those floats, 1e-20 moved 4.
+    in a row whose share of the value, q_n/(s-1), is at most 1e-23
+    |zeta(s, x)|, tested in integers: 7 digits past the binary64 value
+    returned, at any size of zeta (an exact zero stops too).  Weighing
+    the terms against the value rather than against their own sum
+    matters for s < 0, where that sum cancels a prefix many orders
+    larger than zeta.  err_estimate is the last outer term's share plus
+    half an ulp of the value for its final rounding.  On 2000 seeded
+    points (s in [-2, 3] outside 1 +- 0.02, x log-uniform in [0.05, 20])
+    the float is the one a 1e-30 stop returns and equals 50-digit mpmath
+    zeta rounded to binary64, with 29-62 outer terms (a 1e-30 stop takes
+    54-105), and |error| stays within 0.9998 of the estimate; stops at
+    1e-20, 1e-21 and 1e-22 moved none of those floats.
     An error estimate above 1e-8 max(1, |zeta(s, x)|) after at most
     _HASSE_MAX_TERMS + 1 = 201 outer terms raises ConvergenceError: the
-    check is relative where |zeta| > 1, since the estimate carries
-    1e-16 |zeta| of rounding (zeta(50, 0.5) rounds to 2^50).  A value
-    outside binary64, as zeta(50, 1e-7) ~ 1e350, raises it too.
+    check is relative where |zeta| > 1, since the estimate carries half
+    an ulp of zeta (zeta(50, 0.5) rounds to 2^50).  A value outside
+    binary64, as zeta(50, 1e-7) ~ 1e350, raises it too.
     """
     HurwitzQuery(s, x)  # checks s and x
     import mpmath as mp
+    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_shift, mpf_sum, to_int
 
     if abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_hasse is undefined at s = 1")
+    shift = min(max(0, math.ceil(_HASSE_SHIFT + max(0.0, s - 1.0) - x)), _HASSE_MAX_SHIFT)
     with mp.workdps(80):
+        # The kernel and rounding of mpf.__pow__, on raw tuples.
+        prec, rnd = mp.mp._prec_rounding
         ss, xx = mp.mpf(s), mp.mpf(x)
-        shift = max(0, int(mp.ceil(20.0 - xx)))
-        x_eff = xx + shift
-        prefix = mp.fsum((j + xx) ** (-ss) for j in range(shift))
-        a = 1 - ss
-        e = mp.frexp(x_eff**a)[1] - 300
-        # In units of 2^(e-64), pre + acc is (s-1) zeta(s, x) and sm1 is
-        # |s-1|, so each outer term is weighed against 1 + |zeta(s, x)|.
+        x_eff, a = (xx + shift)._mpf_, (1 - ss)._mpf_
+        ms, xt = (-ss)._mpf_, xx._mpf_
+        prefix = mp.make_mpf(mpf_sum(
+            [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)],
+            prec, rnd,
+        ))
+        f0 = mpf_pow(x_eff, a, prec, rnd)
+        e = f0[2] + f0[3] - 300  # 300 bits below f(0)'s leading bit
+        # In units of 2^(e-64), pre + acc is (s-1) zeta(s, x): each outer
+        # term is weighed against |(s-1) zeta(s, x)|.
         pre = int(mp.ldexp(prefix * (ss - 1), 64 - e))
-        sm1 = max(1, int(mp.ldexp(abs(ss - 1), 64 - e)))
         diag: list[int] = []
-        acc = 0
-        last = mp.inf
-        outer_used = small_run = 0
+        acc = last = outer_used = small_run = 0
         for n in range(_HASSE_MAX_TERMS + 1):
-            fn = int(mp.ldexp((n + x_eff) ** a, -e))
-            diag = list(accumulate(diag, sub, initial=fn))
+            fn = mpf_pow(mpf_add(from_int(n), x_eff, prec, rnd), a, prec, rnd) if n else f0
+            diag = list(accumulate(diag, sub, initial=to_int(mpf_shift(fn, -e))))
             q = ((diag[-1] if n % 2 == 0 else -diag[-1]) << 64) // (n + 1)
             acc += q
             outer_used = n + 1
             last = abs(q)
-            small_run = small_run + 1 if last * 10**23 < sm1 + abs(pre + acc) else 0
+            small_run = small_run + 1 if last * 10**23 <= abs(pre + acc) else 0
             if small_run >= 3:
                 break
         value = float(prefix + mp.ldexp(acc, e - 64) / (ss - 1))
-        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 1e-16 * abs(value)
+        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 0.5 * math.ulp(value)
     if not math.isfinite(value):
         raise ConvergenceError(
             f"hurwitz_hasse value leaves binary64 at s = {s}, x = {x}"

@@ -4,11 +4,11 @@ Everything here is computed by mpmath (or plain quadrature) through
 representations that share no code with the package: the package sums
 real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
-finite differences.  The exceptions are `full_table_master_sum`,
-`product_rule_euler_maclaurin`, `loop_stieltjes_gamma1`,
-`loop_gamma1_reflection_diff` and `one_order_log_gamma`, engines as they
-were before rewrites that had to keep their output bit for bit; they
-are kept to check exactly that.
+finite differences, or a 70-digit direct sum (`em_zeta`).  The
+exceptions are `full_table_master_sum`, `product_rule_euler_maclaurin`,
+`loop_stieltjes_gamma1`, `loop_gamma1_reflection_diff` and
+`one_order_log_gamma`, engines as they were before rewrites that had
+to keep their output bit for bit; they are kept to check exactly that.
 """
 from __future__ import annotations
 
@@ -33,6 +33,31 @@ K_LOG_COS_LIMIT_AT_03 = 0.026909421680922271
 def mp_zeta(s: float, x: float, m: int = 0) -> float:
     """Hurwitz zeta or an s-derivative, via mpmath."""
     return float(mp.zeta(s, x, m))
+
+
+def em_zeta(s: float, x: float, terms: int = 300, pairs: int = 24, dps: int = 70):
+    """zeta(s, x) as an mpf at `dps` digits: the direct sum of its first
+    `terms` terms plus the Euler-Maclaurin tail at a = terms + x,
+    a^(1-s)/(s-1) + a^(-s)/2 + sum_k B_2k/(2k)! s (s+1) ... (s+2k-2)
+    a^(-s-2k+1) for k = 1 .. `pairs`.
+
+    The reference for `hurwitz_hasse` where mpmath's zeta is not one: at
+    large s it loses digits, ζ(50, 1000) reading 2.0912329775e-149,
+    2.0912329753e-149 and 2.0912329748e-149 at 30, 60 and 100 digits,
+    where this sum gives 2.09123297478187e-149.  For s in [-12, 60] and x
+    in [0.01, 2000] the defaults agree with 400 terms and 30 pairs at 90
+    digits to 1e-70 of the value, or of the largest term where they cancel.
+    """
+    with mp.workdps(dps):
+        s, x = mp.mpf(s), mp.mpf(x)
+        a = terms + x
+        total = mp.fsum((n + x) ** -s for n in range(terms))
+        total += a ** (1 - s) / (s - 1) + a ** -s / 2
+        rising = s  # s (s+1) ... (s+2k-2)
+        for k in range(1, pairs + 1):
+            total += mp.bernoulli(2 * k) / mp.factorial(2 * k) * rising * a ** (1 - s - 2 * k)
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+        return +total
 
 
 def mp_gamma1(x: float) -> float:

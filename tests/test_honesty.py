@@ -3,7 +3,8 @@
 Each check asserts |value - ref| <= err_estimate + 4 ulp * max(1, |ref|)
 against an independent high-precision reference: the few ulps allow for
 the final rounding of the value, not for an estimate that leaves out a
-source of error.
+source of error.  `hurwitz_hasse` counts that rounding in its estimate,
+so its rows get no allowance.
 """
 import math
 import random
@@ -11,6 +12,7 @@ import random
 import pytest
 
 from oracles import (
+    em_zeta,
     mp_gamma1_reflection_diff,
     mp_integral_gamma,
     mp_stieltjes0,
@@ -21,6 +23,7 @@ from oracles import (
 from zetalim import (
     HurwitzQuery,
     TrigSeriesSpec,
+    hurwitz_hasse,
     hurwitz_zeta,
     quadrature_zeta2_integral,
     regularized_limit,
@@ -160,6 +163,31 @@ def test_hurwitz_zeta_error_estimate_is_honest(s, x, m):
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )
+
+
+# Named points: a correctly rounded value that a 1e-16 |value| rounding
+# term under-claimed by 1.065x; small zeta, where a stop weighed against
+# 1 + |zeta| fired after a few terms, (50, 20) returning 6.27e-66 for
+# 9.74e-66; s >> x, where the series ran to its cap, (50, 30).  Then x on
+# both sides of the shift to 30 + max(0, s - 1) at s = -11.5 and 50,
+# past the shift's cap at s = 500, and seeded s in [-12, 60] with x
+# log-uniform over [0.01, 2000].  The reference is a 70-digit direct
+# sum: mpmath's zeta loses digits at large s.
+HASSE_POINTS = [(1.2689908026027177, 9.154871074106332), (50.0, 20.0), (10.0, 25.0),
+                (50.0, 30.0), (50.0, 1000.0), (50.0, 0.5), (500.0, 0.9), (500.0, 1.5)]
+HASSE_POINTS += [(s, x) for s, t in ((-11.5, 30.0), (50.0, 79.0))
+                 for x in (0.01, 0.3, 1.0, 20.0, t - 0.5, t + 0.5, 2000.0)]
+_rng_hasse = random.Random(2801)
+HASSE_POINTS += [(_rng_hasse.uniform(-12.0, 60.0),
+                  math.exp(_rng_hasse.uniform(math.log(0.01), math.log(2000.0))))
+                 for _ in range(100)]
+
+
+@pytest.mark.parametrize("s, x", HASSE_POINTS)
+def test_hurwitz_hasse_error_estimate_is_honest(s, x):
+    res = hurwitz_hasse(s, x)
+    ref = em_zeta(s, x)
+    assert abs(res.value - ref) <= res.err_estimate, (res.value, float(ref), res.err_estimate)
 
 
 def test_quadrature_zeta2_integral_error_estimate_is_honest():

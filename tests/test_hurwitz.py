@@ -277,27 +277,52 @@ def test_em_overflow_is_a_convergence_error(s):
 @pytest.mark.parametrize(
     "s, x, terms, value",
     [
-        (0.5, 0.25, 88, 0.23996352449563096),
-        (-1.5, 3.0, 79, -3.8539123266360233),
-        (1.8, 1.0, 90, 1.882229618102822),
-        (3.0, 1.0, 90, 1.2020569031595942),
+        (0.5, 0.25, 76, 0.23996352449563096),
+        (-1.5, 3.0, 69, -3.8539123266360233),
+        (1.8, 1.0, 72, 1.882229618102822),
+        (3.0, 1.0, 71, 1.2020569031595942),
     ],
 )
 def test_hasse_term_count_and_value_are_pinned(s, x, terms, value):
     # The series stops after three outer terms in a row whose share of
-    # the value is below 1e-23 (1 + |zeta|), tested in fixed-point
-    # integers.  The values are the floats an 80-digit mpf sum stopped
-    # at 1e-30 returns: the earlier stop must round to the same float.
+    # the value is at most 1e-23 |zeta|, tested in fixed-point integers.
+    # The values are the floats an 80-digit mpf sum stopped at 1e-30
+    # returns: the earlier stop must round to the same float.
     r = hurwitz_hasse(s, x)
     assert r.terms_used == terms
     assert r.value == value
 
 
+@pytest.mark.parametrize(
+    "s, x",
+    [(50.0, 0.5), (0.5, 0.25), (-11.5, 0.3), (2.0, 40.0), (50.0, 1000.0)],
+)
+def test_hasse_takes_one_power_per_term(monkeypatch, s, x):
+    # Deterministic cost guard: one 80-digit power per prefix term and
+    # per outer term, f(0) = x_eff^(1-s) serving the scale exponent too.
+    # Both names of the kernel are counted: the one mpf.__pow__ calls
+    # and the one in mpmath.libmp.
+    import mpmath.ctx_mp_python
+    import mpmath.libmp
+
+    calls = []
+    kernel = mpmath.libmp.mpf_pow
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_pow", counted)
+    monkeypatch.setattr(mpmath.ctx_mp_python, "mpf_pow", counted)
+    r = hurwitz_hasse(s, x)
+    assert len(calls) == r.terms_used
+
+
 @pytest.mark.parametrize("s", [1.6, 1.8, 2.5, 3.0])
 @pytest.mark.parametrize("x", [0.05, 1.0, 19.0])
 def test_hasse_within_its_error_estimate_past_160_terms(s, x):
-    # Slow points: 45-74 outer terms after the shift to x >= 20
-    # (160-175 under a 1e-30 stop, hence the name).
+    # Slow points: 28-51 outer terms after the shift to x >= 30 + (s - 1)
+    # (160-175 under a 1e-30 stop and a shift to x >= 20, hence the name).
     r = hurwitz_hasse(s, x)
     ref = mp_zeta(s, x, 0)
     assert abs(r.value - ref) <= r.err_estimate + 1e-15 * max(1.0, abs(ref))
@@ -324,13 +349,24 @@ def test_hasse_is_correctly_rounded_on_a_seeded_grid():
 
 
 def test_hasse_outer_terms_stay_bounded_on_a_seeded_grid():
-    # Deterministic cost guard: outer terms after the shift to x >= 20
-    # (44-69 on this grid; a 1e-30 stop takes 88-173).
+    # Deterministic cost guard: outer terms after the shift to
+    # x >= 30 + max(0, s - 1) (30-52 on this grid).
     outer = [
-        hurwitz_hasse(s, x).terms_used - max(0, math.ceil(20.0 - x))
+        hurwitz_hasse(s, x).terms_used
+        - max(0, math.ceil(hurwitz._HASSE_SHIFT + max(0.0, s - 1.0) - x))
         for s, x in _hasse_grid()
     ]
-    assert max(outer) <= 100
+    assert max(outer) <= 60
+
+
+@pytest.mark.parametrize("s, x", [(500.0, 0.9), (1e4, 1.0), (1e6, 1.0)])
+def test_hasse_shift_stops_at_its_cap(s, x):
+    # Past a shift of 400 the outer sum lies below the value's last bit,
+    # so s = 1e6 costs the same 400 prefix powers as s = 500.
+    r = hurwitz_hasse(s, x)
+    assert r.terms_used == hurwitz._HASSE_MAX_SHIFT + 3
+    with mp.workdps(40):
+        assert r.value == float(mp.fsum((n + mp.mpf(x)) ** -s for n in range(10)))
 
 
 @pytest.mark.parametrize("s", [-5.5, -9.5, -11.5])
