@@ -6,11 +6,9 @@ The namespace is lazy (PEP 562): a public name imports its submodule
 on first use, so `import zetalim` loads no third-party module.  A
 series name (`regularized_limit`, `trig_dirichlet_sum`,
 `TrigSeriesSpec`) loads `regsum` with `result` only; the `regsum`
-submodule asked of the package loads `identities` with it.  numpy
-comes in only with a blocked master sum: `trig_dirichlet_sum` at s
-other than 0 with a phase within about 0.077 of an integer (x next to
-0 or 1); no regularized limit loads it.  mpmath comes in only with a
-call of `hurwitz_hasse`.
+submodule asked of the package loads `identities` with it.  mpmath,
+the one third-party dependency, comes in only with a call of
+`hurwitz_hasse`.
 """
 from importlib import import_module as _import_module
 

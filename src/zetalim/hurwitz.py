@@ -198,9 +198,14 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     value's last bit.  The inner sum is (-1)^n Delta^n f(0), f(k) =
     (k+x)^{1-s}, and its 2^n cancellation costs no precision: each f(n)
     is formed once at 80 digits and rounded to an integer in units of
-    2^e, e fixed 300 bits below f(0) (80 digits are 269 bits).  Each
-    prefix term and each f(n) is one mpmath power, on raw libmp tuples;
-    f(0) also sets e.  One anti-diagonal of exact integers, D[j] =
+    2^e, e fixed 300 bits below f(0) (80 digits are 269 bits), or below
+    2^-1000 |(s-1) prefix| where f(0) lies lower still (s >> x; at s =
+    1e8, x = 1, f(0) is 8.6e8 bits down), so no integer grows with s.
+    Each f(n) is one mpmath power, on raw libmp tuples, and f(0) also
+    sets e; so is each prefix term, except that at s > 0, where they fall
+    with j, those 2^-400 or more below the first are not formed: they
+    cannot move the 80-digit sum (terms_used still counts the shift).
+    One anti-diagonal of exact integers, D[j] =
     Delta^j f(n-j), takes n subtractions per outer term and ends in
     Delta^n f(0), so each f(n)'s conversion is the only rounding in the
     difference table.
@@ -240,14 +245,16 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
         x_eff, a = (xx + shift)._mpf_, (1 - ss)._mpf_
         ms, xt = (-ss)._mpf_, xx._mpf_
         prefix = mp.make_mpf(mpf_sum(
-            [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)],
+            [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)
+             if s <= 0 or s * math.log2(1.0 + j / x) <= 400],
             prec, rnd,
         ))
         f0 = mpf_pow(x_eff, a, prec, rnd)
-        e = f0[2] + f0[3] - 300  # 300 bits below f(0)'s leading bit
+        scaled = prefix * (ss - 1)
+        e = max(f0[2] + f0[3], mp.mag(scaled) - 1000) - 300
         # In units of 2^(e-64), pre + acc is (s-1) zeta(s, x): each outer
         # term is weighed against |(s-1) zeta(s, x)|.
-        pre = int(mp.ldexp(prefix * (ss - 1), 64 - e))
+        pre = int(mp.ldexp(scaled, 64 - e))
         diag: list[int] = []
         acc = last = outer_used = small_run = 0
         for n in range(_HASSE_MAX_TERMS + 1):

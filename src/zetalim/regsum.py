@@ -29,7 +29,7 @@ import cmath
 import functools
 import math
 from itertools import accumulate, islice
-from operator import sub
+from operator import mul, sub
 from typing import Tuple
 
 from .result import EPS, EULER_GAMMA, ConvergenceError, DomainError, EvalResult
@@ -100,12 +100,11 @@ class TrigSeriesSpec:
                 f"parity={self.parity!r}, s={self.s!r}, scale={self.scale!r})")
 
 
-# w(n) of each log weight: at a float n with log=math.log, or over a
-# numpy array with log=numpy.log.
+# w(n) of each log weight at a float n.
 _LOG_WEIGHTS = {
-    "log_n": lambda n, log: log(n),
-    "log_2pi_n": lambda n, log: log(_TWO_PI * n),
-    "gamma_plus_log_2pi_n": lambda n, log: EULER_GAMMA + log(_TWO_PI * n),
+    "log_n": math.log,
+    "log_2pi_n": lambda n: math.log(_TWO_PI * n),
+    "gamma_plus_log_2pi_n": lambda n: EULER_GAMMA + math.log(_TWO_PI * n),
 }
 
 
@@ -147,8 +146,8 @@ def _plain_tables(s: float, weight: str, n_direct: int):
         offsets, size = ej, [abs(x) for x in ej]
     else:
         w = _LOG_WEIGHTS[weight]
-        coeff = tuple([w(n, math.log) * n ** e for n in ns])
-        w0 = w(n0, math.log)
+        coeff = tuple([w(n) * n ** e for n in ns])
+        w0 = w(n0)
         a = [w0 * x for x in ej]
         b = [l * (1.0 + x) for l, x in zip(lj, ej)]
         offsets = [u + v for u, v in zip(a, b)]
@@ -207,21 +206,19 @@ def _master_sum(
     largest block's sum of |c|.  The head is the same sequence's first
     h = ceil(N/B) blocks, ending at n = N and padded with c(n) = 0 for
     n < 1, each block sum times its one phase z^(N - (h-q)B): B + h
-    complex exps in all, where a per-term head takes N.  numpy forms
-    these arrays and sums them pairwise; only this route loads it.
+    complex exps in all, where a per-term head takes N.  Each block sum
+    is the fsum of its real and of its imaginary products, rounded once
+    where B rotating terms added in order would round B times; the head
+    adds its blocks in order.
     """
     y = y - round(y)
     # Split y so that n*y mod 1 is exact for n up to 2^21.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
 
-    def frac(n):
-        # n y mod 1, at a float n or over a numpy array.
-        fr = (n * y_hi) % 1.0 + n * y_lo
-        return fr % 1.0
-
     def phase(n: float) -> complex:
-        return cmath.exp(2j * math.pi * frac(n))
+        # e^(2 pi i n y), with n y reduced mod 1.
+        return cmath.exp(2j * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0))
 
     z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
     if abs(1.0 - z1) < 1e-9:
@@ -236,32 +233,28 @@ def _master_sum(
         head = sum(map(cmath.rect, coeff, angles))
         ratio = z1
     else:
-        import numpy as np
-
-        def phases(narr: np.ndarray) -> np.ndarray:
-            return np.exp(2j * np.pi * frac(narr))
-
         # The head is the first h blocks of the same sequence, ending at
         # n = N, with c(n) = 0 for n < 1: B + h phases, not one per term.
         h = -(-n_direct // block)
         start = n_direct - h * block
-        end = n_direct + (_SWEEPS + 2) * block
-        narr = np.arange(1, end, dtype=np.float64)
-        coeff = np.zeros(end - start)
-        coeff[1 - start:] = narr ** (s - 1.0)
-        if weight != "unit":
-            coeff[1 - start:] *= _LOG_WEIGHTS[weight](narr, np.log)
-        coeff = coeff.reshape(-1, block)
-        sums = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1)
-        size = coeff.sum(axis=1)
-        starts = start + block * np.arange(h, dtype=np.float64)
-        head = complex((sums[:h] * phases(starts)).sum())
-        abs_head = float(size[:h].sum())
+        ns = [float(n) for n in range(1, n_direct + (_SWEEPS + 2) * block)]
+        e = s - 1.0
+        w = _LOG_WEIGHTS.get(weight)
+        coeff = [0.0] * (1 - start) + (
+            [n ** e for n in ns] if w is None else [w(n) * n ** e for n in ns])
+        rows = [coeff[i:i + block] for i in range(0, len(coeff), block)]
+        zr = [phase(float(r)) for r in range(block)]
+        cos_r, sin_r = [z.real for z in zr], [z.imag for z in zr]
+        sums = [complex(math.fsum(map(mul, row, cos_r)), math.fsum(map(mul, row, sin_r)))
+                for row in rows]
+        size = list(map(sum, rows))
+        head = sum(map(mul, sums[:h], [phase(float(start + block * q)) for q in range(h)]))
+        abs_head = sum(size[:h])
         # The block sums depend on y: their differences are taken as the
         # loop reaches them.
-        d = sums[h:].tolist()
+        d = sums[h:]
         diffs = _differences(d)
-        floor = _OFFSET_ROUNDING * float(size[h:].max())
+        floor = _OFFSET_ROUNDING * max(size[h:])
         first, ratio = d[0], phase(float(block))
 
     z_n = phase(n0)
@@ -333,7 +326,7 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
         p, rest = p * mu, rest * ay
         if rest < tol and len(terms) > 1:
             break
-    c = _LOG_WEIGHTS[weight](1.0, math.log)
+    c = _LOG_WEIGHTS[weight](1.0)
     size += sum(map(abs, terms)) + c * abs(unit)
     return lead - sum(reversed(terms)) + c * unit, rest + 6.0 * EPS * size, len(terms)
 

@@ -248,42 +248,31 @@ def full_table_master_sum(
     y: float, s: float, weight: str, n_direct: int, block: int = 1
 ):
     """`regsum._master_sum` as it was before its differences moved to one
-    anti-diagonal and its scalar phases to cmath: every sweep rebuilds
-    the whole forward-difference table, and each phase is a one-element
-    numpy exp.  The heads follow the engine's: the plain head in scalar
-    arithmetic, c(n) rotated by cmath.rect and added in order of n; the
-    blocked head as the first ceil(N/B) block sums of the tail's own
-    blocks, each times one phase.  Tests compare the two with `==`,
-    value and error.  The third item names the loop's exit: "floor" (a
-    difference sank below the rounding floor), "small" (an increment
-    below 1e-17 of the tail), "diverge" (three growing increments) or
-    "sweeps" (all sweeps taken)."""
+    anti-diagonal: every sweep rebuilds the whole forward-difference
+    table.  The heads and block sums follow the engine's scalar order:
+    the plain head c(n) rotated by cmath.rect and added in order of n;
+    each block sum as fsum of its real and of its imaginary products;
+    the blocked head as the first ceil(N/B) block sums of the tail's own
+    blocks, each times one phase, added in order.  Tests compare the two
+    with `==`, value and error.  The third item names the loop's exit:
+    "floor" (a difference sank below the rounding floor), "small" (an
+    increment below 1e-17 of the tail), "diverge" (three growing
+    increments) or "sweeps" (all sweeps taken)."""
     import cmath
-
-    import numpy as np
 
     from zetalim import regsum
     from zetalim.result import ConvergenceError
-
-    def weights(narr):
-        if weight == "unit":
-            return np.ones_like(narr)
-        if weight == "log_n":
-            return np.log(narr)
-        if weight == "log_2pi_n":
-            return np.log(2.0 * math.pi * narr)
-        return regsum.EULER_GAMMA + np.log(2.0 * math.pi * narr)
 
     sweeps = regsum._SWEEPS
     y = y - round(y)
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
 
-    def phases(narr):
-        fr = (narr * y_hi) % 1.0 + narr * y_lo
-        return np.exp(2j * np.pi * (fr % 1.0))
+    def phase(n):
+        fr = (n * y_hi) % 1.0 + n * y_lo
+        return cmath.exp(2j * math.pi * (fr % 1.0))
 
-    z1 = complex(np.exp(2j * np.pi * ((y_hi % 1.0) + y_lo)))
+    z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
     if abs(1.0 - z1) < 1e-9:
         raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
 
@@ -301,19 +290,19 @@ def full_table_master_sum(
         # zero-padded sequence that ends its head at n = N.
         h = -(-n_direct // block)
         start = n_direct - h * block
-        narr = np.arange(1, n_direct + (sweeps + 2) * block, dtype=np.float64)
-        coeff = np.concatenate(
-            (np.zeros(1 - start), weights(narr) * narr ** (s - 1.0))
-        ).reshape(-1, block)
-        sums = (coeff * phases(np.arange(block, dtype=np.float64))).sum(axis=1)
-        starts = start + block * np.arange(h, dtype=np.float64)
-        head = complex(np.sum(sums[:h] * phases(starts)))
-        abs_head = float(np.sum(np.abs(coeff[:h]).sum(axis=1)))
-        d = sums[h:].tolist()
-        floor = regsum._OFFSET_ROUNDING * float(np.max(np.abs(coeff[h:]).sum(axis=1)))
-        first, ratio = d[0], complex(phases(np.array([float(block)]))[0])
+        ns = [float(n) for n in range(1, n_direct + (sweeps + 2) * block)]
+        coeff = [0.0] * (1 - start) + [_scalar_weight(n, weight) * n ** (s - 1.0) for n in ns]
+        blocks = [coeff[i:i + block] for i in range(0, len(coeff), block)]
+        zr = [phase(float(r)) for r in range(block)]
+        sums = [complex(math.fsum(c * z.real for c, z in zip(row, zr)),
+                        math.fsum(c * z.imag for c, z in zip(row, zr))) for row in blocks]
+        head = sum(sums[q] * phase(float(start + block * q)) for q in range(h))
+        abs_head = sum(sum(abs(c) for c in row) for row in blocks[:h])
+        d = sums[h:]
+        floor = regsum._OFFSET_ROUNDING * max(sum(abs(c) for c in row) for row in blocks[h:])
+        first, ratio = d[0], phase(float(block))
 
-    z_n = complex(phases(np.array([n0]))[0])
+    z_n = phase(n0)
     mu = ratio / (1.0 - ratio)
     mupow = z_n / (1.0 - ratio)
     tail = mupow * first

@@ -2,8 +2,8 @@
 
 Each expected string was captured from the renderers before they were
 folded onto one field list per record.  The report comes from verify()
-on hand-built cases whose sides are plain Python arithmetic, so no
-numpy loop can move a digit and the literals hold on any machine.
+on hand-built cases whose sides are plain Python arithmetic, so the
+literals hold on any machine.
 """
 import math
 

@@ -240,6 +240,23 @@ SERIES_POINTS = [
     (0.9967066758043867, "sine", "gamma_plus_log_2pi_n", "all_n", -1.0924026079437947),
     (0.9994826021190722, "sine", "gamma_plus_log_2pi_n", "all_n", -0.8825225935672315),
     (0.9994392229816098, "sine", "gamma_plus_log_2pi_n", "all_n", -0.5808610847677322),
+] + [
+    # Blocked master sums at B = round(1/(2y)) in {7, 50, 500, 1365}, the
+    # last the largest whose 24 B head fits in _HEAD_CAP: the phase y
+    # next to 0 or -y next to 1; alternating x = 1 - 2y and odd_only
+    # x = 2y put y among their phases.
+    (1.0 / 14.0, "sine", "unit", "all_n", -1.5),
+    (13.0 / 14.0, "cosine", "log_n", "all_n", 0.5),
+    (0.01, "cosine", "log_2pi_n", "all_n", 0.9),
+    (0.99, "sine", "gamma_plus_log_2pi_n", "all_n", -1.5),
+    (0.98, "sine", "unit", "alternating", 0.5),
+    (0.001, "sine", "gamma_plus_log_2pi_n", "all_n", 0.5),
+    (0.999, "cosine", "unit", "all_n", 0.9),
+    (0.002, "cosine", "unit", "odd_only", -1.5),
+    (1.0 / 2730.0, "cosine", "log_n", "all_n", -1.5),
+    (1.0 / 2730.0, "sine", "unit", "all_n", 0.9),
+    (1.0 - 1.0 / 2730.0, "sine", "log_2pi_n", "all_n", 0.5),
+    (1.0 - 1.0 / 1365.0, "cosine", "gamma_plus_log_2pi_n", "alternating", 0.9),
 ]
 
 

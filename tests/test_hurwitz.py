@@ -172,7 +172,7 @@ def test_hasse_returns_large_values_correctly_rounded(s, x):
         assert abs(r.value - ref) <= r.err_estimate
 
 
-@pytest.mark.parametrize("s, x", [(50.0, 1e-7), (400.0, 0.1)])
+@pytest.mark.parametrize("s, x", [(50.0, 1e-7), (400.0, 0.1), (1e20, 0.5)])
 def test_hasse_value_outside_binary64_is_a_convergence_error(s, x):
     # zeta(50, 1e-7) is about 1e350: float() of it is inf, which the
     # relative stall check alone would let through.
@@ -362,11 +362,28 @@ def test_hasse_outer_terms_stay_bounded_on_a_seeded_grid():
 @pytest.mark.parametrize("s, x", [(500.0, 0.9), (1e4, 1.0), (1e6, 1.0)])
 def test_hasse_shift_stops_at_its_cap(s, x):
     # Past a shift of 400 the outer sum lies below the value's last bit,
-    # so s = 1e6 costs the same 400 prefix powers as s = 500.
+    # so s = 1e6 stops at the same 400-term shift as s = 500.
     r = hurwitz_hasse(s, x)
     assert r.terms_used == hurwitz._HASSE_MAX_SHIFT + 3
     with mp.workdps(40):
         assert r.value == float(mp.fsum((n + mp.mpf(x)) ** -s for n in range(10)))
+
+
+@pytest.mark.parametrize("s", [1e8, 1e20, 1e300])
+def test_hasse_at_huge_s_returns_one_within_its_estimate(monkeypatch, s):
+    # f(0) = 401^(1-s) lies s log2(401) bits below the prefix: fixed-point
+    # units tied to it alone make a 108 MB integer at s = 1e8 and raise
+    # OverflowError from about s = 1e18.  Only the prefix's first term
+    # and three outer terms are powers, each costlier as s grows.
+    import mpmath.libmp
+
+    calls = []
+    kernel = mpmath.libmp.mpf_pow
+    monkeypatch.setattr(mpmath.libmp, "mpf_pow", lambda *a: calls.append(a) or kernel(*a))
+    r = hurwitz_hasse(s, 1.0)
+    assert (r.value, r.terms_used, len(calls)) == (1.0, hurwitz._HASSE_MAX_SHIFT + 3, 4)
+    with mp.workdps(40):
+        assert abs(r.value - (1 + mp.mpf(2) ** -s)) <= r.err_estimate
 
 
 @pytest.mark.parametrize("s", [-5.5, -9.5, -11.5])

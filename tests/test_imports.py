@@ -1,10 +1,12 @@
 """Import boundaries of the lazy package namespace.
 
 Each check starts a fresh interpreter and reads its `sys.modules`: the
-test process itself has long since loaded numpy and mpmath.
+test process itself has long since loaded mpmath.
 """
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,20 @@ def test_verify_and_interior_regsum_load_no_numpy(code, loaded):
     assert _loaded_after(code) == loaded
 
 
+def test_verify_with_blocked_master_sums_loads_no_numpy():
+    # Grid 99 puts edge points in the band at s outside {0, 1}, where the
+    # master sums run in blocks: scalar Python too.
+    code = (
+        "from zetalim import regsum\n"
+        "from zetalim.cli import main\n"
+        "blocks, master = [], regsum._master_sum\n"
+        "regsum._master_sum = lambda *a: blocks.append(a[4] if len(a) > 4 else 1) or master(*a)\n"
+        "main(['verify', '--grid', '99', '--format', 'json'])\n"
+        "assert max(blocks) > 1"
+    )
+    assert _loaded_after(code) == _UNIT
+
+
 # The stdlib machinery the package does without: dataclasses loads
 # inspect, fractions loads decimal.
 _MACHINERY = ("dataclasses", "inspect", "fractions", "decimal")
@@ -180,13 +196,38 @@ def test_edge_band_limit_loads_no_numpy():
     assert _zetalim_loaded_after(code) == _ENGINE
 
 
-def test_edge_band_series_loads_numpy():
-    # At s outside {0, 1} the edge-band master sum runs in blocks, through numpy.
+def test_edge_band_series_loads_no_numpy():
+    # At s outside {0, 1} the edge-band master sum runs in blocks: scalar Python.
     code = (
         "import zetalim\n"
         "zetalim.trig_dirichlet_sum(zetalim.TrigSeriesSpec(0.02, 'sine', 'unit', s=0.5))"
     )
-    assert _loaded_after(code) == {"numpy", "zetalim.regsum"}
+    assert _loaded_after(code) == {"zetalim.regsum"}
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _declared_dependencies() -> set:
+    """The names in pyproject.toml's `dependencies` list, read as text:
+    tomllib is missing from the standard library before Python 3.11."""
+    text = (_REPO / "pyproject.toml").read_text()
+    listed = text.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
+
+
+def test_package_imports_only_its_declared_dependencies():
+    # Every import statement of every module, those inside functions too.
+    imported = set()
+    for path in (_REPO / "src" / "zetalim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"zetalim"}
+    assert third_party == {"mpmath"}
+    assert _declared_dependencies() == third_party
 
 
 def test_every_public_name_resolves_and_is_listed():

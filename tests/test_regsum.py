@@ -465,11 +465,9 @@ def test_limit_error_estimate_is_honest(x, parity, weight, trig):
     [(w, p) for w in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
      for p in ("all_n", "alternating")] + [("unit", "odd_only")],
 )
-def test_direct_limit_agrees_with_ladder(weight, parity, scale, s_target):
+def test_limit_matches_mpmath(weight, parity, scale, s_target):
     # Against the 40-digit mpmath series at s_target, at the honesty
-    # bound, over the default grid and next to both edges.  The name
-    # keeps its 36 test ids stable; there is no ladder route left to
-    # agree with.
+    # bound, over the default grid and next to both edges.
     from zetalim import default_x_grid
 
     for x in list(default_x_grid(9)) + [1e-5, 0.011, 0.03, 0.97, 0.989, 1.0 - 1e-5]:
@@ -529,7 +527,7 @@ def test_unit_limit_at_one_keeps_the_plain_sum_where_it_settles(monkeypatch, x, 
     # Unit weight at s* = 1 has constant coefficients, which one plain
     # call sums exactly, but its estimate grows like 4.5e-17/y^2 and
     # passes the engine's 5e-12 at a phase 3.0e-3 from an integer; from
-    # there on the series about z = 1 takes the limit, never numpy blocks.
+    # there on the series about z = 1 takes the limit, never a blocked sum.
     from zetalim import regsum
 
     calls = []
