@@ -200,7 +200,8 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     is formed once at 80 digits and rounded to an integer in units of
     2^e, e fixed 300 bits below f(0) (80 digits are 269 bits), or below
     2^-1000 |(s-1) prefix| where f(0) lies lower still (s >> x; at s =
-    1e8, x = 1, f(0) is 8.6e8 bits down), so no integer grows with s.
+    1e8, x = 1, f(0) is 8.6e8 bits down), so at s > 0 no integer grows
+    with s.
     Each f(n) is one mpmath power, on raw libmp tuples, and f(0) also
     sets e; so is each prefix term, except that at s > 0, where they fall
     with j, those 2^-400 or more below the first are not formed: they
@@ -246,7 +247,7 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
         ms, xt = (-ss)._mpf_, xx._mpf_
         prefix = mp.make_mpf(mpf_sum(
             [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)
-             if s <= 0 or s * math.log2(1.0 + j / x) <= 400],
+             if s <= 0 or s * (math.log2(j + x) - math.log2(x)) <= 400],
             prec, rnd,
         ))
         f0 = mpf_pow(x_eff, a, prec, rnd)

@@ -386,6 +386,18 @@ def test_hasse_at_huge_s_returns_one_within_its_estimate(monkeypatch, s):
         assert abs(r.value - (1 + mp.mpf(2) ** -s)) <= r.err_estimate
 
 
+@pytest.mark.parametrize("s, x", [(1e-3, 1e-310), (0.1, 5e-324), (0.36, 2e-308)])
+def test_hasse_keeps_every_prefix_term_at_subnormal_x(s, x):
+    # Prefix terms fall by s log2((j + x)/x) bits; formed as 1 + j/x that
+    # ratio overflowed to inf below x ~ 1.6e-307 and every term past j = 0
+    # was dropped: (1e-3, 1e-310) returned -27.39 for 1.5408.
+    r = hurwitz_hasse(s, x)
+    with mp.workdps(50):
+        ref = mp.zeta(s, x)
+        assert r.value == float(ref)
+        assert abs(r.value - ref) <= r.err_estimate
+
+
 @pytest.mark.parametrize("s", [-5.5, -9.5, -11.5])
 @pytest.mark.parametrize("x", [0.05, 0.3, 1.0])
 def test_hasse_keeps_its_digits_where_the_prefix_cancels(s, x):
