@@ -220,9 +220,10 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     the terms against the value rather than against their own sum
     matters for s < 0, where that sum cancels a prefix many orders
     larger than zeta.  err_estimate is the last outer term's share plus
-    half an ulp of the value for its final rounding.  On 2000 seeded
-    points (s in [-2, 3] outside 1 +- 0.02, x log-uniform in [0.05, 20])
-    the float is the one a 1e-30 stop returns and equals 50-digit mpmath
+    half an ulp of the value for its final rounding, at least the
+    smallest subnormal, so a value that underflows claims no exact 0.
+    On 2000 seeded points (s in [-2, 3] outside 1 +- 0.02, x
+    log-uniform in [0.05, 20]) the float is the one a 1e-30 stop returns and equals 50-digit mpmath
     zeta rounded to binary64, with 29-62 outer terms (a 1e-30 stop takes
     54-105), and |error| stays within 0.9998 of the estimate; stops at
     1e-20, 1e-21 and 1e-22 moved none of those floats.
@@ -269,7 +270,10 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
             if small_run >= 3:
                 break
         value = float(prefix + mp.ldexp(acc, e - 64) / (ss - 1))
-        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + 0.5 * math.ulp(value)
+        # Below 2^-1021 half an ulp rounds to 0: the smallest subnormal
+        # covers a subnormal or underflowed value's rounding.
+        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + max(
+            0.5 * math.ulp(value), math.ulp(0.0))
     if not math.isfinite(value):
         raise ConvergenceError(
             f"hurwitz_hasse value leaves binary64 at s = {s}, x = {x}"

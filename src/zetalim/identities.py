@@ -16,9 +16,13 @@ all its cases share.  While a case's points run, the memo keeps every
 adaptive master sum regsum makes and every Hurwitz zeta value _zeta
 takes, keyed by their exact float arguments and stored only on success,
 so a quantity that several cases share is summed once per catalogue and
-each report keeps its bits.  The memo lives as long as its catalogue:
-verify_all() and each `zetalim verify` build a new one, and an engine
-called outside a case's points never sees it.
+each report keeps its bits.  It also keeps each plain master sum's head
+angles 2 pi frac(n y), n < N, under (y, N): 37 lists serve the 174
+master sums of verify_all().  An angle list is an exact function of its
+key, so one stored during a search that then fails is harmless.  The
+memo lives as long as its catalogue: verify_all() and each `zetalim
+verify` build a new one, and an engine called outside a case's points
+never sees it.
 """
 from __future__ import annotations
 
@@ -123,8 +127,9 @@ class IdentityCase:
 
     memo is None for a case built here; registry() points every case it
     returns at its catalogue's memo, which holds the master sums and
-    Hurwitz zeta values their points have taken (see the module
-    docstring).
+    Hurwitz zeta values their points have taken and the plain master
+    sums' head angles, exact functions of their (y, N) key (see the
+    module docstring).
     """
 
     __slots__ = ("id", "lhs", "rhs", "axes", "tol", "notes", "memo")
@@ -185,8 +190,8 @@ class VerificationReport(NamedTuple):
 
 
 def _zeta(s: float, x: float, m: int = 0) -> float:
-    # The memo's master sums are keyed by (y, s, weight name): an int m
-    # keeps these keys apart.
+    # The memo's master sums are keyed by (y, s, weight name), its angle
+    # lists by (y, N): an int m and a third entry keep these keys apart.
     memo = regsum._memo
     if memo is None:
         return hurwitz_zeta(HurwitzQuery(s, x, m)).value

@@ -66,8 +66,10 @@ _DZETA_S0 = tuple([t / (j + 1) for j, t in enumerate(_DZETA)])
 _S0_CONST = math.pi**2 / 12.0 + _GAMMA1
 # The identity catalogue's memo: None, or while one of its cases runs,
 # that catalogue's dict, where _series_sum keeps each adaptive master
-# sum under its exact (y, s, weight).  It sits below the public names
-# because the sine and cosine of a series share one complex sum.
+# sum under its exact (y, s, weight) and _master_sum each plain head's
+# angle list under its (y, N), y reduced to [-1/2, 1/2].  It sits below
+# the public names because the sine and cosine of a series share one
+# complex sum, and master sums at one phase share their angles.
 _memo = None
 
 
@@ -185,10 +187,13 @@ def _master_sum(
 
     With block = 1 the head is scalar: c(n) z^n added in order of n,
     each c(n) from a table that depends on (s, w, N) only and is built
-    once per key.  The transform runs on the coefficients c(N + j)
-    with ratio mu = z/(1-z), |mu| = 1/(2 sin pi y).  They are c(N) plus
-    offsets computed with log1p/expm1, so their forward differences
-    carry rounding of the offsets' size, not of c(N)'s.  That floor
+    once per key.  The angles 2 pi frac(n y) come from the catalogue's
+    memo while one of its cases runs, computed once per (y, N) there,
+    and are computed on every call outside one.  The transform runs on
+    the coefficients c(N + j) with ratio mu = z/(1-z), |mu| =
+    1/(2 sin pi y).  They are c(N) plus offsets computed with
+    log1p/expm1, so their forward differences carry rounding of the
+    offsets' size, not of c(N)'s.  That floor
     doubles with each difference; once a difference sinks below it the
     transform has nothing left to resolve and stops, reporting the
     floor.  Neither the differences nor the floor depend on y, so the
@@ -227,9 +232,17 @@ def _master_sum(
     n0 = float(n_direct)
     if block == 1:
         ns, coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
-        # 2 pi frac(n), written out: a call per term would cost a fifth
-        # of the head.
-        angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+        # The angles depend on (y, N) alone, so a catalogue's memo
+        # keeps them.
+        memo = _memo
+        key = (y, n_direct)
+        angles = None if memo is None else memo.get(key)
+        if angles is None:
+            # 2 pi frac(n y), written out: a call per term would cost a
+            # fifth of the head.
+            angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+            if memo is not None:
+                memo[key] = angles
         head = sum(map(cmath.rect, coeff, angles))
         ratio = z1
     else:

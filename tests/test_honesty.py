@@ -171,8 +171,10 @@ def test_hurwitz_zeta_error_estimate_is_honest(s, x, m):
 # 9.74e-66; s >> x, where the series ran to its cap, (50, 30).  Then x on
 # both sides of the shift to 30 + max(0, s - 1) at s = -11.5 and 50,
 # past the shift's cap at s = 500, and seeded s in [-12, 60] with x
-# log-uniform over [0.01, 2000].  The reference is a 70-digit direct
-# sum: mpmath's zeta loses digits at large s.
+# log-uniform over [0.01, 2000].  Then values that are subnormal or
+# underflow to 0, where half an ulp rounds to 0 and only the smallest
+# subnormal covers the final rounding.  The reference is a 70-digit
+# direct sum: mpmath's zeta loses digits at large s.
 HASSE_POINTS = [(1.2689908026027177, 9.154871074106332), (50.0, 20.0), (10.0, 25.0),
                 (50.0, 30.0), (50.0, 1000.0), (50.0, 0.5), (500.0, 0.9), (500.0, 1.5)]
 HASSE_POINTS += [(s, x) for s, t in ((-11.5, 30.0), (50.0, 79.0))
@@ -181,6 +183,9 @@ _rng_hasse = random.Random(2801)
 HASSE_POINTS += [(_rng_hasse.uniform(-12.0, 60.0),
                   math.exp(_rng_hasse.uniform(math.log(0.01), math.log(2000.0))))
                  for _ in range(100)]
+HASSE_POINTS += [(s, x) for s in (100.0, 105.0, 108.0, 110.0, 112.0)
+                 for x in (700.0, 750.0, 800.0, 900.0, 1000.0, 1200.0)]
+HASSE_POINTS += [(200.0, 2000.0), (1000.0, 5000.0)]
 
 
 @pytest.mark.parametrize("s, x", HASSE_POINTS)

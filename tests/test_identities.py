@@ -326,6 +326,22 @@ def test_verify_all_makes_174_master_sums(monkeypatch):
     assert set(blocks) == {1}
 
 
+def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
+    # Deterministic cost guard: the 174 plain master sums of one catalogue
+    # take their head angles at 37 phase points (y, N), each list
+    # computed once and kept in the memo under its 2-tuple key.
+    calls = _record_engine_calls(monkeypatch)
+    catalogue = registry()
+    for case in catalogue:
+        verify(case)
+    masters = [args for name, args in calls if name == "master"]
+    assert len(masters) == 174
+    angles = {key: v for key, v in catalogue[0].memo.items() if len(key) == 2}
+    assert len(angles) == 37
+    assert set(angles) == {(args[0] - round(args[0]), args[3]) for args in masters}
+    assert all(len(v) == n - 1 for (_, n), v in angles.items())
+
+
 def _record_engine_calls(monkeypatch):
     """A list that gains (name, args) for each master sum and each
     Hurwitz zeta call, under every name that binds hurwitz_zeta."""

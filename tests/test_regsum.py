@@ -659,6 +659,27 @@ def test_plain_master_sum_takes_its_differences_once_per_key(monkeypatch, s, wei
     assert list(diffs) == column[1 : stop + 1]
 
 
+# Both sides of 1/2 and of the blocked route's threshold, round(1/(2y))
+# = _BLOCK_MIN at y = 1/13, and phases that reduce to the same y.
+@pytest.mark.parametrize("y", [0.3, 0.49, 0.51, 0.0768, 0.0771, 0.9229, 0.9232, 1.3, -0.7])
+@pytest.mark.parametrize("n_direct", [64, 128])
+def test_plain_master_sum_is_bit_identical_under_a_primed_memo(monkeypatch, y, n_direct):
+    # A catalogue's memo supplies a plain head's angles; the sum must not
+    # move a bit from the one taken without a memo.
+    from zetalim import regsum
+
+    calls = [(s, weight) for s in (-2.0, 0.0, 0.5, 1.0) for weight in regsum.WEIGHT_KINDS]
+    want = [regsum._master_sum(y, s, weight, n_direct) for s, weight in calls]
+    memo = {}
+    monkeypatch.setattr(regsum, "_memo", memo)
+    regsum._master_sum(y, 0.25, "unit", n_direct)
+    key = (y - round(y), n_direct)
+    assert list(memo) == [key]
+    angles = memo[key]
+    assert [regsum._master_sum(y, s, weight, n_direct) for s, weight in calls] == want
+    assert list(memo) == [key] and memo[key] is angles
+
+
 def test_edge_series_raises_beyond_the_blocked_range():
     # Blocks of 1/(2x) terms need a 12/x-term head; at x = 1e-4 that
     # exceeds the head cap and no attempt gets its error below 1e-8.
