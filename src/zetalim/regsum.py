@@ -20,8 +20,12 @@ so does its rounding, so there head and tail are cut into blocks of
 about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
-series evaluated once at s = s*.  At those s, within 1/13 of an integer
-phase, M is the polylogarithm's short expansion about z = 1 instead.
+series evaluated once at s = s*.  At those s a log-weighted M is the
+polylogarithm's expansion about z = 1 instead, which converges at every
+phase; so is a unit-weight M within 1/13 of an integer phase, where the
+expansion is the closed form z/(1 - z) or -ln(1 - z).  Away from there
+the unit weight stays Euler-summed, so that the identities that compare
+it with a closed form check summation.
 """
 from __future__ import annotations
 
@@ -54,13 +58,25 @@ _OFFSET_ROUNDING = 4.0 * EPS
 # Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
 # 3 ulps, measured against mpmath.
 _RATIO_ROUNDING = 8.0 * EPS
-# zeta'(-k)/k!, k = 0..15, and gamma_1: float() of 40-digit mpmath; at
+# zeta'(-k)/k!, k = 0..63, and gamma_1: float() of 50-digit mpmath; at
 # s = 0 term k is zeta'(-k)/k! mu^(k+1)/(k+1).
 _DZETA = (
     -0.9189385332046728, -0.16542114370045094, -0.015224228529196636, 0.0008964293929623836,
     0.00033265881042785937, -4.77488316832196e-06, -8.194109921549913e-06, -1.4457196034905568e-07,
     2.0625401750005574e-07, 8.62584137948791e-09, -5.216580229866726e-09, -3.194891494299808e-10,
-    1.3208845929003786e-10, 1.0237620170560034e-11, -3.345531562149655e-12, -3.061307253578634e-13)
+    1.3208845929003786e-10, 1.0237620170560034e-11, -3.345531562149655e-12, -3.061307253578634e-13,
+    8.474135956008394e-14, 8.796052615274715e-15, -2.146511416214089e-15, -2.463356907157168e-16,
+    5.437169152708772e-17, 6.777537816775303e-18, -1.3772505428797003e-18, -1.8408712209370517e-19,
+    3.488616067476029e-20, 4.9516489186039865e-21, -8.836767533232302e-22, -1.321865097598184e-22,
+    2.238379352590015e-23, 3.5075269614869685e-24, -5.669881128203945e-25, -9.261478431781183e-26,
+    1.4361976670508546e-26, 2.435530167719261e-27, -3.6379311889312843e-28, -6.382995741654425e-29,
+    9.214987351596228e-30, 1.66800149915793e-30, -2.3341835642695153e-31, -4.34797618768453e-32,
+    5.912556039248886e-33, 1.1309433084106164e-33, -1.4976679406203633e-34, -2.9361323926909516e-35,
+    3.7936372111706175e-36, 7.610085220398393e-37, -9.609395313635403e-38, -1.9695387351505064e-38,
+    2.4340882681616686e-39, 5.090611615956851e-40, -6.1656176105017e-41, -1.3142103095460972e-41,
+    1.561769185455186e-42, 3.3892210911868423e-43, -3.9560075611612285e-44, -8.732102308477087e-45,
+    1.002068421487234e-45, 2.2478102603331534e-46, -2.5382689638923893e-47, -5.781701256499983e-48,
+    6.429510395604679e-49, 1.4860588997861486e-49, -1.6286140088084538e-50, -3.8170387386007074e-51)
 _GAMMA1 = -0.07281584548367673
 _DZETA_S0 = tuple([t / (j + 1) for j, t in enumerate(_DZETA)])
 _S0_CONST = math.pi**2 / 12.0 + _GAMMA1
@@ -245,6 +261,9 @@ def _master_sum(
                 memo[key] = angles
         head = sum(map(cmath.rect, coeff, angles))
         ratio = z1
+        # 1 - z from the phase itself: 1 - z1 would keep z1's rounding,
+        # which the transform's 1/|1 - z|^2 magnifies next to y = 0.
+        one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
     else:
         # The head is the first h blocks of the same sequence, ending at
         # n = N, with c(n) = 0 for n < 1: B + h phases, not one per term.
@@ -269,10 +288,11 @@ def _master_sum(
         diffs = _differences(d)
         floor = _OFFSET_ROUNDING * max(size[h:])
         first, ratio = d[0], phase(float(block))
+        one_minus = 1.0 - ratio
 
     z_n = phase(n0)
-    mu = ratio / (1.0 - ratio)
-    mupow = z_n / (1.0 - ratio)
+    mu = ratio / one_minus
+    mupow = z_n / one_minus
     tail = mupow * first
     incs = [abs(tail)]
     noise = 0.0
@@ -300,24 +320,27 @@ def _master_sum(
             tail -= term
             incs.pop()
             break
-    drift = _RATIO_ROUNDING * spread / abs(1.0 - ratio)
+    drift = _RATIO_ROUNDING * spread / abs(one_minus)
     err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
     return head + tail, err
 
 
 def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
-    """M(y, s, w) at s in {0, 1}, |y| <= 1/13: value, error, terms.
+    """M(y, s, w) at s in {0, 1}, any y: value, error, terms.
 
     Li_sigma(e^mu) = Gamma(1 - sigma)(-mu)^(sigma-1) + sum_k zeta(sigma - k)
     mu^k/k!, mu = 2 pi i y, sigma = 1 - s (Wood, Kent TR 15-92, 1992); ln n
     is -d/dsigma, L = ln(-mu).  At s = 1 it is (gamma + L)/mu - sum zeta'(-k)
     mu^k/k!, at s = 0 (gamma + L)^2/2 + pi^2/12 + gamma_1 - sum_{k>=1}
     zeta'(1 - k) mu^k/k!.  Unit is z/(1 - z) or -ln(1 - z), with 1 - z =
-    -2i sin(pi y) e^(i pi y), and the other weights add w(1) times it.  As
-    |zeta'(-k)/k!| (2 pi)^k <= 1 for 2 <= k <= 144 (ln(k)/pi beyond), terms
-    k >= J >= 2 sum to at most |y|^J/(1 - 2|y|), times |mu| at s = 0.  Each
-    part is formed within 6 eps of its size, the worst (gamma + L)^2/2 at
-    2 (4.2 u) + 2 u, u = eps/2.
+    -2i sin(pi y) e^(i pi y), and the other weights add w(1) times it.  The
+    series converges for |mu| < 2 pi, so at every y reduced to [-1/2, 1/2].
+    As |zeta'(-k)/k!| (2 pi)^k <= 1 for 2 <= k <= 144 (at most 0.74 below
+    64; past 144 it grows like ln(k)/pi, where |y|^k <= 2^-145), terms
+    k >= J >= 2 sum to at most |y|^J/(1 - |y|), times |mu| at s = 0: at
+    |y| = 1/2 the 2^-56 stop comes by J = 58, inside the 64-entry table.
+    Each part is formed within 6 eps of its size, the worst (gamma + L)^2/2
+    at 2 (4.2 u) + 2 u, u = eps/2.
     """
     y -= round(y)
     ay, sin_py = abs(y), math.sin(math.pi * y)
@@ -333,7 +356,7 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
         lead, size, p, table = g / mu, abs(g) / abs(mu), 1.0, _DZETA
     else:
         lead, size, p, table = 0.5 * g * g + _S0_CONST, 0.5 * abs(g) ** 2 + _S0_CONST, mu, _DZETA_S0
-    tol, rest, terms = 2.0**-56 * abs(p), abs(p) / (1.0 - 2.0 * ay), []
+    tol, rest, terms = 2.0**-56 * abs(p), abs(p) / (1.0 - ay), []
     for t in table:
         terms.append(t * p)
         p, rest = p * mu, rest * ay
@@ -346,17 +369,22 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
 
 def _master_sum_adaptive(
     y: float, s: float, weight: str
-) -> Tuple[complex, float, int]:
-    """M(y, s, w) to _ENGINE_TARGET: value, error and head terms.
+) -> Tuple[complex, float, int, bool]:
+    """M(y, s, w) to _ENGINE_TARGET: value, error, head (or series)
+    terms, and whether _near_one took it.
 
-    A plain _HEAD_START-term call settles interior y.  When B =
+    At s in {0, 1} a log weight is _near_one's at every y.  Otherwise a
+    plain _HEAD_START-term call settles interior y.  When B =
     round(1/(2 min(y, 1-y))) >= _BLOCK_MIN, a plain call almost never
-    settles: at s in {0, 1} _near_one takes M, and otherwise, when a
-    24 B-term head fits in _HEAD_CAP, the first call sums that head and
-    the tail in blocks of B terms.  Constant coefficients (unit weight
-    at s = 1) are the exception: all their forward differences vanish,
-    so the plain call is exact and goes first.  The head then doubles, within _HEAD_CAP, while each attempt
-    at least halves the error.  A best error above _EDGE_ERR raises
+    settles: at s in {0, 1} (unit weight) _near_one takes M, and
+    otherwise, when a 24 B-term head fits in _HEAD_CAP, the first call
+    sums that head and the tail in blocks of B terms.  So the unit
+    weight's limits stay Euler-summed in the interior, where _near_one
+    would be its closed form z/(1 - z) or -ln(1 - z).  Constant
+    coefficients (unit weight at s = 1) are the exception in the band:
+    all their forward differences vanish, so the plain call is exact
+    and goes first.  The head then doubles, within _HEAD_CAP, while each
+    attempt at least halves the error.  A best error above _EDGE_ERR raises
     ConvergenceError.  After the search, so that it moves no head, block
     or raise, the error adds a plain head's phase rounding, 7.5 eps sum |c|,
     and the kept sum's final rounding, 4 ulps of max(1, |M|) for both
@@ -366,8 +394,8 @@ def _master_sum_adaptive(
     # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
     # _HEAD_CAP anyway.
     b = round(0.5 / max(abs(y - round(y)), 1.0 / _HEAD_CAP))
-    near = _BLOCK_MIN <= b and s in (0.0, 1.0)
-    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP
+    near = s in (0.0, 1.0) and (weight != "unit" or _BLOCK_MIN <= b)
+    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP and not near
     n, block = _HEAD_START, 1
     best = (0j, math.inf, n)
     if not (blocked or near) or (weight == "unit" and s == 1.0):
@@ -375,7 +403,7 @@ def _master_sum_adaptive(
         best = (value, err, n)
     if near and best[1] > _ENGINE_TARGET:
         value, err, n = _near_one(y, s, weight)
-        return value, err + 4.0 * EPS * max(1.0, abs(value)), n
+        return value, err + 4.0 * EPS * max(1.0, abs(value)), n, True
     if blocked and best[1] > _ENGINE_TARGET:
         n, block = 24 * b, b
         value, err = _master_sum(y, s, weight, n, block)
@@ -398,11 +426,12 @@ def _master_sum_adaptive(
         # Its angles 2 pi frac(n y) < 2 pi round by u = eps/2 of frac, u of the
         # product and _TWO_PI's 1.1 eps, of one sign where frac(n y) clusters.
         err += 7.5 * EPS * _plain_tables(s, weight, n)[2]
-    return value, err + 4.0 * EPS * max(1.0, abs(value)), n
+    return value, err + 4.0 * EPS * max(1.0, abs(value)), n, False
 
 
 def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
-    """`spec`'s series Euler-summed at spec.s, tagged method_tag."""
+    """`spec`'s series at spec.s, tagged method_tag, or "series-at-one"
+    when every master sum behind it is _near_one's."""
     if spec.parity == "all_n":
         parts = [(1.0, spec.x)]
     elif spec.parity == "alternating":
@@ -417,25 +446,27 @@ def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
     total = 0.0 + 0.0j
     err = 0.0
     terms = 0
+    at_one = True
     memo = _memo
     for coef, y in parts:
         if memo is None:
-            val, part_err, n_used = _master_sum_adaptive(y, spec.s, spec.weight)
+            val, part_err, n_used, series = _master_sum_adaptive(y, spec.s, spec.weight)
         else:
             key = (y, spec.s, spec.weight)
             hit = memo.get(key)
             if hit is None:
                 hit = memo[key] = _master_sum_adaptive(y, spec.s, spec.weight)
-            val, part_err, n_used = hit
+            val, part_err, n_used, series = hit
         total += coef * val
         err += abs(coef) * part_err
         terms += n_used
+        at_one = at_one and series
     value = total.imag if spec.trig == "sine" else total.real
     if spec.scale == "two_pi_n_power":
         fac = _TWO_PI ** (spec.s - 1.0)
         value *= fac
         err *= fac
-    return EvalResult(value, err, terms, method_tag)
+    return EvalResult(value, err, terms, "series-at-one" if at_one else method_tag)
 
 
 def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
@@ -447,9 +478,12 @@ def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     (3.66e-4) at each phase the parity sums (x for all_n, (x - 1)/2 for
     alternating next to x = 1, x/2 and x for odd_only); past it the plain
     sum alone raises ConvergenceError (unit weight, s = -1, 0.5 and 0.9)
-    unless its terms decay fast enough (s = -3).  At s = 0 the series
-    about z = 1 reaches the phase guard, |1 - z| >= 1e-9.  err_estimate
-    is the master sums' own, edge band and interior alike.
+    unless its terms decay fast enough (s = -3).  At s = 0 a log weight
+    at any phase, and the unit weight within 1/13 of an integer phase,
+    take the series about z = 1 instead, which reaches the phase guard,
+    |1 - z| >= 1e-9; a result whose every master sum takes it is tagged
+    "series-at-one".  err_estimate is the master sums' own, edge band
+    and interior alike.
     """
     if not spec.s < 1.0:
         raise ConvergenceError(
@@ -466,13 +500,16 @@ def regularized_limit(
     scale: str = "n_power",
     s_target: float = 1.0,
 ) -> EvalResult:
-    """Limit s -> s_target of the series (method tag "euler-at-target").
+    """Limit s -> s_target of the series.
 
-    The Euler-summed series once at s = s_target, whose value is analytic
-    in s; within 1/13 of an integer phase the series about z = 1, which
-    reaches the phase guard |1 - z| >= 1e-9, except for unit weight at
-    s_target = 1, whose plain sum stops 6.71e-5 from an integer.  A master
-    sum that cannot reach 1e-8 raises ConvergenceError.
+    A log weight's master sums are the series about z = 1 at s_target,
+    at every phase (method tag "series-at-one").  The unit weight's are
+    the Euler-summed series once at s = s_target, whose value is analytic
+    in s (tag "euler-at-target"), and within 1/13 of an integer phase the
+    series about z = 1; at s_target = 1 its plain sum, exact for constant
+    coefficients, is kept wherever it settles.  Limits reach the phase
+    guard |1 - z| >= 1e-9.  A master sum that cannot reach 1e-8 raises
+    ConvergenceError.
     """
     s_target = float(s_target)
     if s_target not in (0.0, 1.0):

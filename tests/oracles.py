@@ -253,7 +253,9 @@ def full_table_master_sum(
     the plain head c(n) rotated by cmath.rect and added in order of n;
     each block sum as fsum of its real and of its imaginary products;
     the blocked head as the first ceil(N/B) block sums of the tail's own
-    blocks, each times one phase, added in order.  Tests compare the two
+    blocks, each times one phase, added in order.  The plain route takes
+    1 - z as -2i sin(pi y) e^(i pi y), the blocked one 1 - z^B as a
+    difference, the same as the engine.  Tests compare the two
     with `==`, value and error.  The third item names the loop's exit:
     "floor" (a difference sank below the rounding floor), "small" (an
     increment below 1e-17 of the tail), "diverge" (three growing
@@ -285,6 +287,7 @@ def full_table_master_sum(
         abs_head = math.fsum(abs(c) for c in coeff)
         d, floor, first = plain_tail_offsets(s, weight, n_direct)
         ratio = z1
+        one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
     else:
         # The head as the engine forms it: the first h blocks of one
         # zero-padded sequence that ends its head at n = N.
@@ -301,10 +304,11 @@ def full_table_master_sum(
         d = sums[h:]
         floor = regsum._OFFSET_ROUNDING * max(sum(abs(c) for c in row) for row in blocks[h:])
         first, ratio = d[0], phase(float(block))
+        one_minus = 1.0 - ratio
 
     z_n = phase(n0)
-    mu = ratio / (1.0 - ratio)
-    mupow = z_n / (1.0 - ratio)
+    mu = ratio / one_minus
+    mupow = z_n / one_minus
     tail = mupow * first
     incs = [abs(tail)]
     noise = 0.0
@@ -332,7 +336,7 @@ def full_table_master_sum(
             incs.pop()
             exit_kind = "diverge"
             break
-    drift = regsum._RATIO_ROUNDING * spread / abs(1.0 - ratio)
+    drift = regsum._RATIO_ROUNDING * spread / abs(one_minus)
     err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
     return head + tail, err, exit_kind
 

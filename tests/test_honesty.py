@@ -342,3 +342,43 @@ def test_regularized_limit_error_estimate_is_honest(x, trig, weight, parity, sca
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )
+
+
+def _whole_circle_points():
+    """Log-weighted limits whose master sums' phase y runs over (-1/2,
+    1/2]: at every phase each is the series about z = 1.
+
+    Per s* and parity: y = 1/2 (ALTLOG's point), y next to +-1/13 on
+    both sides (the edge of the band that series once kept to) and six
+    seeded y, shared by the six (log weight, scale) pairs so that one
+    mpmath sum serves six rows.  all_n takes x = y mod 1, whose phase is
+    y; alternating takes x = 1 - 2|y|, whose phase is -|y|, and x = 2^-30
+    (phase -1/2 + 2^-31) for y = 1/2, as x = 0 lies outside (0, 1).
+    """
+    rng = random.Random(3101)
+    band = 1.0 / 13.0
+    ys = [0.5] + [sign * band * f for sign in (1.0, -1.0) for f in (1.0 - 1e-3, 1.0 + 1e-3)]
+    pairs = [(w, sc) for w in _LOG_WEIGHTS for sc in ("n_power", "two_pi_n_power")]
+    points = []
+    for s_target in (0.0, 1.0):
+        for parity in ("all_n", "alternating"):
+            for j, y in enumerate(ys + [rng.uniform(-0.5, 0.5) for _ in range(6)]):
+                if parity == "all_n":
+                    x = y % 1.0
+                else:
+                    x = max(1.0 - 2.0 * abs(y), 2.0**-30)
+                trig = ("sine", "cosine")[j % 2]
+                points += [(x, trig, w, parity, sc, s_target) for w, sc in pairs]
+    return points
+
+
+@pytest.mark.parametrize("x, trig, weight, parity, scale, s_target", _whole_circle_points())
+def test_log_weighted_limit_over_the_whole_circle_is_honest(x, trig, weight, parity, scale,
+                                                            s_target):
+    res = regularized_limit(x, trig, weight, parity, scale, s_target)
+    assert res.method_tag == "series-at-one"
+    ref = mp_trig_series(x, trig, weight, parity, s_target, scale)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+

@@ -441,13 +441,10 @@ def test_edge_band_limits_do_not_raise(x, case_id, trig, parity):
 @pytest.mark.parametrize("weight", ["log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
 @pytest.mark.parametrize("trig", ["sine", "cosine"])
 def test_limit_error_estimate_is_honest(x, parity, weight, trig):
-    # At s = 1 the log-weighted tails have forward differences far below
-    # the rounding of ln N; the estimate has to cover that floor.  Within
-    # 1/13 of an integer phase (x = 0.9995 alternating: phase -2.5e-4)
-    # the limit is the series about z = 1 instead.  The alternating
-    # oracle takes the engine's own phase: for x >= 1/2 that is
-    # (x - 1)/2, exact where (x + 1)/2 rounds (by up to 3e-10 in the sum
-    # at x = 0.999).
+    # A log-weighted limit is the series about z = 1 at every phase, and
+    # carries that route's tag.  The alternating oracle takes the
+    # engine's own phase: for x >= 1/2 that is (x - 1)/2, exact where
+    # (x + 1)/2 rounds (by up to 3e-10 in the sum at x = 0.999).
     if parity == "all_n":
         y, sign = x, 1.0
     else:
@@ -455,7 +452,7 @@ def test_limit_error_estimate_is_honest(x, parity, weight, trig):
     got = regularized_limit(x, trig, weight, parity)
     want = sign * mp_weighted_sum(y, 1.0, weight, trig)
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
-    assert got.method_tag == "euler-at-target"
+    assert got.method_tag == "series-at-one"
 
 
 @pytest.mark.parametrize("s_target", [0.0, 1.0])
@@ -483,7 +480,9 @@ def test_limit_matches_mpmath(weight, parity, scale, s_target):
 _GRID_Y = (0.0051, 0.0101, 0.02, 0.05, 0.08, 0.1, 0.16, 0.3, 0.5)
 
 
-@pytest.mark.parametrize("y", sorted({*_GRID_Y, *(1.0 - y for y in _GRID_Y)}))
+# y = -1/2, like 1/2 the farthest phase from z = 1, is reached only by
+# the master sum itself.
+@pytest.mark.parametrize("y", sorted({*_GRID_Y, *(1.0 - y for y in _GRID_Y), -0.5}))
 @pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("weight", ["unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
 def test_master_sum_error_estimate_is_honest(y, s, weight):
@@ -493,7 +492,7 @@ def test_master_sum_error_estimate_is_honest(y, s, weight):
     # allows the 4 ulps of each part that every honesty check allows.
     from zetalim import regsum
 
-    value, err, _ = regsum._master_sum_adaptive(y, s, weight)
+    value, err, _, _ = regsum._master_sum_adaptive(y, s, weight)
     for trig, part in (("sine", value.imag), ("cosine", value.real)):
         want = mp_weighted_sum(y, s, weight, trig)
         assert abs(part - want) <= err + 4 * ULP * max(1.0, abs(want)), trig
@@ -551,15 +550,22 @@ def test_series_about_one_table_is_40_digit_mpmath():
     from zetalim import regsum
 
     with mp.workdps(40):
-        dzeta = tuple(
-            float(mp.zeta(-k, derivative=1) / mp.factorial(k)) for k in range(16)
-        )
+        exact = [mp.zeta(-k, derivative=1) / mp.factorial(k) for k in range(64)]
+        dzeta = tuple(float(t) for t in exact)
         gamma1 = float(mp.stieltjes(1))
+        # The tail bound |y|^J/(1 - |y|) takes term k >= 2 at most |y|^k.
+        assert all(abs(t) * (2 * mp.pi) ** k <= 1 for k, t in enumerate(exact) if k >= 2)
     assert regsum._DZETA == dzeta, f"_DZETA = {dzeta!r}"
     assert regsum._GAMMA1 == gamma1, f"_GAMMA1 = {gamma1!r}"
-    # 16 terms reach the truncation target at the band's edge, |y| = 1/13.
+    # The table reaches the truncation target at |y| = 1/2, the farthest
+    # phase from z = 1, and _near_one stops inside it.
+    assert len(dzeta) == 64 and 0.5 ** len(regsum._DZETA) / (1.0 - 0.5) < 2.0**-56
+    for y in (0.5, -0.5, 0.49):
+        for s in (0.0, 1.0):
+            assert regsum._near_one(y, s, "log_n")[2] < len(regsum._DZETA)
+    # The unit weight keeps the series to the band |y| < 1/13, where
+    # round(1/(2|y|)) reaches _BLOCK_MIN.
     y = 1.0 / 13.0
-    assert y**16 / (1.0 - 2.0 * y) < 2.0**-56
     assert round(0.5 / y) < regsum._BLOCK_MIN <= round(0.5 / math.nextafter(y, 0.0))
 
 
@@ -699,7 +705,9 @@ def test_spec_rejects_non_finite_s(s):
 @pytest.mark.parametrize("x", [0.989, 0.9899])
 @pytest.mark.parametrize("trig", ["sine", "cosine"])
 def test_alternating_unit_limit_is_honest_at_the_edge(x, trig):
-    # The rounding of z = e^(2 pi i y) is magnified by 1/|1 - z|^2 here.
+    # A plain sum at y = (x - 1)/2, where 1/|1 - z|^2 would magnify the
+    # rounding of z = e^(2 pi i y) in 1 - z: off by 5.0e-13 at x = 0.989
+    # (cosine, exact 0.5) until 1 - z came from the phase itself.
     import mpmath as mp
 
     got = regularized_limit(x, trig, "unit", "alternating")
@@ -708,6 +716,7 @@ def test_alternating_unit_limit_is_honest_at_the_edge(x, trig):
     else:
         want = 0.5
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
+    assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def _mp_closed_form(x: float, case_id: str):
