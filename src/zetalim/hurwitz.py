@@ -24,6 +24,9 @@ _HASSE_MAX_TERMS = 200
 # of at most _HASSE_MAX_SHIFT.
 _HASSE_SHIFT = 30.0
 _HASSE_MAX_SHIFT = 400
+# Bits by which hurwitz_hasse's f(_HASSE_MAX_TERMS) may lie above f(0); past
+# about 210 its sum stalls at 80 digits.
+_HASSE_MAX_RISE = 1024.0
 # h_k = 0.25 2^-k, k = 0..4: the pole of zeta(s, x) is sampled at
 # s = 1 +- h_k and extrapolated in h^2.
 _LADDER = tuple(0.25 * 2.0**-k for k in range(5))
@@ -231,15 +234,23 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     _HASSE_MAX_TERMS + 1 = 201 outer terms raises ConvergenceError: the
     check is relative where |zeta| > 1, since the estimate carries half
     an ulp of zeta (zeta(50, 0.5) rounds to 2^50).  A value outside
-    binary64, as zeta(50, 1e-7) ~ 1e350, raises it too.
+    binary64, as zeta(50, 1e-7) ~ 1e350, raises it too.  So does, before
+    any sum, an f(_HASSE_MAX_TERMS) more than _HASSE_MAX_RISE bits above
+    f(0): at s < 1 f(n)/f(0) = (1 + n/x_eff)^(1-s), and the integers grow
+    with it (a 2.9e5-bit rise at s = -1e5, x = 1).
     """
     HurwitzQuery(s, x)  # checks s and x
-    import mpmath as mp
-    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_shift, mpf_sum, to_int
-
     if abs(s - 1.0) < 1e-12:
         raise PoleError("hurwitz_hasse is undefined at s = 1")
     shift = min(max(0, math.ceil(_HASSE_SHIFT + max(0.0, s - 1.0) - x)), _HASSE_MAX_SHIFT)
+    rise = (1.0 - s) * math.log2(1.0 + _HASSE_MAX_TERMS / (x + shift))
+    if rise > _HASSE_MAX_RISE:
+        raise ConvergenceError(
+            f"binomial series at s = {s}, x = {x} would need {rise:.3g}-bit differences"
+        )
+    import mpmath as mp
+    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_shift, mpf_sum, to_int
+
     with mp.workdps(80):
         # The kernel and rounding of mpf.__pow__, on raw tuples.
         prec, rnd = mp.mp._prec_rounding

@@ -20,12 +20,12 @@ so does its rounding, so there head and tail are cut into blocks of
 about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
 regular and its value is analytic in s (Hardy, Divergent Series,
 ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
-series evaluated once at s = s*.  At those s a log-weighted M is the
-polylogarithm's expansion about z = 1 instead, which converges at every
-phase; so is a unit-weight M within 1/13 of an integer phase, where the
-expansion is the closed form z/(1 - z) or -ln(1 - z).  Away from there
-the unit weight stays Euler-summed, so that the identities that compare
-it with a closed form check summation.
+series evaluated once at s = s*.  At those s, within 1/13 of an integer
+phase, every M is the polylogarithm's expansion about z = 1 instead (tag
+"series-at-one"), for the unit weight the closed form z/(1 - z) or
+-ln(1 - z); a log-weighted M takes it at every phase, where it converges
+too.  Away from there the unit weight stays Euler-summed, so that the
+identities that compare it with a closed form check summation.
 """
 from __future__ import annotations
 
@@ -373,17 +373,14 @@ def _master_sum_adaptive(
     """M(y, s, w) to _ENGINE_TARGET: value, error, head (or series)
     terms, and whether _near_one took it.
 
-    At s in {0, 1} a log weight is _near_one's at every y.  Otherwise a
-    plain _HEAD_START-term call settles interior y.  When B =
-    round(1/(2 min(y, 1-y))) >= _BLOCK_MIN, a plain call almost never
-    settles: at s in {0, 1} (unit weight) _near_one takes M, and
-    otherwise, when a 24 B-term head fits in _HEAD_CAP, the first call
-    sums that head and the tail in blocks of B terms.  So the unit
+    At s in {0, 1} _near_one takes M in the band B = round(1/(2 min(y,
+    1-y))) >= _BLOCK_MIN, and a log-weighted M at every y; so the unit
     weight's limits stay Euler-summed in the interior, where _near_one
-    would be its closed form z/(1 - z) or -ln(1 - z).  Constant
-    coefficients (unit weight at s = 1) are the exception in the band:
-    all their forward differences vanish, so the plain call is exact
-    and goes first.  The head then doubles, within _HEAD_CAP, while each
+    would be its closed form z/(1 - z) or -ln(1 - z).  Otherwise a plain
+    _HEAD_START-term call settles interior y, and in the band, where a
+    plain call almost never settles, the first call sums a 24 B-term
+    head and the tail in blocks of B terms when that head fits in
+    _HEAD_CAP.  The head then doubles, within _HEAD_CAP, while each
     attempt at least halves the error.  A best error above _EDGE_ERR raises
     ConvergenceError.  After the search, so that it moves no head, block
     or raise, the error adds a plain head's phase rounding, 7.5 eps sum |c|,
@@ -394,21 +391,13 @@ def _master_sum_adaptive(
     # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
     # _HEAD_CAP anyway.
     b = round(0.5 / max(abs(y - round(y)), 1.0 / _HEAD_CAP))
-    near = s in (0.0, 1.0) and (weight != "unit" or _BLOCK_MIN <= b)
-    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP and not near
-    n, block = _HEAD_START, 1
-    best = (0j, math.inf, n)
-    if not (blocked or near) or (weight == "unit" and s == 1.0):
-        value, err = _master_sum(y, s, weight, n)
-        best = (value, err, n)
-    if near and best[1] > _ENGINE_TARGET:
+    if s in (0.0, 1.0) and (weight != "unit" or _BLOCK_MIN <= b):
         value, err, n = _near_one(y, s, weight)
         return value, err + 4.0 * EPS * max(1.0, abs(value)), n, True
-    if blocked and best[1] > _ENGINE_TARGET:
-        n, block = 24 * b, b
-        value, err = _master_sum(y, s, weight, n, block)
-        if err < best[1]:
-            best = (value, err, n)
+    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP
+    n, block = (24 * b, b) if blocked else (_HEAD_START, 1)
+    value, err = _master_sum(y, s, weight, n, block)
+    best = (value, err, n)
     while best[1] > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
         last = err
         n *= 2
@@ -422,9 +411,10 @@ def _master_sum_adaptive(
         raise ConvergenceError(
             f"master sum at y = {y}, s = {s} stalled at error {err:.2g}"
         )
-    if not blocked or n == _HEAD_START:  # a plain head; a blocked one has 24 B 2^k terms
-        # Its angles 2 pi frac(n y) < 2 pi round by u = eps/2 of frac, u of the
-        # product and _TWO_PI's 1.1 eps, of one sign where frac(n y) clusters.
+    if not blocked:
+        # A plain head's angles 2 pi frac(n y) < 2 pi round by u = eps/2 of
+        # frac, u of the product and _TWO_PI's 1.1 eps, of one sign where
+        # frac(n y) clusters.
         err += 7.5 * EPS * _plain_tables(s, weight, n)[2]
     return value, err + 4.0 * EPS * max(1.0, abs(value)), n, False
 
@@ -506,10 +496,8 @@ def regularized_limit(
     at every phase (method tag "series-at-one").  The unit weight's are
     the Euler-summed series once at s = s_target, whose value is analytic
     in s (tag "euler-at-target"), and within 1/13 of an integer phase the
-    series about z = 1; at s_target = 1 its plain sum, exact for constant
-    coefficients, is kept wherever it settles.  Limits reach the phase
-    guard |1 - z| >= 1e-9.  A master sum that cannot reach 1e-8 raises
-    ConvergenceError.
+    series about z = 1.  Limits reach the phase guard |1 - z| >= 1e-9.
+    A master sum that cannot reach 1e-8 raises ConvergenceError.
     """
     s_target = float(s_target)
     if s_target not in (0.0, 1.0):

@@ -382,3 +382,40 @@ def test_log_weighted_limit_over_the_whole_circle_is_honest(x, trig, weight, par
         res.value, ref, res.err_estimate
     )
 
+
+
+def _band_switch_pairs():
+    """Unit limits at s* = 1 on both sides of the band's edge, |y| =
+    0.0768 (B = 7, the series about z = 1) and 0.0770 (B = 6, the
+    Euler-summed plain sum), for the phase that crosses it next to
+    x = 0 and next to x = 1: all_n at x = d and 1 - d, alternating at
+    1 - 2d (its phase is -d; next to x = 0 it lies at 1/2), odd_only
+    at x = d, 2d (its x/2 part crosses) and 1 - d."""
+    sides = (0.0768, 0.0770)
+    xs = {
+        "all_n": (lambda d: d, lambda d: 1.0 - d),
+        "alternating": (lambda d: 1.0 - 2.0 * d,),
+        "odd_only": (lambda d: d, lambda d: 2.0 * d, lambda d: 1.0 - d),
+    }
+    return [(tuple(f(d) for d in sides), trig, parity, scale)
+            for parity, fs in xs.items() for f in fs
+            for trig in ("sine", "cosine") for scale in ("n_power", "two_pi_n_power")]
+
+
+@pytest.mark.parametrize("xs, trig, parity, scale", _band_switch_pairs())
+def test_unit_limit_at_one_is_honest_on_both_sides_of_the_band(xs, trig, parity, scale):
+    got, refs = [], []
+    for x in xs:
+        res = regularized_limit(x, trig, "unit", parity, scale, 1.0)
+        ref = mp_trig_series(x, trig, "unit", parity, 1.0, scale)
+        assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+            x, res.value, ref, res.err_estimate
+        )
+        got.append(res)
+        refs.append(ref)
+    # The two routes' errors differ by no more than their two estimates:
+    # no step at the switch that either side's claim leaves out.
+    inside, outside = got
+    step = abs((inside.value - refs[0]) - (outside.value - refs[1]))
+    assert step <= inside.err_estimate + outside.err_estimate + 8 * ULP * max(
+        1.0, abs(refs[0]), abs(refs[1])), (step, inside.err_estimate, outside.err_estimate)

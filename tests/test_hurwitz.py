@@ -180,6 +180,33 @@ def test_hasse_value_outside_binary64_is_a_convergence_error(s, x):
         hurwitz_hasse(s, x)
 
 
+@pytest.mark.parametrize("s, x", [(-1e5, 1.0), (-1e6, 1.0), (-1e300, 1e3)])
+def test_hasse_raises_before_its_integers_outgrow_the_budget(monkeypatch, s, x):
+    # f(200)/f(0) = (1 + 200/x_eff)^(1-s) is 2.9e5 bits at s = -1e5, x = 1,
+    # where the sum took 0.2 s and 33 MB before its value left binary64.
+    # The budget raises before the first 80-digit power.
+    import mpmath.ctx_mp_python
+    import mpmath.libmp
+
+    calls = []
+    monkeypatch.setattr(mpmath.libmp, "mpf_pow", lambda *args: calls.append(args))
+    monkeypatch.setattr(mpmath.ctx_mp_python, "mpf_pow", lambda *args: calls.append(args))
+    with pytest.raises(ConvergenceError, match="bit differences"):
+        hurwitz_hasse(s, x)
+    assert calls == []
+
+
+def test_hasse_rise_budget_is_far_above_every_returned_value():
+    # The largest rise among 3,500 seeded points that return (s in
+    # [-400, 0], x log-uniform in [0.05, 1e3]) is 210 bits, here; the sum
+    # stalls past it at 80 digits.
+    s, x = -88.69164587433306, 49.27539464749718
+    rise = (1.0 - s) * math.log2(1.0 + hurwitz._HASSE_MAX_TERMS / x)
+    assert 200.0 < rise < hurwitz._HASSE_MAX_RISE / 4
+    r = hurwitz_hasse(s, x)
+    assert abs(r.value - mp_zeta(s, x, 0)) <= r.err_estimate
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])
 def test_pole_residue_is_one(x):
     assert pole_residue_check(x) == pytest.approx(1.0, abs=1e-9)

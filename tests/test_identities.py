@@ -307,13 +307,14 @@ def test_complex_limit_pair_is_evaluated_once_per_point(monkeypatch):
     assert len(calls) == 24
 
 
-def test_verify_all_makes_78_master_sums(monkeypatch):
+def test_verify_all_makes_76_master_sums(monkeypatch):
     # Deterministic cost guard: one catalogue sums each distinct master
     # sum once, 150 adaptive sums.  The 76 log-weighted ones, at s in
-    # {0, 1}, are the series about z = 1 and make no master sum.  Of the
-    # 74 unit-weight ones, 29 limits at s = 1 and 41 of EQ4.4/4.5's 45
+    # {0, 1}, and 2 unit-weight limits within 1/13 of an integer phase
+    # are the series about z = 1 and make no master sum.  Of the other
+    # 72 unit-weight ones, 27 limits at s = 1 and 41 of EQ4.4/4.5's 45
     # Fourier sides stop at the 64-term head and 4 double it to 128:
-    # 74 + 4 = 78 calls, none of them blocked.
+    # 72 + 4 = 76 calls, none of them blocked.
     from zetalim import regsum
 
     blocks = []
@@ -325,22 +326,22 @@ def test_verify_all_makes_78_master_sums(monkeypatch):
 
     monkeypatch.setattr(regsum, "_master_sum", counting)
     verify_all()
-    assert len(blocks) == 78
+    assert len(blocks) == 76
     assert set(blocks) == {1}
 
 
 def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
-    # Deterministic cost guard: the 78 plain master sums of one catalogue
-    # take their head angles at 29 phase points (y, N), each list
+    # Deterministic cost guard: the 76 plain master sums of one catalogue
+    # take their head angles at 27 phase points (y, N), each list
     # computed once and kept in the memo under its 2-tuple key.
     calls = _record_engine_calls(monkeypatch)
     catalogue = registry()
     for case in catalogue:
         verify(case)
     masters = [args for name, args in calls if name == "master"]
-    assert len(masters) == 78
+    assert len(masters) == 76
     angles = {key: v for key, v in catalogue[0].memo.items() if len(key) == 2}
-    assert len(angles) == 29
+    assert len(angles) == 27
     assert set(angles) == {(args[0] - round(args[0]), args[3]) for args in masters}
     assert all(len(v) == n - 1 for (_, n), v in angles.items())
 
@@ -348,7 +349,9 @@ def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
 def test_one_catalogue_takes_every_log_weighted_limit_from_the_series(monkeypatch):
     # Deterministic cost guard: the 76 log-weighted master sums at s in
     # {0, 1} (EQ4.8 and ten more rows) are _near_one's, at every phase,
-    # and no such sum reaches the Euler-summed master sum.
+    # and so are the 2 unit-weight limits at y = +-0.05 (EQ4.21-4.23
+    # next to x = 0 and 1), inside the band |y| < 1/13.  No such sum
+    # reaches the Euler-summed master sum.
     from zetalim import regsum
 
     near = []
@@ -361,10 +364,13 @@ def test_one_catalogue_takes_every_log_weighted_limit_from_the_series(monkeypatc
     monkeypatch.setattr(regsum, "_near_one", counting)
     calls = _record_engine_calls(monkeypatch)
     verify_all()
-    assert len(near) == 76
-    assert {weight for _, _, weight in near} == {"log_n", "log_2pi_n", "gamma_plus_log_2pi_n"}
-    assert not [args for name, args in calls
-                if name == "master" and args[2] != "unit" and args[1] in (0.0, 1.0)]
+    assert len(near) == 78
+    unit = [(y, s) for y, s, weight in near if weight == "unit"]
+    assert len(unit) == 2 and all(abs(y) < 1.0 / 13.0 and s == 1.0 for y, s in unit)
+    assert {weight for _, _, weight in near} == {"unit", "log_n", "log_2pi_n",
+                                                "gamma_plus_log_2pi_n"}
+    assert not [args for name, args in calls if name == "master" and args[1] in (0.0, 1.0)
+                and (args[2] != "unit" or abs(args[0] - round(args[0])) < 1.0 / 13.0)]
 
 
 def _record_engine_calls(monkeypatch):

@@ -352,17 +352,19 @@ def test_limit_domain_guard():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, masters",
     [
-        lambda: regularized_limit(1e-10, "sine", "unit"),
-        lambda: regularized_limit(1.0 - 1e-12, "cosine", "unit"),
-        lambda: trig_dirichlet_sum(TrigSeriesSpec(1e-12, "sine", "unit", s=0.5)),
+        (lambda: regularized_limit(1e-10, "sine", "unit"), 0),
+        (lambda: regularized_limit(1.0 - 1e-12, "cosine", "unit"), 0),
+        (lambda: trig_dirichlet_sum(TrigSeriesSpec(1e-12, "sine", "unit", s=0.5)), 1),
     ],
     ids=["limit-next-to-0", "limit-next-to-1", "series-next-to-0"],
 )
-def test_phase_next_to_one_fails_on_the_first_master_sum(monkeypatch, call):
-    # Without the phase guard these still raise, but only after the
-    # adaptive head search has stalled at an error of 4.5e3 to 4.5e7.
+def test_phase_next_to_one_fails_on_the_first_master_sum(monkeypatch, call, masters):
+    # Without the phase guard the series would still raise, but only
+    # after the adaptive head search had stalled at an error of 4.5e3 to
+    # 4.5e7.  A limit raises in the series about z = 1, before any
+    # Euler-summed master sum.
     from zetalim import regsum
 
     calls = []
@@ -375,7 +377,7 @@ def test_phase_next_to_one_fails_on_the_first_master_sum(monkeypatch, call):
     monkeypatch.setattr(regsum, "_master_sum", counting)
     with pytest.raises(ConvergenceError, match="too close to 1"):
         call()
-    assert len(calls) == 1
+    assert len(calls) == masters
 
 
 def test_deninger_series():
@@ -499,10 +501,9 @@ def test_master_sum_error_estimate_is_honest(y, s, weight):
 
 
 @pytest.mark.parametrize("x", [0.0101, 0.03, 0.97, 0.9899])
-def test_edge_limits_make_one_master_call(monkeypatch, x):
-    # Next to x = 0 and 1 a log-weight limit is the series about z = 1
-    # and makes no master sum.  Unit weight at s = 1 has constant
-    # coefficients, which one plain call sums exactly.
+def test_edge_limits_make_no_master_call(monkeypatch, x):
+    # Next to x = 0 and 1 every limit is the series about z = 1 and makes
+    # no master sum.
     from zetalim import regsum
 
     calls = []
@@ -515,32 +516,38 @@ def test_edge_limits_make_one_master_call(monkeypatch, x):
     monkeypatch.setattr(regsum, "_master_sum", recording)
     regularized_limit(x, "sine", "log_n")
     regularized_limit(x, "sine", "unit", s_target=0.0)
-    assert calls == []
     regularized_limit(x, "sine", "unit")
-    assert calls == [1]
+    assert calls == []
 
 
-@pytest.mark.parametrize("x", [2.99e-3, 3.01e-3, 1.0 - 2.99e-3, 1.0 - 3.01e-3])
+@pytest.mark.parametrize("y", [2.99e-3, 3.01e-3, 0.0769])
+@pytest.mark.parametrize("edge", [0.0, 1.0])
 @pytest.mark.parametrize("trig", ["sine", "cosine"])
-def test_unit_limit_at_one_keeps_the_plain_sum_where_it_settles(monkeypatch, x, trig):
-    # Unit weight at s* = 1 has constant coefficients, which one plain
-    # call sums exactly, but its estimate grows like 4.5e-17/y^2 and
-    # passes the engine's 5e-12 at a phase 3.0e-3 from an integer; from
-    # there on the series about z = 1 takes the limit, never a blocked sum.
+def test_unit_limit_at_one_is_the_series_in_the_band(monkeypatch, y, edge, trig):
+    # Within 1/13 of an integer phase (0.0769 is just inside) a unit
+    # limit at s* = 1 is the series about z = 1, here its closed form,
+    # on both sides of the 3.0e-3 where a plain call's estimate would
+    # pass the engine's 5e-12, and makes no master sum.
     from zetalim import regsum
 
     calls = []
-    near_one = regsum._near_one
+    master = regsum._master_sum
 
     def recording(*args):
         calls.append(args)
-        return near_one(*args)
+        return master(*args)
 
-    monkeypatch.setattr(regsum, "_near_one", recording)
+    monkeypatch.setattr(regsum, "_master_sum", recording)
+    x = abs(edge - y)
     got = regularized_limit(x, trig, "unit")
-    assert len(calls) == (min(x, 1.0 - x) < 3.0e-3)
+    assert calls == []
+    assert got.method_tag == "series-at-one"
     want = mp_trig_series(x, trig, "unit", "all_n", 1.0)
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
+    # Odd-only parity's interior part x/2 = 0.485 keeps its one plain sum.
+    got = regularized_limit(0.97, trig, "unit", "odd_only")
+    assert len(calls) == 1 and calls[0][3] == regsum._HEAD_START
+    assert got.method_tag == "euler-at-target"
 
 
 def test_series_about_one_table_is_40_digit_mpmath():
