@@ -327,13 +327,22 @@ def _pole_limit(x: float, part: str) -> EvalResult:
         "residue"  h O(h)            = 1 - gamma_1(x) h^2 - ...
         "gamma1"   (1 - h O(h))/h^2  = gamma_1(x) + gamma_3(x) h^2/6 + ...
 
+    The samples are taken at x + 1: zeta(s, x) = x^-s + zeta(s, x + 1),
+    and the n = 0 term x^(-1-h) = (1/x) e^(-h ln x) would put (ln x)^(2k)/x
+    into the h-series, which at small x the tableau resolves slowly.  Its
+    exact Laurent parts are added instead:
+    gamma_n(x) = gamma_n(x + 1) + (ln x)^n/x, so 1/x to gamma0, ln(x)/x to
+    gamma1 and nothing to the residue.
+
     Neville extrapolates the part asked for in h^2, over the same ten
     samples for every part.  Returns the limit, tagged part + "-fd", with
     terms_used the 10 samples, two per _LADDER offset, and err_estimate
     the tableau's last correction plus rounding.  A sample carries a few
-    ulps of (|zeta(1+h, x)| + |zeta(1-h, x)|)/2, which E(h) keeps, h O(h)
-    scales by h and the gamma1 quotient by 1/h; the tableau's weights
-    add about 1.6, so the estimate adds 4 ulps of the largest.  A limit
+    ulps of (|zeta(1+h, x + 1)| + |zeta(1-h, x + 1)|)/2, which E(h) keeps,
+    h O(h) scales by h and the gamma1 quotient by 1/h; the tableau's
+    weights add about 1.6, so the estimate adds 4 ulps of the largest.
+    The Laurent part and the sum each round by an ulp or two, 4 ulps of
+    |part| + |value| (an ulp of 1/x at x = 1e-5 is 1.5e-11).  A limit
     without a significant digit, err_estimate >= max(1, |value|), raises
     ConvergenceError, as `hurwitz_zeta` does: above about x = 3e31 for
     the residue, 2.5e39 for gamma0 and 2e46 for gamma1.
@@ -341,8 +350,8 @@ def _pole_limit(x: float, part: str) -> EvalResult:
     nodes, vals = [], []
     noise = 0.0
     for h in _LADDER:
-        up = hurwitz_zeta(HurwitzQuery(1.0 + h, x)).value
-        down = hurwitz_zeta(HurwitzQuery(1.0 - h, x)).value
+        up = hurwitz_zeta(HurwitzQuery(1.0 + h, x + 1.0)).value
+        down = hurwitz_zeta(HurwitzQuery(1.0 - h, x + 1.0)).value
         even, odd = 0.5 * (up + down), 0.5 * h * (up - down)
         val, gain = {"gamma0": (even, 1.0), "residue": (odd, h),
                      "gamma1": ((1.0 - odd) / (h * h), 1.0 / h)}[part]
@@ -350,7 +359,9 @@ def _pole_limit(x: float, part: str) -> EvalResult:
         vals.append(val)
         noise = max(noise, gain * 0.5 * (abs(up) + abs(down)))
     value, correction = _neville(nodes, vals)
-    err = correction + 4.0 * EPS * noise
+    laurent = {"gamma0": 1.0 / x, "residue": 0.0, "gamma1": math.log(x) / x}[part]
+    value += laurent
+    err = correction + 4.0 * EPS * (noise + abs(laurent) + abs(value))
     if not (math.isfinite(value) and err < max(1.0, abs(value))):
         raise ConvergenceError(
             f"pole ladder keeps no significant digit of {part} at x = {x}"

@@ -17,7 +17,7 @@ adaptive master sum regsum makes and every Hurwitz zeta value _zeta
 takes, keyed by their exact float arguments and stored only on success,
 so a quantity that several cases share is summed once per catalogue and
 each report keeps its bits.  It also keeps each plain master sum's head
-angles 2 pi frac(n y), n < N, under (y, N): 37 lists serve the 174
+angles 2 pi frac(n y), n < N, under (y, N): 27 lists serve the 76
 master sums of verify_all().  An angle list is an exact function of its
 key, so one stored during a search that then fails is harmless.  The
 memo lives as long as its catalogue: verify_all() and each `zetalim

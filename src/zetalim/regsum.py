@@ -16,16 +16,17 @@ M is summed head-first with the tail accelerated by an iterated Euler
 transform on the forward differences of the coefficient sequence; on
 the unit circle away from z = 1 that converges geometrically, for s < 1
 and beyond.  Next to z = 1 its ratio z/(1-z) grows like 1/(2 pi y) and
-so does its rounding, so there head and tail are cut into blocks of
-about 1/(2y) terms, whose ratio z^B lies next to -1.  Euler summation is
-regular and its value is analytic in s (Hardy, Divergent Series,
-ch. 8), so a regularized limit s -> s* in {0, 1} is the Euler-summed
-series evaluated once at s = s*.  At those s, within 1/13 of an integer
-phase, every M is the polylogarithm's expansion about z = 1 instead (tag
-"series-at-one"), for the unit weight the closed form z/(1 - z) or
--ln(1 - z); a log-weighted M takes it at every phase, where it converges
-too.  Away from there the unit weight stays Euler-summed, so that the
-identities that compare it with a closed form check summation.
+so does its rounding, so there the square relation M(y) = 2^s M(2y) -
+M(y + 1/2) moves M to phases at least 1/4 from an integer.  Euler
+summation is regular and its value is analytic in s (Hardy, Divergent
+Series, ch. 8), so a regularized limit s -> s* in {0, 1} is the
+Euler-summed series evaluated once at s = s*.  At those s, within 1/13
+of an integer phase, every M is the polylogarithm's expansion about z =
+1 instead (tag "series-at-one"), for the unit weight the closed form
+z/(1 - z) or -ln(1 - z); a log-weighted M takes it at every phase,
+where it converges too.  Away from there the unit weight stays
+Euler-summed, so that the identities that compare it with a closed form
+check summation.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import cmath
 import functools
 import math
 from itertools import accumulate, islice
-from operator import mul, sub
+from operator import sub
 from typing import Tuple
 
 from .result import EPS, EULER_GAMMA, ConvergenceError, DomainError, EvalResult
@@ -50,9 +51,11 @@ _SWEEPS = 40
 _ENGINE_TARGET = 5e-12
 # An adaptive master sum whose best error stays above this raises.
 _EDGE_ERR = 1e-8
-# Shortest block worth a blocked call: with fewer terms (y above about
-# 0.08, |z/(1-z)| below 2) the plain head's doublings cost less.
-_BLOCK_MIN = 7
+# The edge band: phases within 1/13 of an integer, where |z/(1-z)|
+# passes 2 and a plain call's error grows with it.  It is the set where
+# round(1/(2|y|)) >= 7, float for float.
+_BAND = 1.0 / 13.0
+_LN2 = math.log(2.0)
 # Rounding of one tail offset relative to its size: 4 ulps.
 _OFFSET_ROUNDING = 4.0 * EPS
 # Rounding of a computed phase e^(2 pi i t), t in [0, 1): at most about
@@ -181,116 +184,53 @@ def _plain_tables(s: float, weight: str, n_direct: int):
     return ns, coeff, math.fsum(coeff), tuple(diffs), floor, p * w0
 
 
-def _master_sum(
-    y: float, s: float, weight: str, n_direct: int, block: int = 1
-) -> Tuple[complex, float]:
-    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}.
+def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex, float]:
+    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}, y away from
+    an integer (_master_sum_adaptive's phase guard sees to that).
 
-    A head of n_direct terms; the remainder is an iterated Euler
-    transform, which also sums the divergent series at s >= 1 (to the
-    analytic continuation in s).  Returns the value and an error
-    estimate: the last accepted transform increment, the rounding floor
-    of every forward difference taken, the rounding of the transform
-    ratio as magnified by the transform, and the head's rounding floor.
-    The final roundings of head, tail and phases, a few ulps of
-    max(1, |M|), are left to _master_sum_adaptive, which adds them once
-    to the sum it keeps.
+    A head of n_direct terms, c(n) z^n added in order of n; the remainder
+    is an iterated Euler transform, which also sums the divergent series
+    at s >= 1 (to the analytic continuation in s).  Returns the value
+    and an error estimate: the last accepted transform increment, the
+    rounding floor of every forward difference taken, the rounding of
+    the transform ratio as magnified by the transform, and the head's
+    rounding floor.  The final roundings of head, tail and phases, a few
+    ulps of max(1, |M|), are left to the adaptive sum that keeps it.
 
-    Sweep k needs only the k-th forward difference at 0, which
-    _differences takes from one anti-diagonal with k subtractions, each
-    the same as in the full difference table.  The loop multiplies it
-    by mu^k and tests its exits.
-
-    With block = 1 the head is scalar: c(n) z^n added in order of n,
-    each c(n) from a table that depends on (s, w, N) only and is built
-    once per key.  The angles 2 pi frac(n y) come from the catalogue's
-    memo while one of its cases runs, computed once per (y, N) there,
-    and are computed on every call outside one.  The transform runs on
-    the coefficients c(N + j) with ratio mu = z/(1-z), |mu| =
-    1/(2 sin pi y).  They are c(N) plus offsets computed with
+    The coefficients c(n) come from a table built once per (s, w, N),
+    the angles 2 pi frac(n y) from the catalogue's memo once per (y, N)
+    while one of its cases runs.  The transform runs on c(N + j) with
+    ratio mu = z/(1-z), |mu| = 1/(2 sin pi y): c(N) plus offsets from
     log1p/expm1, so their forward differences carry rounding of the
-    offsets' size, not of c(N)'s.  That floor
-    doubles with each difference; once a difference sinks below it the
-    transform has nothing left to resolve and stops, reporting the
-    floor.  Neither the differences nor the floor depend on y, so the
-    table holds the differences up to that stop, taken once per key,
-    and a call takes none.  Next to y = 0 or 1, where |mu| reaches
-    16-32 inside the edge band, each term multiplies the floor's share
-    by 2|mu|.
-
-    With block = B > 1 the transform runs on the block sums
-    C(q) = sum_{r<B} c(N + qB + r) z^r with ratio z^B/(1-z^B).  For
-    B = round(1/(2 min(y, 1-y))) the block ratio z^B lies next to -1,
-    |z^B/(1-z^B)| <= 0.51 for B >= 7, and the transform is the
-    well-conditioned alternating case (Cohen, Rodriguez Villegas and
-    Zagier, Exp. Math. 9, 2000).  Its floor starts at 4 ulps of the
-    largest block's sum of |c|.  The head is the same sequence's first
-    h = ceil(N/B) blocks, ending at n = N and padded with c(n) = 0 for
-    n < 1, each block sum times its one phase z^(N - (h-q)B): B + h
-    complex exps in all, where a per-term head takes N.  Each block sum
-    is the fsum of its real and of its imaginary products, rounded once
-    where B rotating terms added in order would round B times; the head
-    adds its blocks in order.
+    offsets' size.  That floor doubles with each difference; once a
+    difference sinks below it the transform stops, reporting the floor.
+    Neither depends on y, so the table holds the differences up to that
+    stop (each the same subtraction as in the full difference table,
+    see _differences) and a call takes none.  Each term multiplies the
+    floor's share by 2|mu|, which grows next to y = 0 or 1.
     """
     y = y - round(y)
     # Split y so that n*y mod 1 is exact for n up to 2^21.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
-
-    def phase(n: float) -> complex:
-        # e^(2 pi i n y), with n y reduced mod 1.
-        return cmath.exp(2j * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0))
-
-    z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
-    if abs(1.0 - z1) < 1e-9:
-        raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
-
     n0 = float(n_direct)
-    if block == 1:
-        ns, coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
-        # The angles depend on (y, N) alone, so a catalogue's memo
-        # keeps them.
-        memo = _memo
-        key = (y, n_direct)
-        angles = None if memo is None else memo.get(key)
-        if angles is None:
-            # 2 pi frac(n y), written out: a call per term would cost a
-            # fifth of the head.
-            angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
-            if memo is not None:
-                memo[key] = angles
-        head = sum(map(cmath.rect, coeff, angles))
-        ratio = z1
-        # 1 - z from the phase itself: 1 - z1 would keep z1's rounding,
-        # which the transform's 1/|1 - z|^2 magnifies next to y = 0.
-        one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
-    else:
-        # The head is the first h blocks of the same sequence, ending at
-        # n = N, with c(n) = 0 for n < 1: B + h phases, not one per term.
-        h = -(-n_direct // block)
-        start = n_direct - h * block
-        ns = [float(n) for n in range(1, n_direct + (_SWEEPS + 2) * block)]
-        e = s - 1.0
-        w = _LOG_WEIGHTS.get(weight)
-        coeff = [0.0] * (1 - start) + (
-            [n ** e for n in ns] if w is None else [w(n) * n ** e for n in ns])
-        rows = [coeff[i:i + block] for i in range(0, len(coeff), block)]
-        zr = [phase(float(r)) for r in range(block)]
-        cos_r, sin_r = [z.real for z in zr], [z.imag for z in zr]
-        sums = [complex(math.fsum(map(mul, row, cos_r)), math.fsum(map(mul, row, sin_r)))
-                for row in rows]
-        size = list(map(sum, rows))
-        head = sum(map(mul, sums[:h], [phase(float(start + block * q)) for q in range(h)]))
-        abs_head = sum(size[:h])
-        # The block sums depend on y: their differences are taken as the
-        # loop reaches them.
-        d = sums[h:]
-        diffs = _differences(d)
-        floor = _OFFSET_ROUNDING * max(size[h:])
-        first, ratio = d[0], phase(float(block))
-        one_minus = 1.0 - ratio
-
-    z_n = phase(n0)
+    ns, coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
+    # The angles depend on (y, N) alone, so a catalogue's memo keeps them.
+    memo = _memo
+    key = (y, n_direct)
+    angles = None if memo is None else memo.get(key)
+    if angles is None:
+        # 2 pi frac(n y), written out: a call per term would cost a
+        # fifth of the head.
+        angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+        if memo is not None:
+            memo[key] = angles
+    head = sum(map(cmath.rect, coeff, angles))
+    ratio = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
+    # 1 - z from the phase itself: 1 - z would keep z's rounding, which
+    # the transform's 1/|1 - z|^2 magnifies next to y = 0.
+    one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
+    z_n = cmath.exp(2j * math.pi * (((n0 * y_hi) % 1.0 + n0 * y_lo) % 1.0))
     mu = ratio / one_minus
     mupow = z_n / one_minus
     tail = mupow * first
@@ -326,7 +266,8 @@ def _master_sum(
 
 
 def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
-    """M(y, s, w) at s in {0, 1}, any y: value, error, terms.
+    """M(y, s, w) at s in {0, 1}, y in [-1/2, 1/2] past the phase guard:
+    value, error, terms.
 
     Li_sigma(e^mu) = Gamma(1 - sigma)(-mu)^(sigma-1) + sum_k zeta(sigma - k)
     mu^k/k!, mu = 2 pi i y, sigma = 1 - s (Wood, Kent TR 15-92, 1992); ln n
@@ -334,7 +275,7 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
     mu^k/k!, at s = 0 (gamma + L)^2/2 + pi^2/12 + gamma_1 - sum_{k>=1}
     zeta'(1 - k) mu^k/k!.  Unit is z/(1 - z) or -ln(1 - z), with 1 - z =
     -2i sin(pi y) e^(i pi y), and the other weights add w(1) times it.  The
-    series converges for |mu| < 2 pi, so at every y reduced to [-1/2, 1/2].
+    series converges for |mu| < 2 pi, so at every such y.
     As |zeta'(-k)/k!| (2 pi)^k <= 1 for 2 <= k <= 144 (at most 0.74 below
     64; past 144 it grows like ln(k)/pi, where |y|^k <= 2^-145), terms
     k >= J >= 2 sum to at most |y|^J/(1 - |y|), times |mu| at s = 0: at
@@ -342,10 +283,7 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
     Each part is formed within 6 eps of its size, the worst (gamma + L)^2/2
     at 2 (4.2 u) + 2 u, u = eps/2.
     """
-    y -= round(y)
     ay, sin_py = abs(y), math.sin(math.pi * y)
-    if 2.0 * abs(sin_py) < 1e-9:
-        raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
     unit = (complex(-0.5, 0.5 * math.cos(math.pi * y) / sin_py) if s == 1.0 else
             complex(-math.log(2.0 * abs(sin_py)), math.copysign(0.5 * math.pi, y) - math.pi * y))
     if weight == "unit":
@@ -367,55 +305,90 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
     return lead - sum(reversed(terms)) + c * unit, rest + 6.0 * EPS * size, len(terms)
 
 
+def _plain_sum(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
+    """M(y, s, w) by _master_sum: value, error and head.  The head starts
+    at _HEAD_START and doubles, within _HEAD_CAP, while the error exceeds
+    _ENGINE_TARGET and each attempt at least halves it.  The best error
+    adds its head's phase rounding: each angle 2 pi frac(n y) < 2 pi
+    rounds by u = eps/2 of frac, u of the product and _TWO_PI's 1.1 eps,
+    of one sign where frac(n y) clusters, 7.5 eps sum |c| in all."""
+    n = _HEAD_START
+    value, err = _master_sum(y, s, weight, n)
+    best = (value, err, n)
+    while best[1] > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
+        last = err
+        n *= 2
+        value, err = _master_sum(y, s, weight, n)
+        if err < best[1]:
+            best = (value, err, n)
+        if err > 0.5 * last:
+            break
+    value, err, n = best
+    return value, err + 7.5 * EPS * _plain_tables(s, weight, n)[2], n
+
+
+def _halved_sum(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
+    """M(y, s, w) for 0 < |y| < _BAND: value, error and summed heads.
+
+    Li_sigma(z) + Li_sigma(-z) = 2^(1 - sigma) Li_sigma(z^2), sigma = 1 -
+    s (Lewin, Polylogarithms and Associated Functions, 1981), reads M(y)
+    = 2^s M(2y) - M(y + 1/2); as w(2n) = w(n) + ln 2 for a log weight,
+    its doubled phase adds ln 2 times the unit sum.  Unrolled to the
+    first k with |2^k y| >= 1/4, with B_l = M_w + l ln 2 M_unit:
+
+        M_w(y) = -sum_{l<k} 2^(ls) B_l(2^l y + 1/2) + 2^(ks) B_k(2^k y),
+
+    every phase at least 1/4 from an integer.  Doubling is exact, and
+    the 2^-54 rounding of 2^l y + 1/2 lies well inside each part's error,
+    which with its final 4 ulps of max(1, |M|) is scaled by 2^(ls).  The
+    rounding of 2^(ls) after l products, of B_l and of the k + 1 terms'
+    sum adds (2k + 4) eps of sum 2^(ls) |B_l|.
+    """
+    k = 0
+    while abs(math.ldexp(y, k)) < 0.25:
+        k += 1
+    p, c, total, err, size, terms = 2.0 ** s, 1.0, 0.0j, 0.0, 0.0, 0
+    for level in range(k + 1):
+        t = math.ldexp(y, level) + (0.5 if level < k else 0.0)
+        parts = [(1.0, weight)]
+        if level and weight != "unit":
+            parts.append((level * _LN2, "unit"))
+        for g, w in parts:
+            value, part_err, n = _plain_sum(t, s, w)
+            total += (c if level == k else -c) * g * value
+            err += c * g * (part_err + 4.0 * EPS * max(1.0, abs(value)))
+            size += c * g * abs(value)
+            terms += n
+        c *= p
+    return total, err + (2 * k + 4) * EPS * size, terms
+
+
 def _master_sum_adaptive(
     y: float, s: float, weight: str
 ) -> Tuple[complex, float, int, bool]:
     """M(y, s, w) to _ENGINE_TARGET: value, error, head (or series)
     terms, and whether _near_one took it.
 
-    At s in {0, 1} _near_one takes M in the band B = round(1/(2 min(y,
-    1-y))) >= _BLOCK_MIN, and a log-weighted M at every y; so the unit
-    weight's limits stay Euler-summed in the interior, where _near_one
-    would be its closed form z/(1 - z) or -ln(1 - z).  Otherwise a plain
-    _HEAD_START-term call settles interior y, and in the band, where a
-    plain call almost never settles, the first call sums a 24 B-term
-    head and the tail in blocks of B terms when that head fits in
-    _HEAD_CAP.  The head then doubles, within _HEAD_CAP, while each
-    attempt at least halves the error.  A best error above _EDGE_ERR raises
-    ConvergenceError.  After the search, so that it moves no head, block
-    or raise, the error adds a plain head's phase rounding, 7.5 eps sum |c|,
-    and the kept sum's final rounding, 4 ulps of max(1, |M|) for both
-    parts together (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 4).
+    A phase point with |1 - z| < 1e-9 raises ConvergenceError before any
+    sum.  At s in {0, 1} _near_one takes M in the band |y| < _BAND and a
+    log-weighted M at every y; so the unit weight's limits stay
+    Euler-summed in the interior, where _near_one would be its closed
+    form z/(1 - z) or -ln(1 - z).  Otherwise _plain_sum takes interior y
+    and _halved_sum the band.  An error above _EDGE_ERR raises
+    ConvergenceError naming y; else it adds the kept sum's final
+    rounding, 4 ulps of max(1, |M|) for head and tail together (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
     """
-    # Clamped below: for y within 1/_HEAD_CAP of an integer, 24 B passes
-    # _HEAD_CAP anyway.
-    b = round(0.5 / max(abs(y - round(y)), 1.0 / _HEAD_CAP))
-    if s in (0.0, 1.0) and (weight != "unit" or _BLOCK_MIN <= b):
-        value, err, n = _near_one(y, s, weight)
+    t = y - round(y)
+    if 2.0 * math.sin(math.pi * abs(t)) < 1e-9:
+        raise ConvergenceError(f"phase point e^(2 pi i {t}) too close to 1")
+    band = abs(t) < _BAND
+    if s in (0.0, 1.0) and (weight != "unit" or band):
+        value, err, n = _near_one(t, s, weight)
         return value, err + 4.0 * EPS * max(1.0, abs(value)), n, True
-    blocked = _BLOCK_MIN <= b and 24 * b <= _HEAD_CAP
-    n, block = (24 * b, b) if blocked else (_HEAD_START, 1)
-    value, err = _master_sum(y, s, weight, n, block)
-    best = (value, err, n)
-    while best[1] > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
-        last = err
-        n *= 2
-        value, err = _master_sum(y, s, weight, n, block)
-        if err < best[1]:
-            best = (value, err, n)
-        if err > 0.5 * last:
-            break
-    value, err, n = best
+    value, err, n = (_halved_sum if band else _plain_sum)(t, s, weight)
     if err > _EDGE_ERR:
-        raise ConvergenceError(
-            f"master sum at y = {y}, s = {s} stalled at error {err:.2g}"
-        )
-    if not blocked:
-        # A plain head's angles 2 pi frac(n y) < 2 pi round by u = eps/2 of
-        # frac, u of the product and _TWO_PI's 1.1 eps, of one sign where
-        # frac(n y) clusters.
-        err += 7.5 * EPS * _plain_tables(s, weight, n)[2]
+        raise ConvergenceError(f"master sum at y = {y}, s = {s} stalled at error {err:.2g}")
     return value, err + 4.0 * EPS * max(1.0, abs(value)), n, False
 
 
@@ -462,18 +435,20 @@ def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
 def trig_dirichlet_sum(spec: TrigSeriesSpec) -> EvalResult:
     """Evaluate the series of `spec` inside its convergence region s < 1.
 
-    Next to an integer phase y the master sum takes a head of 24 B terms
-    and its tail, both in blocks of B = round(1/(2 d)) terms, d the
-    distance of y from the nearest integer.  Working range: d > 1/2731
-    (3.66e-4) at each phase the parity sums (x for all_n, (x - 1)/2 for
-    alternating next to x = 1, x/2 and x for odd_only); past it the plain
-    sum alone raises ConvergenceError (unit weight, s = -1, 0.5 and 0.9)
-    unless its terms decay fast enough (s = -3).  At s = 0 a log weight
-    at any phase, and the unit weight within 1/13 of an integer phase,
-    take the series about z = 1 instead, which reaches the phase guard,
-    |1 - z| >= 1e-9; a result whose every master sum takes it is tagged
-    "series-at-one".  err_estimate is the master sums' own, edge band
-    and interior alike.
+    Within 1/13 of an integer phase the master sum is taken by the
+    square relation at interior phases, where each interior sum's error
+    is scaled by up to 2^(ks), 2^k |y| >= 1/4.  So its reach at each
+    phase the parity sums (x for all_n, (x - 1)/2 for alternating next
+    to x = 1, x/2 and x for odd_only) depends on s.  Up to s = 0.3 every
+    weight reaches the phase guard |1 - z| >= 1e-9, a phase of 1.6e-10.
+    Above, it raises ConvergenceError where its error would pass 1e-8,
+    measured at phases below 1.9e-9 (s = 0.6), 1.2e-7 (0.75), 1.9e-6
+    (0.9) and 7.6e-6 (0.99) for the unit weight, and 1.5e-8 (0.5),
+    3.1e-5 (0.9) and 1.2e-4 (0.999) for a log weight.  At s = 0 a log
+    weight at any phase, and the unit weight within 1/13 of an integer
+    phase, take the series about z = 1 instead, which reaches the phase
+    guard; a result whose every master sum takes it is tagged
+    "series-at-one".  err_estimate is the master sums' own.
     """
     if not spec.s < 1.0:
         raise ConvergenceError(

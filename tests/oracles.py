@@ -244,69 +244,36 @@ def difference_column(d, count: int):
     return [row[0] for row, _ in zip(_difference_rows(d), range(count))]
 
 
-def full_table_master_sum(
-    y: float, s: float, weight: str, n_direct: int, block: int = 1
-):
+def full_table_master_sum(y: float, s: float, weight: str, n_direct: int):
     """`regsum._master_sum` as it was before its differences moved to one
     anti-diagonal: every sweep rebuilds the whole forward-difference
-    table.  The heads and block sums follow the engine's scalar order:
-    the plain head c(n) rotated by cmath.rect and added in order of n;
-    each block sum as fsum of its real and of its imaginary products;
-    the blocked head as the first ceil(N/B) block sums of the tail's own
-    blocks, each times one phase, added in order.  The plain route takes
-    1 - z as -2i sin(pi y) e^(i pi y), the blocked one 1 - z^B as a
-    difference, the same as the engine.  Tests compare the two
-    with `==`, value and error.  The third item names the loop's exit:
+    table.  The head follows the engine's scalar order, c(n) rotated by
+    cmath.rect and added in order of n, and 1 - z is -2i sin(pi y)
+    e^(i pi y), the same as the engine.  Tests compare the two with
+    `==`, value and error.  The third item names the loop's exit:
     "floor" (a difference sank below the rounding floor), "small" (an
     increment below 1e-17 of the tail), "diverge" (three growing
     increments) or "sweeps" (all sweeps taken)."""
     import cmath
 
     from zetalim import regsum
-    from zetalim.result import ConvergenceError
 
     sweeps = regsum._SWEEPS
     y = y - round(y)
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
 
-    def phase(n):
-        fr = (n * y_hi) % 1.0 + n * y_lo
-        return cmath.exp(2j * math.pi * (fr % 1.0))
-
-    z1 = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
-    if abs(1.0 - z1) < 1e-9:
-        raise ConvergenceError(f"phase point e^(2 pi i {y}) too close to 1")
-
     n0 = float(n_direct)
-    if block == 1:
-        ns = [float(n) for n in range(1, n_direct)]
-        coeff = [_scalar_weight(n, weight) * n ** (s - 1.0) for n in ns]
-        angles = [2.0 * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
-        head = sum(cmath.rect(c, t) for c, t in zip(coeff, angles))
-        abs_head = math.fsum(abs(c) for c in coeff)
-        d, floor, first = plain_tail_offsets(s, weight, n_direct)
-        ratio = z1
-        one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
-    else:
-        # The head as the engine forms it: the first h blocks of one
-        # zero-padded sequence that ends its head at n = N.
-        h = -(-n_direct // block)
-        start = n_direct - h * block
-        ns = [float(n) for n in range(1, n_direct + (sweeps + 2) * block)]
-        coeff = [0.0] * (1 - start) + [_scalar_weight(n, weight) * n ** (s - 1.0) for n in ns]
-        blocks = [coeff[i:i + block] for i in range(0, len(coeff), block)]
-        zr = [phase(float(r)) for r in range(block)]
-        sums = [complex(math.fsum(c * z.real for c, z in zip(row, zr)),
-                        math.fsum(c * z.imag for c, z in zip(row, zr))) for row in blocks]
-        head = sum(sums[q] * phase(float(start + block * q)) for q in range(h))
-        abs_head = sum(sum(abs(c) for c in row) for row in blocks[:h])
-        d = sums[h:]
-        floor = regsum._OFFSET_ROUNDING * max(sum(abs(c) for c in row) for row in blocks[h:])
-        first, ratio = d[0], phase(float(block))
-        one_minus = 1.0 - ratio
+    ns = [float(n) for n in range(1, n_direct)]
+    coeff = [_scalar_weight(n, weight) * n ** (s - 1.0) for n in ns]
+    angles = [2.0 * math.pi * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
+    head = sum(cmath.rect(c, t) for c, t in zip(coeff, angles))
+    abs_head = math.fsum(abs(c) for c in coeff)
+    d, floor, first = plain_tail_offsets(s, weight, n_direct)
+    ratio = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
+    one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
 
-    z_n = phase(n0)
+    z_n = cmath.exp(2j * math.pi * (((n0 * y_hi) % 1.0 + n0 * y_lo) % 1.0))
     mu = ratio / one_minus
     mupow = z_n / one_minus
     tail = mupow * first

@@ -231,9 +231,9 @@ def test_verify_json_matches_golden(tmp_path, capsys):
 
     and says which cases moved and why.
 
-    These reports, like those at grids 99 and 120, whose edge points are
-    summed in blocks, run in scalar Python arithmetic, so their bytes do
-    not depend on the machine's vector instructions.
+    These reports, like those at grids 99 and 120, run in scalar Python
+    arithmetic, so their bytes do not depend on the machine's vector
+    instructions.
     """
     for name, grid in (("verify.json", []), ("verify-grid3.json", ["--grid", "3"]),
                        ("verify-grid5.json", ["--grid", "5"])):

@@ -115,6 +115,24 @@ def test_gamma1_finite_difference_error_estimate_is_honest(x):
     )
 
 
+# The pole ladder samples zeta(1 +- h, x + 1) and adds the n = 0 term's
+# Laurent parts exactly, 1/x to gamma_0 and ln(x)/x to gamma_1: all three
+# parts at x log-spaced over [1e-6, 10], two points a decade.
+LADDER_POINTS = [(part, 10.0 ** (k / 2.0)) for k in range(-12, 3)
+                 for part in ("residue", "gamma0", "gamma1")]
+
+
+@pytest.mark.parametrize("part, x", LADDER_POINTS)
+def test_pole_ladder_error_estimate_is_honest(part, x):
+    from zetalim.hurwitz import _pole_limit
+
+    res = _pole_limit(x, part)
+    ref = {"residue": lambda t: 1.0, "gamma0": mp_stieltjes0, "gamma1": mp_stieltjes1}[part](x)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
 # Seeded s in [-2, 12] (outside 1 +- 1e-6), x log-uniform over [0.01, 50],
 # m cycling through 0, 1, 2; then the grid below s = -2, where the terms
 # grow like (N + x)^(1-s) and cancel, so points may raise instead.
@@ -218,9 +236,8 @@ def test_integral_gamma_error_estimate_is_honest(n, u):
 
 
 def _edge_or_interior_x(rng):
-    # Two thirds of the points within [8e-4, 0.01] of 0 or 1, where the
-    # master sums run in blocks, so that every phase a parity sums stays
-    # at least 4e-4 from an integer; the rest uniform over [0.01, 0.99].
+    # Two thirds of the points within [8e-4, 0.01] of 0 or 1, in the edge
+    # band; the rest uniform over [0.01, 0.99].
     if rng.random() < 2.0 / 3.0:
         d = 10.0 ** rng.uniform(math.log10(8e-4), -2.0)
         return d if rng.random() < 0.5 else 1.0 - d
@@ -246,10 +263,9 @@ SERIES_POINTS = [
     (0.9994826021190722, "sine", "gamma_plus_log_2pi_n", "all_n", -0.8825225935672315),
     (0.9994392229816098, "sine", "gamma_plus_log_2pi_n", "all_n", -0.5808610847677322),
 ] + [
-    # Blocked master sums at B = round(1/(2y)) in {7, 50, 500, 1365}, the
-    # last the largest whose 24 B head fits in _HEAD_CAP: the phase y
-    # next to 0 or -y next to 1; alternating x = 1 - 2y and odd_only
-    # x = 2y put y among their phases.
+    # Edge-band phases y from 1/14 down to 1/2730: y next to 0 or -y
+    # next to 1; alternating x = 1 - 2y and odd_only x = 2y put y among
+    # their phases.
     (1.0 / 14.0, "sine", "unit", "all_n", -1.5),
     (13.0 / 14.0, "cosine", "log_n", "all_n", 0.5),
     (0.01, "cosine", "log_2pi_n", "all_n", 0.9),
@@ -267,6 +283,40 @@ SERIES_POINTS = [
 
 @pytest.mark.parametrize("x, trig, weight, parity, s", SERIES_POINTS)
 def test_trig_dirichlet_sum_error_estimate_is_honest(x, trig, weight, parity, s):
+    res = trig_dirichlet_sum(TrigSeriesSpec(x, trig, weight, parity, s))
+    ref = mp_trig_series(x, trig, weight, parity, s)
+    assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
+        res.value, ref, res.err_estimate
+    )
+
+
+def _band_points():
+    """Series in the edge band, where the square relation takes each
+    master sum to interior phases: s at 0, -1 and -2 and within 1e-9 to
+    1e-3 of them, phases from the guard (a phase of 1.59e-10) to 0.07,
+    next to 0 and to 1, weights in turn.  Then phases 3.67e-4 from an
+    integer, where the earlier blocked route stopped, at s up to 0.99999
+    and every weight."""
+    phases = (1.6e-10, 1.0 - 1e-8, 1e-6, 1.0 - 1e-4, 3.67e-4, 1.0 - 0.01, 0.07)
+    weights = ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
+    points, k = [], 0
+    for j in (0.0, -1.0, -2.0):
+        for d in (0.0, -1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3):
+            if d == 0.0 and j == 0.0:
+                continue
+            for w in weights:
+                points.append((phases[k % 7], ("sine", "cosine")[k % 2], w, "all_n", j + d))
+                k += 1
+    for s in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+        for x in (3.67e-4, 1.0 - 3.67e-4):
+            for w in weights:
+                points.append((x, ("sine", "cosine")[k % 2], w, "all_n", s))
+                k += 1
+    return points
+
+
+@pytest.mark.parametrize("x, trig, weight, parity, s", _band_points())
+def test_edge_band_series_error_estimate_is_honest(x, trig, weight, parity, s):
     res = trig_dirichlet_sum(TrigSeriesSpec(x, trig, weight, parity, s))
     ref = mp_trig_series(x, trig, weight, parity, s)
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (

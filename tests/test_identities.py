@@ -157,10 +157,12 @@ def test_verify_all_coarse_grid():
     assert len(coarse.points) < len(fine.points)
 
 
-@pytest.mark.parametrize("density", [99, 120])
+@pytest.mark.parametrize("density", [99, 120, 300, 3000])
 def test_dense_grids_pass_every_case(density):
     # These grids put the regularized limits at x = 0.01, 0.99 and
-    # 1/121, 120/121, inside trig_dirichlet_sum's range.
+    # 1/121, 120/121, and at 300 and 3,000 the pole ladder (EQ3.2) and
+    # the Fourier sides (EQ4.4, EQ4.5) at 1/301 and 1/3001 (3.3e-4) from
+    # x = 0 and 1.
     report = verify_all(grid_density=density)
     assert report.cases_run == len(registry()) == 29
     assert report.cases_passed == report.cases_run
@@ -314,20 +316,19 @@ def test_verify_all_makes_76_master_sums(monkeypatch):
     # are the series about z = 1 and make no master sum.  Of the other
     # 72 unit-weight ones, 27 limits at s = 1 and 41 of EQ4.4/4.5's 45
     # Fourier sides stop at the 64-term head and 4 double it to 128:
-    # 72 + 4 = 76 calls, none of them blocked.
+    # 72 + 4 = 76 calls.
     from zetalim import regsum
 
-    blocks = []
+    calls = []
     master = regsum._master_sum
 
-    def counting(y, s, weight, n_direct, block=1):
-        blocks.append(block)
-        return master(y, s, weight, n_direct, block)
+    def counting(*args):
+        calls.append(args)
+        return master(*args)
 
     monkeypatch.setattr(regsum, "_master_sum", counting)
     verify_all()
-    assert len(blocks) == 76
-    assert set(blocks) == {1}
+    assert len(calls) == 76
 
 
 def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):

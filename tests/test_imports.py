@@ -146,16 +146,16 @@ def test_verify_and_interior_regsum_load_no_numpy(code, loaded):
     assert _loaded_after(code) == loaded
 
 
-def test_verify_with_blocked_master_sums_loads_no_numpy():
+def test_verify_with_edge_band_series_loads_no_numpy():
     # Grid 99 puts edge points in the band at s outside {0, 1}, where the
-    # master sums run in blocks: scalar Python too.
+    # master sums are halved to interior phases: scalar Python too.
     code = (
         "from zetalim import regsum\n"
         "from zetalim.cli import main\n"
-        "blocks, master = [], regsum._master_sum\n"
-        "regsum._master_sum = lambda *a: blocks.append(a[4] if len(a) > 4 else 1) or master(*a)\n"
+        "halved, halve = [], regsum._halved_sum\n"
+        "regsum._halved_sum = lambda *a: halved.append(a) or halve(*a)\n"
         "main(['verify', '--grid', '99', '--format', 'json'])\n"
-        "assert max(blocks) > 1"
+        "assert halved"
     )
     assert _loaded_after(code) == _UNIT
 
@@ -197,7 +197,8 @@ def test_edge_band_limit_loads_no_numpy():
 
 
 def test_edge_band_series_loads_no_numpy():
-    # At s outside {0, 1} the edge-band master sum runs in blocks: scalar Python.
+    # At s outside {0, 1} the edge-band master sum is halved to interior
+    # phases: scalar Python.
     code = (
         "import zetalim\n"
         "zetalim.trig_dirichlet_sum(zetalim.TrigSeriesSpec(0.02, 'sine', 'unit', s=0.5))"

@@ -189,7 +189,7 @@ def test_alternating_log_intermediate_is_tight():
 
 def test_edge_band_error_estimate_has_no_floor():
     # Edge band and interior report the master sums' own estimate; the
-    # edge one is about 3e-14 here.
+    # edge one is about 7e-13 here.
     interior = trig_dirichlet_sum(TrigSeriesSpec(0.3, "sine", "unit", s=0.5))
     assert interior.err_estimate <= 1e-10
     edge = trig_dirichlet_sum(TrigSeriesSpec(0.005, "sine", "unit", s=0.5))
@@ -229,25 +229,26 @@ def test_neville_corrections_shrink_along_the_ladder():
 @pytest.mark.parametrize(
     "parity, x, works",
     [
-        ("all_n", 3.65e-4, False), ("all_n", 3.67e-4, True),
-        ("all_n", 1.0 - 3.65e-4, False), ("all_n", 1.0 - 3.67e-4, True),
-        ("alternating", 1e-6, True),
-        ("alternating", 1.0 - 7.31e-4, False), ("alternating", 1.0 - 7.34e-4, True),
-        ("odd_only", 7.31e-4, False), ("odd_only", 7.34e-4, True),
-        ("odd_only", 1.0 - 3.65e-4, False), ("odd_only", 1.0 - 3.67e-4, True),
+        ("all_n", 1.5e-10, False), ("all_n", 1.6e-10, True),
+        ("all_n", 1.0 - 1.5e-10, False), ("all_n", 1.0 - 1.6e-10, True),
+        ("alternating", 1e-9, True),
+        ("alternating", 1.0 - 3.0e-10, False), ("alternating", 1.0 - 3.2e-10, True),
+        ("odd_only", 3.0e-10, False), ("odd_only", 3.2e-10, True),
+        ("odd_only", 1.0 - 1.5e-10, False), ("odd_only", 1.0 - 1.6e-10, True),
     ],
 )
 def test_series_range_per_parity(parity, x, works):
-    # Each phase the parity sums must lie farther than 1/2731 (3.662e-4)
-    # from an integer: x for all_n, (x - 1)/2 for alternating next to
-    # x = 1 (none next to x = 0), x/2 and x for odd_only.
-    spec = TrigSeriesSpec(x, "sine", "unit", parity=parity, s=0.5)
+    # At s = 0.25 every phase the parity sums reaches the phase guard,
+    # |1 - z| >= 1e-9 (a phase of 1.59e-10): x for all_n, (x - 1)/2 for
+    # alternating next to x = 1 (none next to x = 0), x/2 and x for
+    # odd_only.
+    spec = TrigSeriesSpec(x, "sine", "unit", parity=parity, s=0.25)
     if not works:
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="too close to 1"):
             trig_dirichlet_sum(spec)
         return
     got = trig_dirichlet_sum(spec)
-    want = mp_trig_series(x, "sine", "unit", parity, 0.5)
+    want = mp_trig_series(x, "sine", "unit", parity, 0.25)
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
 
 
@@ -356,15 +357,13 @@ def test_limit_domain_guard():
     [
         (lambda: regularized_limit(1e-10, "sine", "unit"), 0),
         (lambda: regularized_limit(1.0 - 1e-12, "cosine", "unit"), 0),
-        (lambda: trig_dirichlet_sum(TrigSeriesSpec(1e-12, "sine", "unit", s=0.5)), 1),
+        (lambda: trig_dirichlet_sum(TrigSeriesSpec(1e-12, "sine", "unit", s=0.5)), 0),
     ],
     ids=["limit-next-to-0", "limit-next-to-1", "series-next-to-0"],
 )
 def test_phase_next_to_one_fails_on_the_first_master_sum(monkeypatch, call, masters):
-    # Without the phase guard the series would still raise, but only
-    # after the adaptive head search had stalled at an error of 4.5e3 to
-    # 4.5e7.  A limit raises in the series about z = 1, before any
-    # Euler-summed master sum.
+    # The phase guard comes before any master sum, in a limit and in a
+    # series alike: halving a phase never brings it next to an integer.
     from zetalim import regsum
 
     calls = []
@@ -385,7 +384,8 @@ def test_deninger_series():
     a = _lhs("EQ4.12", u=0.3)
     b = _lhs("EQ4.12", u=0.7)
     assert a == pytest.approx(b, abs=1e-9)
-    # Inside the edge band the sum is taken in blocks of about 1/(2u) terms.
+    # Inside the edge band the log-weighted sum at s = 0 is the series
+    # about z = 1.
     want = mp_weighted_sum(0.005, 0.0, "log_n", "cosine")
     assert _lhs("EQ4.12", u=0.005) == pytest.approx(want, abs=1e-8)
 
@@ -489,7 +489,7 @@ _GRID_Y = (0.0051, 0.0101, 0.02, 0.05, 0.08, 0.1, 0.16, 0.3, 0.5)
 @pytest.mark.parametrize("weight", ["unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n"])
 def test_master_sum_error_estimate_is_honest(y, s, weight):
     # Next to y = 0 and 1 the plain Euler ratio z/(1-z) is large and the
-    # engine sums in blocks of about 1/(2y) terms instead.  err covers
+    # engine halves the phase away by the square relation.  err covers
     # the final roundings of the sum, 4 ulps of max(1, |M|); the check
     # allows the 4 ulps of each part that every honesty check allows.
     from zetalim import regsum
@@ -509,9 +509,9 @@ def test_edge_limits_make_no_master_call(monkeypatch, x):
     calls = []
     master = regsum._master_sum
 
-    def recording(y, s, weight, n_direct, block=1):
-        calls.append(block)
-        return master(y, s, weight, n_direct, block)
+    def recording(*args):
+        calls.append(args)
+        return master(*args)
 
     monkeypatch.setattr(regsum, "_master_sum", recording)
     regularized_limit(x, "sine", "log_n")
@@ -570,10 +570,15 @@ def test_series_about_one_table_is_40_digit_mpmath():
     for y in (0.5, -0.5, 0.49):
         for s in (0.0, 1.0):
             assert regsum._near_one(y, s, "log_n")[2] < len(regsum._DZETA)
-    # The unit weight keeps the series to the band |y| < 1/13, where
-    # round(1/(2|y|)) reaches _BLOCK_MIN.
+    # The unit weight keeps the series to the band |y| < 1/13, the set
+    # of phases where round(1/(2|y|)) >= 7.
     y = 1.0 / 13.0
-    assert round(0.5 / y) < regsum._BLOCK_MIN <= round(0.5 / math.nextafter(y, 0.0))
+    inside = math.nextafter(y, 0.0)
+    assert round(0.5 / y) < 7 <= round(0.5 / inside)
+    for t in (y, -y):
+        assert not regsum._master_sum_adaptive(t, 1.0, "unit")[3]
+    for t in (inside, -inside):
+        assert regsum._master_sum_adaptive(t, 1.0, "unit")[3]
 
 
 def test_limits_never_reach_the_head_cap(monkeypatch):
@@ -597,11 +602,9 @@ def test_limits_never_reach_the_head_cap(monkeypatch):
 
 
 def _seeded_master_calls(seed: int):
-    """(y, s, weight, n_direct, block) over every weight and s in
-    {-2, 0, 1/2, 1}: plain calls, edge-band calls in blocks of
-    round(1/(2y)) terms as the adaptive engine makes them, and blocks of
-    7..40 terms at any y, where the transform can also diverge or run
-    through every sweep."""
+    """(y, s, weight, n_direct) over every weight and s in {-2, 0, 1/2,
+    1}: interior phases, and edge-band phases where the transform can
+    also diverge or run through every sweep."""
     import random
 
     rng = random.Random(seed)
@@ -610,32 +613,28 @@ def _seeded_master_calls(seed: int):
         for s in (-2.0, 0.0, 0.5, 1.0):
             for _ in range(5):
                 y = rng.uniform(0.02, 0.98)
-                calls.append((y, s, weight, rng.choice((16, 64, 128)), 1))
-                y = rng.uniform(0.012, 0.07)
-                b = round(0.5 / y)
-                calls.append((rng.choice((y, 1.0 - y, -y)), s, weight, 24 * b, b))
-                b = rng.randint(7, 40)
-                calls.append((rng.uniform(0.02, 0.98), s, weight, rng.choice((64, 24 * b)), b))
+                calls.append((y, s, weight, rng.choice((16, 64, 128))))
+                y = rng.uniform(0.005, 0.07)
+                calls.append((rng.choice((y, 1.0 - y, -y)), s, weight, rng.choice((64, 512))))
+                calls.append((rng.uniform(0.02, 0.98), s, weight, rng.choice((64, 24 * 40))))
     return calls
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_master_sum_matches_the_full_difference_table(seed):
-    # The anti-diagonal differences and cmath phases must not move a bit
-    # on either route; the golden report makes no blocked calls.
+    # The anti-diagonal differences and cmath phases must not move a bit.
     from zetalim import regsum
 
-    exits = {1: set(), 7: set()}
+    exits = set()
     calls = _seeded_master_calls(seed)
     assert len(calls) >= 200
-    for y, s, weight, n_direct, block in calls:
-        value, err, exit_kind = full_table_master_sum(y, s, weight, n_direct, block)
-        assert regsum._master_sum(y, s, weight, n_direct, block) == (value, err), (
-            y, s, weight, n_direct, block,
+    for y, s, weight, n_direct in calls:
+        value, err, exit_kind = full_table_master_sum(y, s, weight, n_direct)
+        assert regsum._master_sum(y, s, weight, n_direct) == (value, err), (
+            y, s, weight, n_direct,
         )
-        exits[min(block, 7)].add(exit_kind)
-    for block, seen in exits.items():
-        assert {"floor", "small", "diverge"} <= seen, (block, seen)
+        exits.add(exit_kind)
+    assert {"floor", "small", "diverge"} <= exits, exits
 
 
 @pytest.mark.parametrize(
@@ -672,8 +671,8 @@ def test_plain_master_sum_takes_its_differences_once_per_key(monkeypatch, s, wei
     assert list(diffs) == column[1 : stop + 1]
 
 
-# Both sides of 1/2 and of the blocked route's threshold, round(1/(2y))
-# = _BLOCK_MIN at y = 1/13, and phases that reduce to the same y.
+# Both sides of 1/2 and of the edge band's boundary at y = 1/13, and
+# phases that reduce to the same y.
 @pytest.mark.parametrize("y", [0.3, 0.49, 0.51, 0.0768, 0.0771, 0.9229, 0.9232, 1.3, -0.7])
 @pytest.mark.parametrize("n_direct", [64, 128])
 def test_plain_master_sum_is_bit_identical_under_a_primed_memo(monkeypatch, y, n_direct):
@@ -693,14 +692,25 @@ def test_plain_master_sum_is_bit_identical_under_a_primed_memo(monkeypatch, y, n
     assert list(memo) == [key] and memo[key] is angles
 
 
-def test_edge_series_raises_beyond_the_blocked_range():
-    # Blocks of 1/(2x) terms need a 12/x-term head; at x = 1e-4 that
-    # exceeds the head cap and no attempt gets its error below 1e-8.
-    with pytest.raises(ConvergenceError):
-        trig_dirichlet_sum(TrigSeriesSpec(1e-4, "sine", "log_n", s=0.5))
-    got = trig_dirichlet_sum(TrigSeriesSpec(1e-3, "sine", "log_n", s=0.5))
-    want = mp_weighted_sum(1e-3, 0.5, "log_n", "sine")
-    assert abs(got.value - want) <= 2.0 * got.err_estimate
+@pytest.mark.parametrize(
+    "x, weight, s",
+    [(1e-7, "unit", 0.99), (1e-5, "log_n", 0.9), (2e-10, "log_n", 0.5), (1.0 - 1e-6, "unit", 0.9)],
+)
+def test_edge_series_raises_where_its_error_passes_1e_8(x, weight, s):
+    # The square relation scales each interior sum's error by up to
+    # 2^(ks), 2^k x >= 1/4; next to s = 1 that passes 1e-8 before the
+    # phase guard, and the error names the caller's phase.
+    with pytest.raises(ConvergenceError, match=f"master sum at y = {x}, s = {s} stalled"):
+        trig_dirichlet_sum(TrigSeriesSpec(x, "sine", weight, s=s))
+
+
+@pytest.mark.parametrize("x, weight, s", [(1e-4, "log_n", 0.5), (2e-5, "unit", 0.99),
+                                          (2e-10, "log_n", 0.25), (1e-8, "unit", 0.5)])
+def test_edge_series_returns_up_to_its_error_bound(x, weight, s):
+    got = trig_dirichlet_sum(TrigSeriesSpec(x, "sine", weight, s=s))
+    want = mp_weighted_sum(x, s, weight, "sine")
+    assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
+    assert got.err_estimate <= 1e-8
 
 
 @pytest.mark.parametrize("s", [-math.inf, math.inf, math.nan])
