@@ -11,18 +11,10 @@ the complex residual.
 verify_all() runs the whole catalogue and assembles a single report
 ordered by case id.
 
-Each registry() call builds one catalogue with one memo, a dict that
-all its cases share.  While a case's points run, the memo keeps every
-adaptive master sum regsum makes and every Hurwitz zeta value _zeta
-takes, keyed by their exact float arguments and stored only on success,
-so a quantity that several cases share is summed once per catalogue and
-each report keeps its bits.  It also keeps each plain master sum's head
-angles 2 pi frac(n y), n < N, under (y, N): 27 lists serve the 76
-master sums of verify_all().  An angle list is an exact function of its
-key, so one stored during a search that then fails is harmless.  The
-memo lives as long as its catalogue: verify_all() and each `zetalim
-verify` build a new one, and an engine called outside a case's points
-never sees it.
+Each registry() call builds one catalogue with one memo that all its
+cases share while their points run: master sums, head angles and the
+Hurwitz zeta values _zeta takes are computed once per catalogue (see
+regsum._memo).  verify_all() and each `zetalim verify` build a new one.
 """
 from __future__ import annotations
 
@@ -126,10 +118,7 @@ class IdentityCase:
     its modulus, so its columns can agree while the residual does not.
 
     memo is None for a case built here; registry() points every case it
-    returns at its catalogue's memo, which holds the master sums and
-    Hurwitz zeta values their points have taken and the plain master
-    sums' head angles, exact functions of their (y, N) key (see the
-    module docstring).
+    returns at its catalogue's memo (see regsum._memo).
     """
 
     __slots__ = ("id", "lhs", "rhs", "axes", "tol", "notes", "memo")
@@ -184,22 +173,17 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # evaluators shared by several registry() rows or with steps of their own.
 # Every evaluator looks library functions up by this module's global names
-# at call time, so rebinding a name (a tracer, a monkeypatch) reaches it;
-# but a memoized master sum or _zeta value is not recomputed, so rebinding
-# an engine affects only catalogues built afterwards.
+# at call time, so rebinding a name (a tracer, a monkeypatch) reaches it,
+# within a catalogue as regsum._memo says.
 
 
 def _zeta(s: float, x: float, m: int = 0) -> float:
-    # The memo's master sums are keyed by (y, s, weight name), its angle
-    # lists by (y, N): an int m and a third entry keep these keys apart.
     memo = regsum._memo
-    if memo is None:
-        return hurwitz_zeta(HurwitzQuery(s, x, m)).value
-    key = (s, x, m)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = hurwitz_zeta(HurwitzQuery(s, x, m)).value
-    return value
+    return (_zeta_value if memo is None else memo[_zeta_value])(s, x, m)
+
+
+def _zeta_value(s: float, x: float, m: int) -> float:
+    return hurwitz_zeta(HurwitzQuery(s, x, m)).value
 
 
 def _gamma1(x: float) -> float:
@@ -290,9 +274,8 @@ def registry() -> Tuple[IdentityCase, ...]:
     """The fixed verification catalogue, in stable order.
 
     Each call makes a new memo and points every case it returns at it,
-    so a master sum or Hurwitz zeta value one case has taken serves the
-    others (see the module docstring); the memo lives as long as the
-    returned cases.
+    so a quantity one case has computed serves the others (see
+    regsum._memo).
     """
     x_default = (("x", default_x_grid),)
     u_default = (("u", default_x_grid),)
@@ -563,7 +546,7 @@ def registry() -> Tuple[IdentityCase, ...]:
             notes="Half argument: zeta(s,1/2) = (2^s - 1) zeta(s), checked together with its first and second s-derivatives.",
         ),
     )
-    memo = {}
+    memo = regsum._Memo()
     for case in cases:
         case.memo = memo
     return cases

@@ -84,12 +84,30 @@ _GAMMA1 = -0.07281584548367673
 _DZETA_S0 = tuple([t / (j + 1) for j, t in enumerate(_DZETA)])
 _S0_CONST = math.pi**2 / 12.0 + _GAMMA1
 # The identity catalogue's memo: None, or while one of its cases runs,
-# that catalogue's dict, where _series_sum keeps each adaptive master
-# sum under its exact (y, s, weight) and _master_sum each plain head's
-# angle list under its (y, N), y reduced to [-1/2, 1/2].  It sits below
-# the public names because the sine and cosine of a series share one
-# complex sum, and master sums at one phase share their angles.
+# that catalogue's _Memo, which registry() makes once per catalogue.  A
+# function looked up in it gets its own functools.cache copy: results
+# keyed by the exact arguments, nothing stored for a call that raises,
+# kept as long as the catalogue.  So a quantity that several cases share
+# is computed once per catalogue and each report keeps its bits, while
+# an engine called outside a case's points never sees the memo.  Three
+# functions go through it: _series_sum's _master_sum_adaptive (the sine
+# and cosine of a series share one complex sum), _master_sum's
+# _head_angles (27 angle lists serve the 76 plain master sums of
+# verify_all()) and identities._zeta_value (Hurwitz zeta values).  Each
+# is looked up at call time, so a rebound _master_sum_adaptive takes
+# effect at once under a cache of its own, while rebinding the
+# hurwitz_zeta behind _zeta_value leaves the values it holds.
 _memo = None
+
+
+class _Memo(dict):
+    """Maps a function to its functools.cache copy, made on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, fn):
+        cached = self[fn] = functools.cache(fn)
+        return cached
 
 
 class TrigSeriesSpec:
@@ -143,10 +161,16 @@ def _differences(d):
         yield diag[-1]
 
 
+@functools.cache
+def _head_ns(n_direct: int) -> Tuple[float, ...]:
+    """The head's n = 1, ..., n_direct - 1 as floats."""
+    return tuple([float(n) for n in range(1, n_direct)])
+
+
 @functools.lru_cache(maxsize=64)
 def _plain_tables(s: float, weight: str, n_direct: int):
     """The y-independent part of a plain master sum of n_direct terms:
-    the head's n < N as floats and its coefficients c(n), their sum
+    the head's coefficients c(n), n < N, their sum
     (every weight is >= 0 for n >= 1, so that is sum |c|), the tail's
     forward differences Delta^k d[0], k >= 1, of the offsets d(j) =
     c(N + j) - c(N), their rounding floor and c(N).
@@ -156,7 +180,7 @@ def _plain_tables(s: float, weight: str, n_direct: int):
     transform stops whatever y is, or to sweep _SWEEPS - 1."""
     e = s - 1.0
     n0 = float(n_direct)
-    ns = tuple([float(n) for n in range(1, n_direct)])
+    ns = _head_ns(n_direct)
     # c(N + j) = p (w0 + l_j)(1 + e_j), l_j = log(1 + j/N), e_j = (1 + j/N)^(s-1) - 1.
     lj = [math.log1p(j / n0) for j in range(_SWEEPS + 2)]
     ej = [math.expm1(e * l) for l in lj]
@@ -181,12 +205,23 @@ def _plain_tables(s: float, weight: str, n_direct: int):
         bound *= 2.0
         if abs(delta) <= bound:
             break
-    return ns, coeff, math.fsum(coeff), tuple(diffs), floor, p * w0
+    return coeff, math.fsum(coeff), tuple(diffs), floor, p * w0
+
+
+def _head_angles(y: float, n_direct: int) -> Tuple[float, ...]:
+    """2 pi frac(n y) for the head's n < n_direct, y in [-1/2, 1/2].
+
+    y is split so that n*y mod 1 is exact for n up to 2^21, and the
+    formula is written out: a call per term would cost a fifth of the
+    head."""
+    y_hi = round(y * 2**26) / 2**26
+    y_lo = y - y_hi
+    return tuple([_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in _head_ns(n_direct)])
 
 
 def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex, float]:
-    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}, y away from
-    an integer (_master_sum_adaptive's phase guard sees to that).
+    """M(y, s, w) = sum_{n>=1} w(n) e^{2 pi i n y} n^{s-1}, y at least
+    1/13 from an integer (_plain_sum's and _halved_sum's phases).
 
     A head of n_direct terms, c(n) z^n added in order of n; the remainder
     is an iterated Euler transform, which also sums the divergent series
@@ -198,8 +233,8 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     ulps of max(1, |M|), are left to the adaptive sum that keeps it.
 
     The coefficients c(n) come from a table built once per (s, w, N),
-    the angles 2 pi frac(n y) from the catalogue's memo once per (y, N)
-    while one of its cases runs.  The transform runs on c(N + j) with
+    the angles 2 pi frac(n y) from _head_angles, through the catalogue's
+    memo while one of its cases runs.  The transform runs on c(N + j) with
     ratio mu = z/(1-z), |mu| = 1/(2 sin pi y): c(N) plus offsets from
     log1p/expm1, so their forward differences carry rounding of the
     offsets' size.  That floor doubles with each difference; once a
@@ -207,28 +242,19 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     Neither depends on y, so the table holds the differences up to that
     stop (each the same subtraction as in the full difference table,
     see _differences) and a call takes none.  Each term multiplies the
-    floor's share by 2|mu|, which grows next to y = 0 or 1.
+    floor's share by 2|mu|, at most 4.2 where |y| >= 1/13.
     """
     y = y - round(y)
-    # Split y so that n*y mod 1 is exact for n up to 2^21.
+    # Split y as _head_angles does.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
     n0 = float(n_direct)
-    ns, coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
-    # The angles depend on (y, N) alone, so a catalogue's memo keeps them.
-    memo = _memo
-    key = (y, n_direct)
-    angles = None if memo is None else memo.get(key)
-    if angles is None:
-        # 2 pi frac(n y), written out: a call per term would cost a
-        # fifth of the head.
-        angles = [_TWO_PI * (((n * y_hi) % 1.0 + n * y_lo) % 1.0) for n in ns]
-        if memo is not None:
-            memo[key] = angles
+    coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
+    angles = (_head_angles if _memo is None else _memo[_head_angles])(y, n_direct)
     head = sum(map(cmath.rect, coeff, angles))
     ratio = cmath.exp(2j * math.pi * ((y_hi % 1.0) + y_lo))
     # 1 - z from the phase itself: 1 - z would keep z's rounding, which
-    # the transform's 1/|1 - z|^2 magnifies next to y = 0.
+    # the transform's 1/|1 - z|^2 magnifies, by up to 4.4 where |y| >= 1/13.
     one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
     z_n = cmath.exp(2j * math.pi * (((n0 * y_hi) % 1.0 + n0 * y_lo) % 1.0))
     mu = ratio / one_minus
@@ -308,23 +334,16 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
 def _plain_sum(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
     """M(y, s, w) by _master_sum: value, error and head.  The head starts
     at _HEAD_START and doubles, within _HEAD_CAP, while the error exceeds
-    _ENGINE_TARGET and each attempt at least halves it.  The best error
-    adds its head's phase rounding: each angle 2 pi frac(n y) < 2 pi
-    rounds by u = eps/2 of frac, u of the product and _TWO_PI's 1.1 eps,
-    of one sign where frac(n y) clusters, 7.5 eps sum |c| in all."""
+    _ENGINE_TARGET.  The last error adds its head's phase rounding: each
+    angle 2 pi frac(n y) < 2 pi rounds by u = eps/2 of frac, u of the
+    product and _TWO_PI's 1.1 eps, of one sign where frac(n y) clusters,
+    7.5 eps sum |c| in all."""
     n = _HEAD_START
     value, err = _master_sum(y, s, weight, n)
-    best = (value, err, n)
-    while best[1] > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
-        last = err
+    while err > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
         n *= 2
         value, err = _master_sum(y, s, weight, n)
-        if err < best[1]:
-            best = (value, err, n)
-        if err > 0.5 * last:
-            break
-    value, err, n = best
-    return value, err + 7.5 * EPS * _plain_tables(s, weight, n)[2], n
+    return value, err + 7.5 * EPS * _plain_tables(s, weight, n)[1], n
 
 
 def _halved_sum(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
@@ -410,16 +429,9 @@ def _series_sum(spec: TrigSeriesSpec, method_tag: str) -> EvalResult:
     err = 0.0
     terms = 0
     at_one = True
-    memo = _memo
+    adaptive = _master_sum_adaptive if _memo is None else _memo[_master_sum_adaptive]
     for coef, y in parts:
-        if memo is None:
-            val, part_err, n_used, series = _master_sum_adaptive(y, spec.s, spec.weight)
-        else:
-            key = (y, spec.s, spec.weight)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = _master_sum_adaptive(y, spec.s, spec.weight)
-            val, part_err, n_used, series = hit
+        val, part_err, n_used, series = adaptive(y, spec.s, spec.weight)
         total += coef * val
         err += abs(coef) * part_err
         terms += n_used

@@ -1,5 +1,6 @@
 """Command line interface: output contracts, exit codes, determinism."""
 import csv
+import hashlib
 import io
 import json
 import re
@@ -242,6 +243,30 @@ def test_verify_json_matches_golden(tmp_path, capsys):
         capsys.readouterr()
         golden = Path(__file__).resolve().parent / "golden" / name
         assert out.read_bytes() == golden.read_bytes(), name
+
+
+# sha256 of `zetalim verify --format json --grid g`.
+_VERIFY_JSON_SHA256 = {
+    99: "f11d408411ca4704e3b2a077e06e68c332c372fa97a951e1103aff6a77888c4e",
+    120: "f9c24c92f7e2e38a20811629c3b813d5f1496e130e5ace7c8566433b292b9e58",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_VERIFY_JSON_SHA256))
+def test_verify_json_matches_digest_at_wide_grids(grid, capsys):
+    """`zetalim verify --format json --grid 99` and `--grid 120` hash to
+    the committed digests, which keep those reports' bytes without
+    committing them.  Under the goldens' rule, a change that moves
+    digits on purpose regenerates them with
+
+        PYTHONPATH=src python -m zetalim.cli verify --format json --grid 99 | sha256sum
+        PYTHONPATH=src python -m zetalim.cli verify --format json --grid 120 | sha256sum
+
+    and says which cases moved and why.
+    """
+    code, out, _ = run(capsys, "verify", "--format", "json", "--grid", str(grid))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _VERIFY_JSON_SHA256[grid]
 
 
 def test_verify_csv_matches_golden(capsys):

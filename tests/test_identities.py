@@ -334,15 +334,27 @@ def test_verify_all_makes_76_master_sums(monkeypatch):
 def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
     # Deterministic cost guard: the 76 plain master sums of one catalogue
     # take their head angles at 27 phase points (y, N), each list
-    # computed once and kept in the memo under its 2-tuple key.
+    # computed once: the memo's cache of _head_angles misses 27 times
+    # and serves the other 49 sums.
+    from zetalim import regsum
+
+    angles = {}
+    head_angles = regsum._head_angles
+
+    def counting(y, n_direct):
+        assert (y, n_direct) not in angles
+        angles[y, n_direct] = head_angles(y, n_direct)
+        return angles[y, n_direct]
+
+    monkeypatch.setattr(regsum, "_head_angles", counting)
     calls = _record_engine_calls(monkeypatch)
     catalogue = registry()
     for case in catalogue:
         verify(case)
     masters = [args for name, args in calls if name == "master"]
     assert len(masters) == 76
-    angles = {key: v for key, v in catalogue[0].memo.items() if len(key) == 2}
-    assert len(angles) == 27
+    info = catalogue[0].memo[counting].cache_info()
+    assert (info.misses, info.hits, info.currsize) == (27, 49, 27)
     assert set(angles) == {(args[0] - round(args[0]), args[3]) for args in masters}
     assert all(len(v) == n - 1 for (_, n), v in angles.items())
 
@@ -468,20 +480,18 @@ def test_memo_lives_only_while_a_case_runs(monkeypatch):
 def test_memo_keeps_only_successful_results(monkeypatch):
     # A Hurwitz zeta value (EQ3.9, through _zeta) and a master sum (EQ4.1,
     # through regsum._series_sum) each fail on their first call.  The
-    # failed arguments leave no entry, so a second verify sums them again.
+    # failed arguments leave no entry (each cache holds one result fewer
+    # than it missed), so a second verify sums them again and keeps them.
     from zetalim import regsum
     from zetalim.result import ConvergenceError
 
-    failed = []
+    calls = {}
 
     def failing_once(original, key):
-        armed = True
-
         def engine(*args):
-            nonlocal armed
-            if armed:
-                armed = False
-                failed.append(key(*args))
+            seen = calls.setdefault(engine, [])
+            seen.append(key(*args))
+            if len(seen) == 1:
                 raise ConvergenceError("synthetic failure for the memo")
             return original(*args)
 
@@ -494,15 +504,55 @@ def test_memo_keeps_only_successful_results(monkeypatch):
     catalogue = {c.id: c for c in registry()}
     cases = (catalogue["EQ3.9"], catalogue["EQ4.1"])
     memo = cases[0].memo
+    caches = (memo[identities._zeta_value], memo[regsum._master_sum_adaptive])
     for case in cases:
         bad = [p for p in _single(case).points if not p.passed]
         assert len(bad) == 1, case.id
         assert bad[0].note.startswith("ConvergenceError: synthetic"), case.id
-    assert len(failed) == 2
-    assert not [key for key in failed if key in memo]
+    first = {engine: list(seen) for engine, seen in calls.items()}
+    assert len(first) == 2
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize + 1
     for case in cases:
         assert _single(case).passed, case.id
-    assert all(key in memo for key in failed)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize + 1
+    for engine, seen in calls.items():
+        failed, *kept = first[engine]
+        again = seen[len(kept) + 1:]
+        assert failed in again and not set(again) & set(kept)
+
+
+def test_rebinding_an_engine_while_a_catalogue_lives(monkeypatch):
+    # A rebound regsum._master_sum_adaptive takes effect at once, under a
+    # cache of its own.  A rebound hurwitz_zeta leaves the values _zeta
+    # already holds, because the memo caches _zeta_value, which reaches
+    # hurwitz_zeta only on a miss.
+    from zetalim import regsum
+    from zetalim.regsum import regularized_limit
+
+    memo = registry()[0].memo
+    monkeypatch.setattr(regsum, "_memo", memo)
+    limit = regularized_limit(0.3, "sine", "unit").value
+    zeta = identities._zeta(0.5, 0.3)
+    master = regsum._master_sum_adaptive
+
+    def shifted(*args):
+        value, err, n, series = master(*args)
+        return value + 1j, err, n, series
+
+    def failing(q):
+        raise ValueError("rebound hurwitz_zeta")
+
+    monkeypatch.setattr(regsum, "_master_sum_adaptive", shifted)
+    monkeypatch.setattr(identities, "hurwitz_zeta", failing)
+    assert regularized_limit(0.3, "sine", "unit").value == limit + 1.0
+    assert memo[master].cache_info().currsize == memo[shifted].cache_info().currsize == 1
+    assert identities._zeta(0.5, 0.3) == zeta
+    with pytest.raises(ValueError, match="rebound hurwitz_zeta"):
+        identities._zeta(0.5, 0.4)
 
 
 def test_catalogue_cases_share_one_memo_and_user_cases_have_none():

@@ -477,7 +477,7 @@ def test_limit_matches_mpmath(weight, parity, scale, s_target):
             assert abs(got.value - ref) <= bound, (x, trig, got.value, ref)
 
 
-# At s = 1, y = 0.08 and 0.92 take the log weights' 512-term plain
+# At s = 0.9, y = 0.08 and 0.92 take the log weights' 512-term plain
 # heads, the longest any interior y reaches.
 _GRID_Y = (0.0051, 0.0101, 0.02, 0.05, 0.08, 0.1, 0.16, 0.3, 0.5)
 
@@ -661,7 +661,7 @@ def test_plain_master_sum_takes_its_differences_once_per_key(monkeypatch, s, wei
         regsum._master_sum(y, s, weight, n_direct)
     assert calls == []
 
-    diffs = regsum._plain_tables(s, weight, n_direct)[3]
+    diffs = regsum._plain_tables(s, weight, n_direct)[2]
     d, floor, _ = plain_tail_offsets(s, weight, n_direct)
     column = difference_column(d, regsum._SWEEPS)
     stop = next(
@@ -682,14 +682,20 @@ def test_plain_master_sum_is_bit_identical_under_a_primed_memo(monkeypatch, y, n
 
     calls = [(s, weight) for s in (-2.0, 0.0, 0.5, 1.0) for weight in regsum.WEIGHT_KINDS]
     want = [regsum._master_sum(y, s, weight, n_direct) for s, weight in calls]
-    memo = {}
+    memo = regsum._Memo()
     monkeypatch.setattr(regsum, "_memo", memo)
     regsum._master_sum(y, 0.25, "unit", n_direct)
-    key = (y - round(y), n_direct)
-    assert list(memo) == [key]
-    angles = memo[key]
+    assert list(memo) == [regsum._head_angles]
+    cached = memo[regsum._head_angles]
+    # The primed list sits under (y reduced to [-1/2, 1/2], N): a hit.
+    angles = cached(y - round(y), n_direct)
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert [regsum._master_sum(y, s, weight, n_direct) for s, weight in calls] == want
-    assert list(memo) == [key] and memo[key] is angles
+    assert list(memo) == [regsum._head_angles]
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1 + len(calls), 1, 1)
+    assert cached(y - round(y), n_direct) is angles
 
 
 @pytest.mark.parametrize(
