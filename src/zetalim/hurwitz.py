@@ -69,7 +69,11 @@ def hurwitz_zeta(q: HurwitzQuery) -> EvalResult:
     err_estimate is the magnitude of the final correction term for the
     requested derivative order (truncation) plus (2 + |s|/2) eps times
     the part of sum |terms| that cancels (rounding of the terms; the
-    last rounding of the value is not counted).
+    last rounding of the value is not counted).  For m = 0 and real s >
+    1 - 2M = -23, M = 12 pairs, the final correction term bounds the
+    truncation: the remainder -(s)_2M/(2M)! int_N^inf B~_2M(t) (t +
+    x)^(-s-2M) dt has |B~_2M| <= |B_2M| and an integrand of one sign
+    (Johansson, arXiv:1309.2877, sec. 2).
     At s = 0, -1, ..., -31 with m = 0 the value is the exact
     -B_{n+1}(x)/(n+1), correctly rounded, claiming half an ulp.
     A result without a significant digit, err_estimate >= max(1,

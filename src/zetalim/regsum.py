@@ -226,11 +226,21 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     A head of n_direct terms, c(n) z^n added in order of n; the remainder
     is an iterated Euler transform, which also sums the divergent series
     at s >= 1 (to the analytic continuation in s).  Returns the value
-    and an error estimate: the last accepted transform increment, the
-    rounding floor of every forward difference taken, the rounding of
-    the transform ratio as magnified by the transform, and the head's
+    and an error estimate: the last transform increment, the rounding
+    floor of every forward difference taken, the rounding of the
+    transform ratio as magnified by the transform, and the head's
     rounding floor.  The final roundings of head, tail and phases, a few
     ulps of max(1, |M|), are left to the adaptive sum that keeps it.
+
+    Its callers keep it to its domain: phases at least 1/13 from an
+    integer, where |z/(1 - z)| <= 2.09, and heads from _HEAD_START.  The
+    transform leaves by one of two exits, a difference below the
+    rounding floor or an increment below 1e-17 of |tail| + 1.  Term k is
+    c(N) mu^k (s - 1)(s - 2)...(s - k)/N^k to first order, so it outgrows
+    term k - 1 only where (k - s)|mu| > N.  Before the floor stop that
+    takes s far below 0, where c(N) = N^(s-1) is tiny: at |y| = 1/13 and
+    s in [-1e6, 1] terms grew only at N = 64 and s < -40, all below
+    1e-74, and there the 1e-17 stop fired at the second term.
 
     The coefficients c(n) come from a table built once per (s, w, N),
     the angles 2 pi frac(n y) from _head_angles, through the catalogue's
@@ -248,7 +258,6 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     # Split y as _head_angles does.
     y_hi = round(y * 2**26) / 2**26
     y_lo = y - y_hi
-    n0 = float(n_direct)
     coeff, abs_head, diffs, floor, first = _plain_tables(s, weight, n_direct)
     angles = (_head_angles if _memo is None else _memo[_head_angles])(y, n_direct)
     head = sum(map(cmath.rect, coeff, angles))
@@ -256,38 +265,31 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     # 1 - z from the phase itself: 1 - z would keep z's rounding, which
     # the transform's 1/|1 - z|^2 magnifies, by up to 4.4 where |y| >= 1/13.
     one_minus = -2j * math.sin(math.pi * y) * cmath.exp(1j * math.pi * y)
-    z_n = cmath.exp(2j * math.pi * (((n0 * y_hi) % 1.0 + n0 * y_lo) % 1.0))
+    z_n = cmath.exp(2j * math.pi * (((n_direct * y_hi) % 1.0 + n_direct * y_lo) % 1.0))
     mu = ratio / one_minus
     mupow = z_n / one_minus
     tail = mupow * first
-    incs = [abs(tail)]
+    inc = abs(tail)
     noise = 0.0
     # Through 1/(1 - ratio) and mu^k, a rounding delta of the ratio moves
     # term k by about (k + 1)|term k| delta/|1 - ratio|.
-    spread = incs[0]
-    for k, delta in zip(range(1, _SWEEPS), diffs):
+    spread = inc
+    for k, delta in enumerate(diffs, 1):
         mupow *= mu
         floor *= 2.0
         noise += abs(mupow) * floor
         if abs(delta) <= floor:
             # Only rounding noise is left: the floor is the error.
-            incs.append(0.0)
+            inc = 0.0
             break
         term = mupow * delta
         tail += term
         inc = abs(term)
-        incs.append(inc)
         spread += (k + 1) * inc
-        # incs holds k + 1 increments.
         if k >= 2 and inc < 1e-17 * (abs(tail) + 1.0):
             break
-        if k >= 5 and inc > incs[-2] > incs[-3]:
-            # Transform started diverging; drop the growing term.
-            tail -= term
-            incs.pop()
-            break
     drift = _RATIO_ROUNDING * spread / abs(one_minus)
-    err = incs[-1] + noise + drift + 1e-16 * (abs_head + 1.0)
+    err = inc + noise + drift + 1e-16 * (abs_head + 1.0)
     return head + tail, err
 
 

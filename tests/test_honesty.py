@@ -44,7 +44,8 @@ ULP = 2.0 ** -52
 # its head pairs cancel most, plus both ends of (0, 1), and seeded x
 # log-uniform within [1e-12, 1e-9] of each end, where ln(x)/x dominates.
 # mpmath's Stieltjes constant slows down near x = 0, and did not
-# finish in minutes at x = 1e-300, so the points stop at 1e-12.
+# finish in minutes at x = 1e-300, so the oracle takes gamma_1 below 1
+# from gamma_1(t + 1) + ln(t)/t, and the points stop at 1e-12.
 _rng_refl = random.Random(1709)
 _edge = [10.0 ** _rng_refl.uniform(-12.0, -9.0) for _ in range(80)]
 REFLECTION_X = (
@@ -181,6 +182,30 @@ def test_hurwitz_zeta_error_estimate_is_honest(s, x, m):
     assert abs(res.value - ref) <= res.err_estimate + 4 * ULP * max(1.0, abs(ref)), (
         res.value, ref, res.err_estimate
     )
+
+
+# For m = 0 and real s > 1 - 2M = -23 the Euler-Maclaurin remainder after
+# M = 12 pairs is at most the last pair's term, the truncation part of
+# hurwitz_zeta's estimate.  Checked on the engine's N = 6 and M = 12,
+# seeded s in (-23, 60] and x log-uniform over [1e-3, 1e3] (worst ratio
+# 0.82).  The head sum n < N is the same on both sides, so the check
+# takes the tails zeta(s, N + x) alone, at 100 digits: with the head,
+# up to 1e88 at x = 0.0137, rounding would swamp a remainder of 1e-33.
+_rng_em = random.Random(3501)
+EM_BOUND_POINTS = [(_rng_em.uniform(-23.0, 60.0), 10.0 ** _rng_em.uniform(-3.0, 3.0))
+                   for _ in range(60)]
+
+
+@pytest.mark.parametrize("s, x", EM_BOUND_POINTS)
+def test_m0_last_correction_bounds_the_euler_maclaurin_remainder(s, x):
+    import mpmath as mp
+
+    from zetalim import hurwitz
+
+    a, pairs = mp.mpf(x) + hurwitz._EM_CUTOFF, hurwitz._EM_ORDER
+    value = em_zeta(s, a, 0, pairs, 100)
+    last = abs(value - em_zeta(s, a, 0, pairs - 1, 100))
+    assert abs(value - em_zeta(s, a, 300, 24, 100)) <= last, (s, x)
 
 
 # Named points: a correctly rounded value that a 1e-16 |value| rounding

@@ -581,48 +581,67 @@ def test_series_about_one_table_is_40_digit_mpmath():
         assert regsum._master_sum_adaptive(t, 1.0, "unit")[3]
 
 
-def test_limits_never_reach_the_head_cap(monkeypatch):
-    from zetalim import default_x_grid, regsum
+def test_master_sums_run_only_on_their_domain(monkeypatch):
+    # _master_sum keeps only the floor and 1e-17 exits of its transform,
+    # which is sound at phases at least 1/13 from an integer and heads
+    # from _HEAD_START; every production route must stay there, and no
+    # limit may need the head cap.
+    import random
 
-    heads = []
+    from zetalim import default_x_grid, regsum, verify_all
+
+    calls = []
     master = regsum._master_sum
 
-    def recording(y, s, weight, n_direct, *rest):
-        heads.append(n_direct)
-        return master(y, s, weight, n_direct, *rest)
+    def recording(y, s, weight, n_direct):
+        calls.append((y, n_direct))
+        return master(y, s, weight, n_direct)
 
     monkeypatch.setattr(regsum, "_master_sum", recording)
-    combos = [(w, p) for w in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n")
-              for p in ("all_n", "alternating")] + [("unit", "odd_only")]
+    combos = [(w, p) for w in regsum.WEIGHT_KINDS for p in ("all_n", "alternating")]
+    combos.append(("unit", "odd_only"))
     for x in list(default_x_grid(9)) + [0.0101, 0.9899]:
         for weight, parity in combos:
             for s_target in (0.0, 1.0):
                 regularized_limit(x, "sine", weight, parity, s_target=s_target)
-    assert heads and max(heads) < regsum._HEAD_CAP
+    for grid in (9, 99):
+        verify_all(grid)
+    rng = random.Random(35)
+    for weight, parity in combos:
+        for _ in range(12):
+            x = rng.choice((10.0 ** rng.uniform(-6.0, math.log10(1.0 / 13.0)),
+                            rng.uniform(1.0 / 13.0, 12.0 / 13.0)))
+            trig_dirichlet_sum(TrigSeriesSpec(rng.choice((x, 1.0 - x)), "cosine", weight,
+                                              parity, s=rng.uniform(-60.0, 1.0)))
+    assert len(calls) > 1000
+    for y, n_direct in calls:
+        assert abs(y - round(y)) >= regsum._BAND, y
+        assert regsum._HEAD_START <= n_direct < regsum._HEAD_CAP, n_direct
 
 
 def _seeded_master_calls(seed: int):
-    """(y, s, weight, n_direct) over every weight and s in {-2, 0, 1/2,
-    1}: interior phases, and edge-band phases where the transform can
-    also diverge or run through every sweep."""
+    """(y, s, weight, n_direct) on _master_sum's domain: phases at least
+    1/13 from an integer, some outside [0, 1), heads _HEAD_START to 16
+    times it, every weight and s in {-60, -2, 0, 1/2, 1}."""
     import random
+
+    from zetalim import regsum
 
     rng = random.Random(seed)
     calls = []
-    for weight in ("unit", "log_n", "log_2pi_n", "gamma_plus_log_2pi_n"):
-        for s in (-2.0, 0.0, 0.5, 1.0):
-            for _ in range(5):
-                y = rng.uniform(0.02, 0.98)
-                calls.append((y, s, weight, rng.choice((16, 64, 128))))
-                y = rng.uniform(0.005, 0.07)
-                calls.append((rng.choice((y, 1.0 - y, -y)), s, weight, rng.choice((64, 512))))
-                calls.append((rng.uniform(0.02, 0.98), s, weight, rng.choice((64, 24 * 40))))
+    for weight in regsum.WEIGHT_KINDS:
+        for s in (-60.0, -2.0, 0.0, 0.5, 1.0):
+            for _ in range(10):
+                y = rng.uniform(regsum._BAND, 1.0 - regsum._BAND) + rng.choice((-1.0, 0.0, 1.0))
+                calls.append((y, s, weight, regsum._HEAD_START * 2 ** rng.randrange(5)))
     return calls
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_master_sum_matches_the_full_difference_table(seed):
     # The anti-diagonal differences and cmath phases must not move a bit.
+    # On the engine's domain the full table leaves only by its floor and
+    # 1e-17 exits, the two the engine keeps.
     from zetalim import regsum
 
     exits = set()
@@ -634,7 +653,7 @@ def test_master_sum_matches_the_full_difference_table(seed):
             y, s, weight, n_direct,
         )
         exits.add(exit_kind)
-    assert {"floor", "small", "diverge"} <= exits, exits
+    assert exits == {"floor", "small"}, exits
 
 
 @pytest.mark.parametrize(
