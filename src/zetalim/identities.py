@@ -197,7 +197,7 @@ def _fourier_side(s: float, x: float, trig: str) -> float:
         TrigSeriesSpec(x=x, trig=trig, weight="unit", s=s, scale="two_pi_n_power")
     ).value
     phase = math.sin if trig == "cosine" else math.cos
-    return 4.0 * math.exp(log_gamma(1.0 - s)) * phase(0.5 * math.pi * s) * c
+    return 4.0 * math.gamma(1.0 - s) * phase(0.5 * math.pi * s) * c
 
 
 def _series_at_zero(x: float, trig: str, weight: str) -> float:

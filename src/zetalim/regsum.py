@@ -26,7 +26,9 @@ of an integer phase, every M is the polylogarithm's expansion about z =
 z/(1 - z) or -ln(1 - z); a log-weighted M takes it at every phase,
 where it converges too.  Away from there the unit weight stays
 Euler-summed, so that the identities that compare it with a closed form
-check summation.
+check summation.  Heads have 64 terms or more, but 8 for the unit
+weight at s = 1, where the tail z^N/(1 - z) is the exact remainder: a
+directly summed head plus that remainder still meets the closed form.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ SCALE_KINDS = ("n_power", "two_pi_n_power")
 
 _TWO_PI = 2.0 * math.pi
 _HEAD_START = 64
+# The unit weight's head at s = 1, where the tail is exact (_plain_sum).
+_UNIT_ONE_HEAD = 8
 _HEAD_CAP = 32768
 _SWEEPS = 40
 _ENGINE_TARGET = 5e-12
@@ -92,7 +96,7 @@ _S0_CONST = math.pi**2 / 12.0 + _GAMMA1
 # an engine called outside a case's points never sees the memo.  Three
 # functions go through it: _series_sum's _master_sum_adaptive (the sine
 # and cosine of a series share one complex sum), _master_sum's
-# _head_angles (27 angle lists serve the 76 plain master sums of
+# _head_angles (36 angle lists serve the 76 plain master sums of
 # verify_all()) and identities._zeta_value (Hurwitz zeta values).  Each
 # is looked up at call time, so a rebound _master_sum_adaptive takes
 # effect at once under a cache of its own, while rebinding the
@@ -233,7 +237,10 @@ def _master_sum(y: float, s: float, weight: str, n_direct: int) -> Tuple[complex
     ulps of max(1, |M|), are left to the adaptive sum that keeps it.
 
     Its callers keep it to its domain: phases at least 1/13 from an
-    integer, where |z/(1 - z)| <= 2.09, and heads from _HEAD_START.  The
+    integer, where |z/(1 - z)| <= 2.09, and heads from _HEAD_START, or
+    of _UNIT_ONE_HEAD terms for the unit weight at s = 1, whose one
+    difference is 0.0, so the transform leaves at once by the floor with
+    the exact remainder c(N) z^N/(1 - z).  The
     transform leaves by one of two exits, a difference below the
     rounding floor or an increment below 1e-17 of |tail| + 1.  Term k is
     c(N) mu^k (s - 1)(s - 2)...(s - k)/N^k to first order, so it outgrows
@@ -335,12 +342,14 @@ def _near_one(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
 
 def _plain_sum(y: float, s: float, weight: str) -> Tuple[complex, float, int]:
     """M(y, s, w) by _master_sum: value, error and head.  The head starts
-    at _HEAD_START and doubles, within _HEAD_CAP, while the error exceeds
-    _ENGINE_TARGET.  The last error adds its head's phase rounding: each
-    angle 2 pi frac(n y) < 2 pi rounds by u = eps/2 of frac, u of the
-    product and _TWO_PI's 1.1 eps, of one sign where frac(n y) clusters,
-    7.5 eps sum |c| in all."""
-    n = _HEAD_START
+    at _HEAD_START, or at _UNIT_ONE_HEAD for the unit weight at s = 1,
+    where every offset c(N + j) - c(N) is 0 and the tail is the exact
+    geometric remainder; it doubles, within _HEAD_CAP, while the error
+    exceeds _ENGINE_TARGET.  The last error adds its head's phase
+    rounding: each angle 2 pi frac(n y) < 2 pi rounds by u = eps/2 of
+    frac, u of the product and _TWO_PI's 1.1 eps, of one sign where
+    frac(n y) clusters, 7.5 eps sum |c| in all."""
+    n = _UNIT_ONE_HEAD if s == 1.0 and weight == "unit" else _HEAD_START
     value, err = _master_sum(y, s, weight, n)
     while err > _ENGINE_TARGET and 2 * n <= _HEAD_CAP:
         n *= 2

@@ -6,13 +6,13 @@ real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
 finite differences, or a 70-digit direct sum (`em_zeta`).  The
 exceptions are `full_table_master_sum`, `product_rule_euler_maclaurin`,
-`loop_stieltjes_gamma1`, `loop_gamma1_reflection_diff` and
-`one_order_log_gamma`, engines as they were before rewrites that had
-to keep their output bit for bit; they are kept to check exactly that.
-`regsum._master_sum` matches `full_table_master_sum` bit for bit on its
-domain, phases at least 1/13 from an integer and heads from
-`regsum._HEAD_START`, where the oracle never takes its "diverge" and
-"sweeps" exits.
+`loop_stieltjes_gamma1` and `loop_gamma1_reflection_diff`, engines as
+they were before rewrites that had to keep their output bit for bit;
+they are kept to check exactly that.  `regsum._master_sum` matches
+`full_table_master_sum` bit for bit on its domain, phases at least 1/13
+from an integer and heads from `regsum._HEAD_START`, or of
+`regsum._UNIT_ONE_HEAD` terms for the unit weight at s = 1, where the
+oracle never takes its "diverge" and "sweeps" exits.
 """
 from __future__ import annotations
 
@@ -270,7 +270,8 @@ def full_table_master_sum(y: float, s: float, weight: str, n_direct: int):
     increments) or "sweeps" (all sweeps taken).  The engine has kept only
     the first two since its divergence exit was dropped: on its domain,
     phases at least 1/13 from an integer and heads from
-    `regsum._HEAD_START`, it matches this function bit for bit and the
+    `regsum._HEAD_START`, or of `regsum._UNIT_ONE_HEAD` terms for the
+    unit weight at s = 1, it matches this function bit for bit and the
     last two exits are never taken."""
     import cmath
 
@@ -446,28 +447,6 @@ def loop_gamma1_reflection_diff(x: float):
     size += abs(tail_hi) + abs(tail_lo)
     err = trunc_hi + trunc_lo + EPS * (1.0 + size)
     return value, err, stieltjes._G1_CUTOFF + 1 + stieltjes._G1_ORDER
-
-
-def one_order_log_gamma(x: float) -> float:
-    """`special.log_gamma` for x > 0 as it was with Stirling's form in one
-    order only, (t - 1/2) ln t - t + ln(2 pi)/2; it returns inf where
-    that overflows, from about x = 2.5563e305."""
-    from zetalim import special
-
-    shift = 0.0
-    t = x
-    while t < special._SHIFT_THRESHOLD:
-        shift += math.log(t)
-        t += 1.0
-    inv = 1.0 / t
-    inv2 = inv * inv
-    tail = 0.0
-    p = inv
-    for j, b in enumerate(special._B2J, start=1):
-        tail += b / ((2 * j) * (2 * j - 1)) * p
-        p *= inv2
-    stirl = (t - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi)
-    return stirl + tail - shift
 
 
 def outcome(f, *args):

@@ -247,8 +247,8 @@ def test_verify_json_matches_golden(tmp_path, capsys):
 
 # sha256 of `zetalim verify --format json --grid g`.
 _VERIFY_JSON_SHA256 = {
-    99: "f11d408411ca4704e3b2a077e06e68c332c372fa97a951e1103aff6a77888c4e",
-    120: "f9c24c92f7e2e38a20811629c3b813d5f1496e130e5ace7c8566433b292b9e58",
+    99: "b0ac127bcba5fc2330741cd80070d17f0b9928c7fd28ce5ddf625a2c9cbf9749",
+    120: "e5b0d9e76048f2af28f77c630b285095b7505f3ca9d2d1625f79b7c114c4ab78",
 }
 
 

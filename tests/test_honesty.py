@@ -494,3 +494,51 @@ def test_unit_limit_at_one_is_honest_on_both_sides_of_the_band(xs, trig, parity,
     step = abs((inside.value - refs[0]) - (outside.value - refs[1]))
     assert step <= inside.err_estimate + outside.err_estimate + 8 * ULP * max(
         1.0, abs(refs[0]), abs(refs[1])), (step, inside.err_estimate, outside.err_estimate)
+
+
+# Seeded interior phases, some outside [0, 1): the unit weight's master
+# sum at s = 1 there is Euler-summed behind a _UNIT_ONE_HEAD-term head.
+_rng_unit_one = random.Random(3601)
+UNIT_ONE_Y = [_rng_unit_one.uniform(1.0 / 13.0, 12.0 / 13.0) + _rng_unit_one.choice((-1.0, 0.0, 1.0))
+              for _ in range(120)]
+
+
+def _unit_one_parts(y, monkeypatch):
+    """The master sum at (y, 1, unit), the same with the 64-term head it
+    had before, and z/(1 - z) at 30 digits."""
+    import mpmath as mp
+
+    from zetalim import regsum
+
+    short = regsum._master_sum_adaptive(y, 1.0, "unit")
+    with monkeypatch.context() as m:
+        m.setattr(regsum, "_UNIT_ONE_HEAD", regsum._HEAD_START)
+        long = regsum._master_sum_adaptive(y, 1.0, "unit")
+    with mp.workdps(30):
+        z = mp.exp(2j * mp.pi * mp.mpf(y))
+        ref = complex(z / (1 - z))
+    return short, long, ref
+
+
+@pytest.mark.parametrize("y", UNIT_ONE_Y)
+def test_unit_master_sum_at_one_is_honest_with_its_short_head(y, monkeypatch):
+    from zetalim import regsum
+
+    (value, err, head, series), (_, err64, head64, _), ref = _unit_one_parts(y, monkeypatch)
+    assert (head, head64, series) == (regsum._UNIT_ONE_HEAD, regsum._HEAD_START, False)
+    assert abs(value - ref) <= err + 4 * ULP * max(1.0, abs(ref)), (value, ref, err)
+    # The short head claims no more than the 64-term head did.
+    assert err <= err64, (err, err64)
+
+
+def test_unit_master_sum_at_one_is_no_less_accurate_than_the_64_term_head(monkeypatch):
+    # Over the seeded phases the short head's worst relative error is at
+    # most the 64-term head's: 2.3e-15 against 9.3e-15 here, and 3.1e-15
+    # against 1.2e-14 on 1,500 other seeded phases, at 5 of which the
+    # short head was the less accurate.
+    worst = [0.0, 0.0]
+    for y in UNIT_ONE_Y:
+        (value, *_), (value64, *_), ref = _unit_one_parts(y, monkeypatch)
+        worst[0] = max(worst[0], abs(value - ref) / abs(ref))
+        worst[1] = max(worst[1], abs(value64 - ref) / abs(ref))
+    assert worst[0] <= worst[1], worst

@@ -1,5 +1,6 @@
 """Identity registry, verification runner and report integrity."""
 import math
+from collections import Counter
 
 import pytest
 
@@ -314,9 +315,9 @@ def test_verify_all_makes_76_master_sums(monkeypatch):
     # sum once, 150 adaptive sums.  The 76 log-weighted ones, at s in
     # {0, 1}, and 2 unit-weight limits within 1/13 of an integer phase
     # are the series about z = 1 and make no master sum.  Of the other
-    # 72 unit-weight ones, 27 limits at s = 1 and 41 of EQ4.4/4.5's 45
-    # Fourier sides stop at the 64-term head and 4 double it to 128:
-    # 72 + 4 = 76 calls.
+    # 72 unit-weight ones, 27 limits at s = 1 stop at their 8-term head,
+    # and 41 of EQ4.4/4.5's 45 Fourier sides at the 64-term head while
+    # 4 double it to 128: 72 + 4 = 76 calls.
     from zetalim import regsum
 
     calls = []
@@ -329,13 +330,14 @@ def test_verify_all_makes_76_master_sums(monkeypatch):
     monkeypatch.setattr(regsum, "_master_sum", counting)
     verify_all()
     assert len(calls) == 76
+    assert Counter(args[3] for args in calls) == {8: 27, 64: 45, 128: 4}
 
 
 def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
     # Deterministic cost guard: the 76 plain master sums of one catalogue
-    # take their head angles at 27 phase points (y, N), each list
-    # computed once: the memo's cache of _head_angles misses 27 times
-    # and serves the other 49 sums.
+    # take their head angles at 36 phase points (y, N), 25 of them 8-term
+    # heads, each list computed once: the memo's cache of _head_angles
+    # misses 36 times and serves the other 40 sums, 996 angles in all.
     from zetalim import regsum
 
     angles = {}
@@ -354,9 +356,11 @@ def test_one_catalogue_computes_each_head_angle_list_once(monkeypatch):
     masters = [args for name, args in calls if name == "master"]
     assert len(masters) == 76
     info = catalogue[0].memo[counting].cache_info()
-    assert (info.misses, info.hits, info.currsize) == (27, 49, 27)
+    assert (info.misses, info.hits, info.currsize) == (36, 40, 36)
     assert set(angles) == {(args[0] - round(args[0]), args[3]) for args in masters}
     assert all(len(v) == n - 1 for (_, n), v in angles.items())
+    assert Counter(n for _, n in angles) == {8: 25, 64: 9, 128: 2}
+    assert sum(map(len, angles.values())) == 996
 
 
 def test_one_catalogue_takes_every_log_weighted_limit_from_the_series(monkeypatch):

@@ -544,9 +544,10 @@ def test_unit_limit_at_one_is_the_series_in_the_band(monkeypatch, y, edge, trig)
     assert got.method_tag == "series-at-one"
     want = mp_trig_series(x, trig, "unit", "all_n", 1.0)
     assert abs(got.value - want) <= got.err_estimate + 4 * ULP * max(1.0, abs(want))
-    # Odd-only parity's interior part x/2 = 0.485 keeps its one plain sum.
+    # Odd-only parity's interior part x/2 = 0.485 keeps its one plain sum,
+    # whose head at s = 1 has _UNIT_ONE_HEAD terms.
     got = regularized_limit(0.97, trig, "unit", "odd_only")
-    assert len(calls) == 1 and calls[0][3] == regsum._HEAD_START
+    assert len(calls) == 1 and calls[0][3] == regsum._UNIT_ONE_HEAD == 8
     assert got.method_tag == "euler-at-target"
 
 
@@ -584,8 +585,9 @@ def test_series_about_one_table_is_40_digit_mpmath():
 def test_master_sums_run_only_on_their_domain(monkeypatch):
     # _master_sum keeps only the floor and 1e-17 exits of its transform,
     # which is sound at phases at least 1/13 from an integer and heads
-    # from _HEAD_START; every production route must stay there, and no
-    # limit may need the head cap.
+    # from _HEAD_START, or of _UNIT_ONE_HEAD terms for the unit weight at
+    # s = 1; every production route must stay there, and no limit may
+    # need the head cap.
     import random
 
     from zetalim import default_x_grid, regsum, verify_all
@@ -594,7 +596,7 @@ def test_master_sums_run_only_on_their_domain(monkeypatch):
     master = regsum._master_sum
 
     def recording(y, s, weight, n_direct):
-        calls.append((y, n_direct))
+        calls.append((y, s, weight, n_direct))
         return master(y, s, weight, n_direct)
 
     monkeypatch.setattr(regsum, "_master_sum", recording)
@@ -614,26 +616,35 @@ def test_master_sums_run_only_on_their_domain(monkeypatch):
             trig_dirichlet_sum(TrigSeriesSpec(rng.choice((x, 1.0 - x)), "cosine", weight,
                                               parity, s=rng.uniform(-60.0, 1.0)))
     assert len(calls) > 1000
-    for y, n_direct in calls:
+    assert sum(n_direct == regsum._UNIT_ONE_HEAD for *_, n_direct in calls) > 100
+    for y, s, weight, n_direct in calls:
         assert abs(y - round(y)) >= regsum._BAND, y
-        assert regsum._HEAD_START <= n_direct < regsum._HEAD_CAP, n_direct
+        if weight == "unit" and s == 1.0:
+            assert n_direct == regsum._UNIT_ONE_HEAD, (y, n_direct)
+        else:
+            assert regsum._HEAD_START <= n_direct < regsum._HEAD_CAP, (y, s, weight, n_direct)
 
 
 def _seeded_master_calls(seed: int):
     """(y, s, weight, n_direct) on _master_sum's domain: phases at least
     1/13 from an integer, some outside [0, 1), heads _HEAD_START to 16
-    times it, every weight and s in {-60, -2, 0, 1/2, 1}."""
+    times it, every weight and s in {-60, -2, 0, 1/2, 1}; then the unit
+    weight's _UNIT_ONE_HEAD-term heads at s = 1."""
     import random
 
     from zetalim import regsum
 
     rng = random.Random(seed)
     calls = []
+
+    def phase():
+        return rng.uniform(regsum._BAND, 1.0 - regsum._BAND) + rng.choice((-1.0, 0.0, 1.0))
+
     for weight in regsum.WEIGHT_KINDS:
         for s in (-60.0, -2.0, 0.0, 0.5, 1.0):
             for _ in range(10):
-                y = rng.uniform(regsum._BAND, 1.0 - regsum._BAND) + rng.choice((-1.0, 0.0, 1.0))
-                calls.append((y, s, weight, regsum._HEAD_START * 2 ** rng.randrange(5)))
+                calls.append((phase(), s, weight, regsum._HEAD_START * 2 ** rng.randrange(5)))
+    calls += [(phase(), 1.0, "unit", regsum._UNIT_ONE_HEAD) for _ in range(50)]
     return calls
 
 

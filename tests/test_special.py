@@ -21,7 +21,6 @@ from zetalim import (
 from zetalim.hurwitz import _neville
 from zetalim.special import BERNOULLI_L, BERNOULLI_NUM, HARMONIC
 
-from oracles import one_order_log_gamma
 
 XS = (0.1, 0.25, 0.5, 1.0, 1.5, 3.7, 8.0, 12.5)
 
@@ -116,34 +115,38 @@ def test_log_gamma_at_half():
 @pytest.mark.parametrize("x", [2.5601e305, 1e306, math.inf])
 def test_log_gamma_leaving_binary64_raises(x):
     # ln Gamma(x) exceeds the largest double from x = 2.55998332785e305;
-    # Stirling's form is inf above that and inf - inf at inf.
+    # lgamma raises OverflowError above that and returns inf at inf.
     with pytest.raises(ConvergenceError, match="leaves binary64"):
         log_gamma(x)
 
 
 def test_log_gamma_is_finite_where_one_stirling_order_overflows():
     # From 2.556348163871691e305 to the edge, (t - 1/2) ln t overflows
-    # while ln Gamma(x) is finite: the other order of Stirling's form
-    # holds it, at the band's first and last doubles too.
+    # while ln Gamma(x) is finite, at the band's first and last doubles
+    # too.
     rng = random.Random(2323)
     xs = [rng.uniform(2.5564e305, 2.5599e305) for _ in range(40)]
     xs += [2.556348163871691e305, 2.5565e305, 2.5599833278516383e305]
     with mp.workdps(30):
         for x in xs:
-            assert math.isinf(one_order_log_gamma(x)), x
             want = float(mp.loggamma(mp.mpf(x)))
             assert log_gamma(x) == pytest.approx(want, rel=1e-14), x
 
 
-def test_log_gamma_keeps_its_bits_below_the_overflow_band():
-    # The second order of Stirling's form is taken only where the first
-    # overflows: every other x returns what it returned before, bit for bit.
+def test_log_gamma_is_within_4_ulps_of_mpmath_up_to_the_overflow_band():
+    # x log-uniform over [1e-300, 2.5e305] and uniform below the band
+    # where Stirling's first order overflows.  lgamma's worst error here
+    # measured 3.2e-16 max(1, |ln Gamma|), 1.45 ulps; the bound allows
+    # 4 ulps, well inside the docstring's 1e-14.
     rng = random.Random(2324)
     xs = [10.0 ** rng.uniform(-300.0, 305.4) for _ in range(2000)]
     xs += [rng.uniform(2.5e305, 2.5563e305) for _ in range(200)]
     xs.append(2.5563481638716906e305)
-    for x in xs:
-        assert log_gamma(x) == one_order_log_gamma(x), x
+    with mp.workdps(30):
+        for x in xs:
+            want = mp.loggamma(mp.mpf(x))
+            err = float(abs(log_gamma(x) - want))
+            assert err <= 4 * 2.0**-52 * max(1.0, abs(float(want))), x
 
 
 def test_log_gamma_stays_finite_just_below_the_binary64_edge():
