@@ -10,12 +10,11 @@ verification failure or an unwritable --out path, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
 import sys
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .hurwitz import HurwitzQuery, hurwitz_hasse, hurwitz_zeta
 from .result import EvalResult
@@ -35,6 +34,7 @@ _PARITY = {"all": "all_n", "alternating": "alternating", "odd": "odd_only"}
 _SCALE = {"n": "n_power", "2pin": "two_pi_n_power"}
 
 _CSV_HEADER = ("id", "x", "s", "u", "m", "lhs", "rhs", "residual", "pass", "note")
+_JSON_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)} | {ord("\\"): "\\\\", ord('"'): '\\"'}
 
 
 class _UsageError(Exception):
@@ -59,28 +59,24 @@ def _coord(text: str) -> float:
 def _cell(value) -> str:
     """A csv or text cell: strings as they are, bools as true/false, ints
     as digits, finite floats to 17 significant digits, else empty."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
+    if type(value) is not float:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if value is None:
+            return ""
+        if isinstance(value, int):
+            return str(value)
     return "%.17g" % value if math.isfinite(value) else ""
 
 
 def _jstr(text: str) -> str:
-    out = ["\""]
-    for ch in text:
-        if ch in ("\\", "\""):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+    """`text` quoted, with quotes, backslashes and code points below
+    U+0020 escaped; a printable string with neither is taken whole."""
+    if '"' in text or "\\" in text or not text.isprintable():
+        text = text.translate(_JSON_ESCAPES)
+    return f'"{text}"'
 
 
 def _json(value) -> str:
@@ -101,6 +97,8 @@ def _json_lines(fields, indent: str = "") -> List[str]:
 
 def _csv(header, rows) -> str:
     """csv text of `rows`, each a dict from column name to value."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -185,7 +183,8 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="zetalim",
         description="Hurwitz zeta evaluations, Stieltjes constants, regularized "
@@ -229,7 +228,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(p_ver)
 
-    return parser
+    return parser, subs.choices
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """`argv` read by the parser of the subcommand it names, as the top
+    level would after scanning every argument.  Any other argv, or one
+    with arguments left over, takes the top-level route, so every help
+    text, usage error and exit code is the same either way."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
@@ -268,7 +281,7 @@ def _dispatch(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         text, code = _dispatch(args)
     except _UsageError as exc:

@@ -121,7 +121,8 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
     """`hurwitz_zeta`'s sum, unchecked, bit for bit tests/oracles.py's
     `product_rule_euler_maclaurin`: equal value, err_estimate and terms_used
     under `==`, or the same exception.  It skips only work that loop did not
-    read (P', P'' at m = 0; P'' at m = 1) or redid per pair (ln^2 a, 2 ln a)."""
+    read (ln a and P', P'' at m = 0; P'' at m = 1) or redid per pair
+    (ln^2 a, 2 ln a)."""
     n_cut = _EM_CUTOFF
     ms = -s
     if m == 0:
@@ -132,7 +133,6 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
         terms = [lg * lg * (n + x) ** ms for n in range(n_cut) for lg in [math.log(n + x)]]
 
     a = n_cut + x
-    lga = math.log(a)
     pw = a ** ms  # a^{-s}
 
     # Pole piece a^{1-s}/(s-1) and boundary piece a^{-s}/2.
@@ -143,7 +143,7 @@ def _euler_maclaurin(s: float, x: float, m: int) -> EvalResult:
         # The pole piece's s-derivative is a sum whose parts alternate
         # in sign at s < 1; each is a term of its own, so that fsum
         # adds them exactly and the rounding term sees their sizes.
-        pa = pw * a / sm1
+        pa, lga = pw * a / sm1, math.log(a)
         if m == 1:
             terms += (-pa * lga, -pa / sm1, -0.5 * lga * pw)
         else:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zetalim import registry
+import zetalim
+from zetalim import cli, registry
 from zetalim.cli import _CSV_HEADER, main
 
 CSV_HEADER = "id,x,s,u,m,lhs,rhs,residual,pass,note"
@@ -211,11 +213,15 @@ def test_out_flag_round_trips(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke():
+    # pytest's `pythonpath` setting reaches only this process, so the
+    # child is pointed at the package as tests/test_imports.py's `_run` does.
+    env = dict(os.environ, PYTHONPATH=str(Path(zetalim.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "zetalim.cli", "zeta", "--s", "2", "--x", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "1.64493406684823" in proc.stdout
@@ -291,6 +297,82 @@ def test_parser_is_built_once():
     from zetalim.cli import _build_parser
 
     assert _build_parser() is _build_parser()
+
+
+_ZETA = ["zeta", "--s", "2", "--x", "1"]
+_VERIFY = ["verify", "--id", "EQ4.12", "--grid", "3"]
+_REGSUM = ["regsum", "--x", "1/4", "--trig", "sin", "--weight", "logn"]
+# Argument lists whose exit code, stdout and stderr must not depend on
+# which parser reads them: the subcommand's own, or the top level.
+_ROUTE_TABLE = [
+    _ZETA,
+    _ZETA + ["--format", "json"],
+    _ZETA + ["--format", "csv"],
+    ["zeta", "--s", "0.5", "--x", "0.3", "--deriv", "2", "--format", "json"],
+    ["stieltjes", "--n", "1", "--x", "0.25"],
+    ["stieltjes", "--n", "0", "--x", "1", "--format", "json"],
+    ["stieltjes", "--n", "1", "--x", "1", "--format", "csv"],
+    _REGSUM,
+    _REGSUM + ["--format", "json"],
+    _REGSUM + ["--parity", "odd", "--format", "csv"],
+    _VERIFY,
+    _VERIFY + ["--format", "json"],
+    _VERIFY + ["--format", "csv"],
+    [],
+    ["-h"],
+    ["-h", "zeta"],
+    ["zeta", "-h"],
+    ["zeta", "--he"],
+    _ZETA + ["--form", "csv"],
+    ["zeta", "--s=-2", "--x", "1"],
+    ["zeta", "--s", "-2", "--x", "1"],
+    ["zeta", "--s", "2"],
+    _ZETA + ["--bogus"],
+    _ZETA + ["stray"],
+    _ZETA + ["--"],
+    ["zeta", "--", "--s", "2", "--x", "1"],
+    ["zet", "--s", "2", "--x", "1"],
+    ["ZETA", "--s", "2", "--x", "1"],
+    ["--bogus", "zeta", "--s", "2", "--x", "1"],
+    ["zeta", "--s", "2", "--s", "3", "--x", "1"],
+    _ZETA + ["--method", "hasse", "--deriv", "1"],
+    _ZETA + ["--format", "xml"],
+    ["zeta", "--s", "1", "--x", "1"],
+    ["stieltjes", "--n", "2", "--x", "1"],
+    ["verify", "--id", "zeta"],
+    ["verify", "--grid", "2"],
+]
+
+
+def _outcome(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr, usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ROUTE_TABLE, ids=lambda argv: " ".join(argv) or "no-args")
+def test_subcommand_route_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    direct = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+    assert _outcome(capsys, argv) == direct
+
+
+def test_valid_commands_skip_the_top_level_parser(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("top-level parser called")
+
+    monkeypatch.setattr(cli._build_parser()[0], "parse_known_args", scan)
+    for argv in (_ZETA, ["stieltjes", "--n", "1", "--x", "0.25"], _REGSUM, _VERIFY):
+        assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    code, out, err = _outcome(capsys, _ZETA + ["--bogus"])
+    assert (code, out) == (2, "")
+    assert err.endswith("zetalim: error: unrecognized arguments: --bogus\n")
 
 
 def test_usage_error_after_a_successful_call(capsys):

@@ -6,11 +6,12 @@ on hand-built cases whose sides are plain Python arithmetic, so the
 literals hold on any machine.
 """
 import math
+import random
 
 import pytest
 
 from zetalim import identities
-from zetalim.cli import _render_eval, _render_report
+from zetalim.cli import _cell, _json, _jstr, _render_eval, _render_report
 from zetalim.identities import IdentityCase, verify, verify_all
 from zetalim.result import EvalResult
 
@@ -229,3 +230,63 @@ def test_single_case_report_bytes():
     none = verify(CASES[2], grid_density=3)
     assert _render_report(none, "json") == NO_RESIDUAL_JSON
     assert _render_report(none, "text") == NO_RESIDUAL_TEXT
+
+
+def _jstr_by_character(text):
+    """The json string escaper as a loop over characters: the reference."""
+    out = ["\""]
+    for ch in text:
+        if ch in ("\\", "\""):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append("\"")
+    return "".join(out)
+
+
+# Every code point below U+0020, the two escaped characters, DEL, a
+# Latin letter, the no-break space, the line separator, an astral
+# character, and plain ASCII.
+_ALPHABET = [chr(c) for c in range(0x20)] + [
+    '"', "\\", "\x7f", "\u00e9", "\u00a0", "\u2028", "\U0001d4b5", "a", " ", "1",
+]
+
+
+def test_jstr_escapes_as_the_character_loop():
+    rng = random.Random(1901)
+    texts = ["", *_ALPHABET] + [
+        "".join(rng.choices(_ALPHABET, k=rng.randrange(1, 40))) for _ in range(2000)
+    ]
+    for text in texts:
+        assert _jstr(text) == _jstr_by_character(text), repr(text)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, cell, json",
+    [
+        (True, "true", "true"),
+        (False, "false", "false"),
+        (0, "0", "0"),
+        (-12, "-12", "-12"),
+        (None, "", "null"),
+        ('a "b", c', 'a "b", c', '"a \\"b\\", c"'),
+        ("", "", '""'),
+        (0.0, "0", "0"),
+        (-0.0, "-0", "-0"),
+        (math.inf, "", "null"),
+        (-math.inf, "", "null"),
+        (math.nan, "", "null"),
+        (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
+        (0.1, "0.10000000000000001", "0.10000000000000001"),
+        (_Float(0.1), "0.10000000000000001", "0.10000000000000001"),
+    ],
+)
+def test_cell_and_json_value_bytes(value, cell, json):
+    assert _cell(value) == cell
+    assert _json(value) == json

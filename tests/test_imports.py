@@ -184,6 +184,14 @@ def test_package_loads_no_dataclasses_or_fractions(code):
     assert _loaded_after(code, _MACHINERY) == set()
 
 
+@pytest.mark.parametrize(
+    ("fmt", "loaded"), [("json", set()), ("text", set()), ("csv", {"csv"})]
+)
+def test_csv_module_loads_only_for_csv_output(fmt, loaded):
+    code = f"from zetalim.cli import main\nmain(['zeta', '--s', '2', '--x', '1', '--format', '{fmt}'])"
+    assert _loaded_after(code, ("csv",)) == loaded
+
+
 def test_ratio_coordinate_parses_through_fractions_on_call():
     code = "from zetalim.cli import _coord\nassert _coord('1/4') == 0.25"
     assert "fractions" in _loaded_after(code, _MACHINERY)
