@@ -27,6 +27,11 @@ _HASSE_MAX_SHIFT = 400
 # Bits by which hurwitz_hasse's f(_HASSE_MAX_TERMS) may lie above f(0); past
 # about 210 its sum stalls at 80 digits.
 _HASSE_MAX_RISE = 1024.0
+# hurwitz_hasse leaves integer and half-integer exponents below 2^this to
+# mpf_pow's squarings (and square root), whose cost grows with the exponent's
+# bits: against about 11 us for the fixed-point logarithm and exponential,
+# 7 us at s = 50 and 10 at s = 1000; past 2^10 they cost more.
+_HASSE_EXACT_BITS = 10
 # h_k = 0.25 2^-k, k = 0..4: the pole of zeta(s, x) is sampled at
 # s = 1 +- h_k and extrapolated in h^2.
 _LADDER = tuple(0.25 * 2.0**-k for k in range(5))
@@ -209,10 +214,14 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
     2^-1000 |(s-1) prefix| where f(0) lies lower still (s >> x; at s =
     1e8, x = 1, f(0) is 8.6e8 bits down), so at s > 0 no integer grows
     with s.
-    Each f(n) is one mpmath power, on raw libmp tuples, and f(0) also
-    sets e; so is each prefix term, except that at s > 0, where they fall
-    with j, those 2^-400 or more below the first are not formed: they
-    cannot move the 80-digit sum (terms_used still counts the shift).
+    Each f(n) is one 80-digit power of the exact base n + x_eff, an
+    integer over 2^q as x is, from _hasse_power: in fixed point, as
+    mpmath's own zeta sums form k^-s, or by mpf_pow where 1 - s is a
+    small integer or half-integer.  Its mantissa is shifted straight
+    into units of 2^e, and f(0) also sets e.  So is each prefix term
+    (j + x)^-s, except that at s > 0, where they fall with j, those
+    2^-400 or more below the first are not formed: they cannot move the
+    80-digit sum (terms_used still counts the shift).
     One anti-diagonal of exact integers, D[j] =
     Delta^j f(n-j), takes n subtractions per outer term and ends in
     Delta^n f(0), so each f(n)'s conversion is the only rounding in the
@@ -253,30 +262,32 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
             f"binomial series at s = {s}, x = {x} would need {rise:.3g}-bit differences"
         )
     import mpmath as mp
-    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_shift, mpf_sum, to_int
+    from mpmath.libmp import mpf_sum
 
+    # x = xm 2^-xq exactly, so every base j + x and n + x_eff is exact.
+    xm, den = x.as_integer_ratio()
+    xq = den.bit_length() - 1
+    xe = (shift << xq) + xm
     with mp.workdps(80):
-        # The kernel and rounding of mpf.__pow__, on raw tuples.
         prec, rnd = mp.mp._prec_rounding
-        ss, xx = mp.mpf(s), mp.mpf(x)
-        x_eff, a = (xx + shift)._mpf_, (1 - ss)._mpf_
-        ms, xt = (-ss)._mpf_, xx._mpf_
-        prefix = mp.make_mpf(mpf_sum(
-            [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)
-             if s <= 0 or s * (math.log2(j + x) - math.log2(x)) <= 400],
-            prec, rnd,
-        ))
-        f0 = mpf_pow(x_eff, a, prec, rnd)
+        ss = mp.mpf(s)
+        prefix_power = _hasse_power((-ss)._mpf_, prec, rnd)
+        power = _hasse_power((1 - ss)._mpf_, prec, rnd)
+        terms = [prefix_power((j << xq) + xm, xq) for j in range(shift)
+                 if s <= 0 or s * (math.log2(j + x) - math.log2(x)) <= 400]
+        prefix = mp.make_mpf(mpf_sum([(0, m, ex, m.bit_length()) for m, ex in terms], prec, rnd))
+        f0 = power(xe, xq)
         scaled = prefix * (ss - 1)
-        e = max(f0[2] + f0[3], mp.mag(scaled) - 1000) - 300
+        e = max(f0[1] + f0[0].bit_length(), mp.mag(scaled) - 1000) - 300
         # In units of 2^(e-64), pre + acc is (s-1) zeta(s, x): each outer
         # term is weighed against |(s-1) zeta(s, x)|.
         pre = int(mp.ldexp(scaled, 64 - e))
         diag: list[int] = []
         acc = last = outer_used = small_run = 0
         for n in range(_HASSE_MAX_TERMS + 1):
-            fn = mpf_pow(mpf_add(from_int(n), x_eff, prec, rnd), a, prec, rnd) if n else f0
-            diag = list(accumulate(diag, sub, initial=to_int(mpf_shift(fn, -e))))
+            man, ex = power(xe + (n << xq), xq) if n else f0
+            ex -= e
+            diag = list(accumulate(diag, sub, initial=man << ex if ex >= 0 else man >> -ex))
             q = ((diag[-1] if n % 2 == 0 else -diag[-1]) << 64) // (n + 1)
             acc += q
             outer_used = n + 1
@@ -304,6 +315,50 @@ def hurwitz_hasse(s: float, x: float) -> EvalResult:
         terms_used=shift + outer_used,
         method_tag="hasse",
     )
+
+
+def _hasse_power(t: tuple, prec: int, rnd: str):
+    """power(k, q) = (k 2^-q)^t for integers k > 0, q >= 0, as (man, exp)
+    with man 2^exp within 2^-prec of it, relatively; t is an exact raw
+    mpf.
+
+    Integer and half-integer t below 2^_HASSE_EXACT_BITS go to mpf_pow,
+    which squares or takes a square root there, on the base rounded to
+    prec bits.  Every other t is formed in fixed point, as mpmath's own
+    zeta sums form k^-s (exp_fixed(-s log_int_fixed(k))) and as mpf_log
+    and mpf_exp do inside: ln k from log_taylor_cached on k normalized
+    to wp bits, plus (bitlen k - q) ln 2, times t exactly, then
+    exp_basecase of its remainder modulo ln 2.  The logarithm carries 20
+    guard bits plus the bits of |t| and of bitlen k - q, by which its
+    error is multiplied, and the exponential 14, as in mpf_exp; this
+    skips the mpf tuples of mpf_pow, about a quarter of its cost.
+    """
+    from mpmath.libmp import from_man_exp, mpf_pow
+
+    sign, man, exp, bc = t
+    if exp >= -1 and bc + exp <= _HASSE_EXACT_BITS:
+        def power(k: int, q: int) -> tuple[int, int]:
+            r = mpf_pow(from_man_exp(k, -q, prec, rnd), t, prec, rnd)
+            return r[1], r[2]
+        return power
+
+    from mpmath.libmp.libelefun import exp_basecase, ln2_fixed, log_taylor_cached
+
+    # t = num 2^-tq exactly.
+    num, tq = (-man if sign else man) << max(exp, 0), max(-exp, 0)
+    guard = prec + 20 + max(0, bc + exp)
+    wexp = prec + 14
+
+    def power(k: int, q: int) -> tuple[int, int]:
+        width = k.bit_length()
+        mag = width - q
+        wp = guard + abs(mag).bit_length()
+        ln2 = ln2_fixed(wp)
+        u = k << (wp - width) if wp >= width else k >> (width - wp)
+        y = (log_taylor_cached(u, wp) + mag * ln2) * num
+        n, r = divmod(y >> tq, ln2)
+        return exp_basecase(r >> (wp - wexp), wexp), int(n) - wexp
+    return power
 
 
 def _neville(hs: list[float], vs: list[float]) -> tuple[float, float]:

@@ -6,7 +6,8 @@ real series with Euler-Maclaurin closures and Euler transforms, while
 these oracles go through mpmath's zeta, polylog and high-precision
 finite differences, or a 70-digit direct sum (`em_zeta`).  The
 exceptions are `full_table_master_sum`, `product_rule_euler_maclaurin`,
-`loop_stieltjes_gamma1` and `loop_gamma1_reflection_diff`, engines as
+`loop_stieltjes_gamma1`, `loop_gamma1_reflection_diff` and
+`mpf_pow_hasse`, engines as
 they were before rewrites that had to keep their output bit for bit;
 they are kept to check exactly that.  `regsum._master_sum` matches
 `full_table_master_sum` bit for bit on its domain, phases at least 1/13
@@ -447,6 +448,72 @@ def loop_gamma1_reflection_diff(x: float):
     size += abs(tail_hi) + abs(tail_lo)
     err = trunc_hi + trunc_lo + EPS * (1.0 + size)
     return value, err, stieltjes._G1_CUTOFF + 1 + stieltjes._G1_ORDER
+
+
+def mpf_pow_hasse(s: float, x: float):
+    """`hurwitz.hurwitz_hasse` as it was before it formed its powers in
+    fixed point: every prefix term and every f(n) one `mpf_pow` of a
+    base rounded to 80 digits.  The shift, stop rule, term cap, rise
+    budget and error estimate follow the engine's, line for line.
+    Returns value, error estimate and terms used, or raises the same
+    errors; tests compare the two with `==`."""
+    from itertools import accumulate
+    from operator import sub
+
+    from mpmath.libmp import from_int, mpf_add, mpf_pow, mpf_shift, mpf_sum, to_int
+
+    from zetalim import hurwitz
+    from zetalim.result import ConvergenceError, PoleError
+
+    hurwitz.HurwitzQuery(s, x)
+    if abs(s - 1.0) < 1e-12:
+        raise PoleError("hurwitz_hasse is undefined at s = 1")
+    shift = min(max(0, math.ceil(hurwitz._HASSE_SHIFT + max(0.0, s - 1.0) - x)),
+                hurwitz._HASSE_MAX_SHIFT)
+    rise = (1.0 - s) * math.log2(1.0 + hurwitz._HASSE_MAX_TERMS / (x + shift))
+    if rise > hurwitz._HASSE_MAX_RISE:
+        raise ConvergenceError(
+            f"binomial series at s = {s}, x = {x} would need {rise:.3g}-bit differences"
+        )
+    with mp.workdps(80):
+        prec, rnd = mp.mp._prec_rounding
+        ss, xx = mp.mpf(s), mp.mpf(x)
+        x_eff, a = (xx + shift)._mpf_, (1 - ss)._mpf_
+        ms, xt = (-ss)._mpf_, xx._mpf_
+        prefix = mp.make_mpf(mpf_sum(
+            [mpf_pow(mpf_add(from_int(j), xt, prec, rnd), ms, prec, rnd) for j in range(shift)
+             if s <= 0 or s * (math.log2(j + x) - math.log2(x)) <= 400],
+            prec, rnd,
+        ))
+        f0 = mpf_pow(x_eff, a, prec, rnd)
+        scaled = prefix * (ss - 1)
+        e = max(f0[2] + f0[3], mp.mag(scaled) - 1000) - 300
+        pre = int(mp.ldexp(scaled, 64 - e))
+        diag = []
+        acc = last = outer_used = small_run = 0
+        for n in range(hurwitz._HASSE_MAX_TERMS + 1):
+            fn = mpf_pow(mpf_add(from_int(n), x_eff, prec, rnd), a, prec, rnd) if n else f0
+            diag = list(accumulate(diag, sub, initial=to_int(mpf_shift(fn, -e))))
+            q = ((diag[-1] if n % 2 == 0 else -diag[-1]) << 64) // (n + 1)
+            acc += q
+            outer_used = n + 1
+            last = abs(q)
+            small_run = small_run + 1 if last * 10**23 <= abs(pre + acc) else 0
+            if small_run >= 3:
+                break
+        value = float(prefix + mp.ldexp(acc, e - 64) / (ss - 1))
+        err = float(mp.ldexp(last, e - 64) / abs(ss - 1)) + max(
+            0.5 * math.ulp(value), math.ulp(0.0))
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"hurwitz_hasse value leaves binary64 at s = {s}, x = {x}"
+        )
+    if not err <= 1e-8 * max(1.0, abs(value)):
+        raise ConvergenceError(
+            f"binomial series stalled at {outer_used} outer terms "
+            f"(err_estimate {err:.2e})"
+        )
+    return value, err, shift + outer_used
 
 
 def outcome(f, *args):

@@ -5,7 +5,13 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import ZETA2_AT_HALF, mp_zeta, outcome, product_rule_euler_maclaurin
+from oracles import (
+    ZETA2_AT_HALF,
+    mp_zeta,
+    mpf_pow_hasse,
+    outcome,
+    product_rule_euler_maclaurin,
+)
 from zetalim import (
     DomainError,
     EvalResult,
@@ -185,12 +191,7 @@ def test_hasse_raises_before_its_integers_outgrow_the_budget(monkeypatch, s, x):
     # f(200)/f(0) = (1 + 200/x_eff)^(1-s) is 2.9e5 bits at s = -1e5, x = 1,
     # where the sum took 0.2 s and 33 MB before its value left binary64.
     # The budget raises before the first 80-digit power.
-    import mpmath.ctx_mp_python
-    import mpmath.libmp
-
-    calls = []
-    monkeypatch.setattr(mpmath.libmp, "mpf_pow", lambda *args: calls.append(args))
-    monkeypatch.setattr(mpmath.ctx_mp_python, "mpf_pow", lambda *args: calls.append(args))
+    calls = _count_powers(monkeypatch)
     with pytest.raises(ConvergenceError, match="bit differences"):
         hurwitz_hasse(s, x)
     assert calls == []
@@ -320,27 +321,35 @@ def test_hasse_term_count_and_value_are_pinned(s, x, terms, value):
     assert r.value == value
 
 
+def _count_powers(monkeypatch):
+    """Make every power that `hurwitz._hasse_power` hands out, on either of
+    its routes, append its base (k, q) to the list returned."""
+    calls = []
+    factory = hurwitz._hasse_power
+
+    def counted_factory(t, prec, rnd):
+        power = factory(t, prec, rnd)
+
+        def counted(k, q):
+            calls.append((k, q))
+            return power(k, q)
+        return counted
+
+    monkeypatch.setattr(hurwitz, "_hasse_power", counted_factory)
+    return calls
+
+
 @pytest.mark.parametrize(
     "s, x",
-    [(50.0, 0.5), (0.5, 0.25), (-11.5, 0.3), (2.0, 40.0), (50.0, 1000.0)],
+    [(50.0, 0.5), (0.5, 0.25), (-11.5, 0.3), (2.0, 40.0), (50.0, 1000.0),
+     (0.3, 0.7), (2.7, 12.0), (-5.3, 0.02), (1100.0, 1200.0)],
 )
 def test_hasse_takes_one_power_per_term(monkeypatch, s, x):
     # Deterministic cost guard: one 80-digit power per prefix term and
     # per outer term, f(0) = x_eff^(1-s) serving the scale exponent too.
-    # Both names of the kernel are counted: the one mpf.__pow__ calls
-    # and the one in mpmath.libmp.
-    import mpmath.ctx_mp_python
-    import mpmath.libmp
-
-    calls = []
-    kernel = mpmath.libmp.mpf_pow
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(mpmath.libmp, "mpf_pow", counted)
-    monkeypatch.setattr(mpmath.ctx_mp_python, "mpf_pow", counted)
+    # The first five points take mpf_pow's exact route, the rest the
+    # fixed-point one.
+    calls = _count_powers(monkeypatch)
     r = hurwitz_hasse(s, x)
     assert len(calls) == r.terms_used
 
@@ -401,12 +410,8 @@ def test_hasse_at_huge_s_returns_one_within_its_estimate(monkeypatch, s):
     # f(0) = 401^(1-s) lies s log2(401) bits below the prefix: fixed-point
     # units tied to it alone make a 108 MB integer at s = 1e8 and raise
     # OverflowError from about s = 1e18.  Only the prefix's first term
-    # and three outer terms are powers, each costlier as s grows.
-    import mpmath.libmp
-
-    calls = []
-    kernel = mpmath.libmp.mpf_pow
-    monkeypatch.setattr(mpmath.libmp, "mpf_pow", lambda *a: calls.append(a) or kernel(*a))
+    # and three outer terms are powers.
+    calls = _count_powers(monkeypatch)
     r = hurwitz_hasse(s, 1.0)
     assert (r.value, r.terms_used, len(calls)) == (1.0, hurwitz._HASSE_MAX_SHIFT + 3, 4)
     with mp.workdps(40):
@@ -434,6 +439,100 @@ def test_hasse_keeps_its_digits_where_the_prefix_cancels(s, x):
     with mp.workdps(50):
         ref = mp.zeta(s, x)
         assert abs(hurwitz_hasse(s, x).value - ref) <= 1e-15 * abs(ref)
+
+
+def _hasse_points(seed):
+    # s in [-12, 60] with x log-uniform over [0.01, 2000], then the cli
+    # range: s in [-2, 1.5] outside 1 +- 0.05, x log-uniform over [0.05, 20].
+    rng = random.Random(seed)
+    pts = [(rng.uniform(-12.0, 60.0), math.exp(rng.uniform(math.log(0.01), math.log(2000.0))))
+           for _ in range(200)]
+    while len(pts) < 400:
+        s = rng.uniform(-2.0, 1.5)
+        if abs(s - 1.0) >= 0.05:
+            pts.append((s, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))))
+    return pts
+
+
+# Subnormal and tiny x (exact bases of up to 1,100 bits, on both routes),
+# the cancelling prefix at s = -11.5, the 400-term shift, huge s, and
+# s = 1e-300, whose 1 - s rounds to 1 at 80 digits.
+_HASSE_EDGES = [(1e-3, 1e-310), (0.1, 5e-324), (0.36, 2e-308), (-2.3, 5e-324),
+                (2.5, 1e-70), (-1.5, 1e-40), (2.0, 1e-300), (-11.5, 1e-100),
+                (-11.5, 0.3), (-11.5, 30.0), (500.0, 0.9),
+                (1e6, 1.0), (1e8, 1.0), (1e20, 1.0), (1e300, 1.0), (1e-300, 0.7)]
+
+
+@pytest.mark.parametrize("seed", [3801, 3802])
+def test_hasse_matches_the_mpf_pow_loop_bit_for_bit(seed):
+    # The fixed-point powers differ from mpf_pow's in their last bits
+    # only, far below what the value or the error estimate keep.
+    pts = _hasse_points(seed) + (_HASSE_EDGES if seed == 3801 else [])
+    misses = [(s, x) for s, x in pts
+              if outcome(hurwitz_hasse, s, x) != outcome(mpf_pow_hasse, s, x)]
+    assert misses == []
+
+
+def test_hasse_at_its_rise_budget_matches_the_mpf_pow_loop_but_the_estimate():
+    # The largest rise that returns (see the test above on the budget):
+    # its last outer term lies at the powers' rounding floor, so its share,
+    # the error estimate, moves in the ninth digit (2.271371013489255e133
+    # against 2.271371023764211e133).
+    s, x = -88.69164587433306, 49.27539464749718
+    got, want = outcome(hurwitz_hasse, s, x), outcome(mpf_pow_hasse, s, x)
+    assert (got[0], got[2]) == (want[0], want[2])
+    assert got[1] == pytest.approx(want[1], rel=1e-6)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 50.0, 0.0, -1.0, 0.5, -1.5])
+def test_hasse_leaves_exact_exponents_to_mpf_pow(monkeypatch, s):
+    # Integer and half-integer exponents below 2^10 are cheaper as mpf_pow's
+    # squarings and square root than as a fixed-point exponential, and
+    # return the loop's bits.
+    import mpmath.libmp.libelefun as libelefun
+
+    calls = []
+    kernel = libelefun.exp_basecase
+    monkeypatch.setattr(libelefun, "exp_basecase", lambda *a: calls.append(a) or kernel(*a))
+    for x in (0.01, 0.3, 1.0, 20.0, 2000.0):
+        got = outcome(hurwitz_hasse, s, x)
+        assert calls == []
+        assert got == outcome(mpf_pow_hasse, s, x)
+
+
+def test_hasse_fixed_point_power_is_within_its_precision():
+    # The fixed-point route rests on two private mpmath kernels,
+    # log_taylor_cached and exp_basecase; each (k + x)^t, t = -s or 1 - s,
+    # must lie within 2^-prec of 120-digit mpmath.  x is subnormal (its
+    # 1,000-bit k + x is cut to the logarithm's width), tiny or up to 2000,
+    # s in [-400, 60] or 1e300.
+    from mpmath.libmp import from_man_exp
+
+    rng = random.Random(3803)
+    draws = []
+    for i in range(240):
+        if i % 4 == 0:
+            x = math.ulp(0.0) * rng.randrange(1, 1 << 20)
+        elif i % 4 == 1:
+            x = math.exp(rng.uniform(math.log(1e-300), math.log(1e-20)))
+        else:
+            x = math.exp(rng.uniform(math.log(0.01), math.log(2000.0)))
+        s = 1e300 if i % 15 == 14 else rng.uniform(-400.0, 60.0)
+        draws.append((rng.randrange(0, 401), x, s))
+    misses = []
+    for k, x, s in draws:
+        xm, den = x.as_integer_ratio()
+        q = den.bit_length() - 1
+        base = mp.make_mpf(from_man_exp((k << q) + xm, -q))  # exact
+        with mp.workdps(80):
+            prec, rnd = mp.mp._prec_rounding
+            for t in ((-mp.mpf(s))._mpf_, (1 - mp.mpf(s))._mpf_):
+                man, exp = hurwitz._hasse_power(t, prec, rnd)((k << q) + xm, q)
+                with mp.workdps(120):
+                    ref = base ** mp.make_mpf(t)
+                    if not abs(mp.ldexp(man, exp) / ref - 1) <= mp.ldexp(1, -prec):
+                        misses.append((k, x, s, t))
+    assert misses == []
 
 
 @pytest.mark.parametrize(
